@@ -1,14 +1,22 @@
 """Thin subprocess wrapper over a local git clone.
 
 One ``git log -z --name-status`` walk per queried head is parsed and cached;
-everything else is plain plumbing (``cat-file``, ``rev-parse``). Merge diffs
-are taken against the first parent, matching the miner's first-parent
-traversal. The wrapper is read-only and safe to use from parallel workers
-(each worker holds its own instance).
+everything else is plain plumbing (``cat-file``, ``rev-parse``, ``diff``).
+Merge diffs are taken against the first parent, matching the miner's
+first-parent traversal. ``line_hunks`` reads the hunk headers of one
+``git diff -U0`` between two blobs, with every flag that affects the line
+alignment pinned so that user or repository config cannot change it.
+
+Each instance caches the parsed logs and messages by resolved head commit,
+and the line hunks by their arguments (callers pass commit ids). Commits are
+immutable, so the caches never go stale. The wrapper is read-only and safe
+to use from parallel workers (each worker holds its own instance, and with
+it its own caches).
 """
 
 from __future__ import annotations
 
+import re
 import subprocess
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,6 +25,19 @@ from .errors import GitError
 
 _HDR = "\x01"
 _SEP = "\x02"
+
+# git diff flags that fix the line alignment whatever the config says
+_DIFF_FLAGS = (
+    "--no-color", "--no-ext-diff", "--no-textconv", "--text",
+    "--diff-algorithm=myers", "--indent-heuristic", "--inter-hunk-context=0",
+    "-U0",
+)
+_HUNK_HEADER = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@",
+                          re.MULTILINE)
+
+# (old_start, old_count, new_start, new_count) of one ``git diff -U0`` hunk;
+# a start with a zero count is the line just before the empty range
+Hunk = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -53,6 +74,7 @@ class Repository:
         self.path = str(path)
         self._log_cache: dict[str, tuple[LogEntry, ...]] = {}
         self._message_cache: dict[str, tuple[tuple[str, datetime, str], ...]] = {}
+        self._hunk_cache: dict[tuple[str, str, str, str], tuple[Hunk, ...]] = {}
         try:
             self._run("rev-parse", "--git-dir")
         except GitError as exc:
@@ -96,6 +118,23 @@ class Repository:
         if proc.returncode != 0:
             return None
         return proc.stdout
+
+    def line_hunks(self, old_rev: str, old_path: str, new_rev: str,
+                   new_path: str) -> tuple[Hunk, ...]:
+        """Changed line ranges from ``old_rev:old_path`` to
+        ``new_rev:new_path``, in file order; memoized, so pass commit ids.
+        Both blobs must exist."""
+        key = (old_rev, old_path, new_rev, new_path)
+        if key not in self._hunk_cache:
+            out = self._run("diff", *_DIFF_FLAGS,
+                            f"{old_rev}:{old_path}", f"{new_rev}:{new_path}")
+            self._hunk_cache[key] = tuple(
+                (int(old_start), int(old_count) if old_count else 1,
+                 int(new_start), int(new_count) if new_count else 1)
+                for old_start, old_count, new_start, new_count
+                in _HUNK_HEADER.findall(out)
+            )
+        return self._hunk_cache[key]
 
     def first_parent_log(self, head: str) -> tuple[LogEntry, ...]:
         """First-parent history of ``head`` (inclusive), newest first, each

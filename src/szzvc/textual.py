@@ -6,19 +6,22 @@ the commit that last introduced it; those origin commits are the candidates.
 Whitespace-only lines are skipped as cosmetic. Pure line additions have no
 prior line to blame, so adds-only fixes yield nothing.
 
-The backward trace maps line positions through each historical diff rather
-than shelling out to ``git blame``: blame cannot disable whole-file rename
-following, and the trace must honor ``follow_renames`` from the miner
-config. Tests cross-check the trace against ``git blame --porcelain``.
+Line positions are mapped through the hunk headers of one ``git diff -U0``
+per history step (:meth:`Repository.line_hunks`): git's own Myers diff with
+its flags pinned, the engine ``git blame`` uses. Lines are numbered as git
+numbers them, split at ``\\n`` only. ``git blame`` itself is not called:
+it cannot disable whole-file rename following, and the trace must honor
+``follow_renames`` from the miner config. Tests cross-check the trace
+against ``git blame --porcelain``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from difflib import SequenceMatcher
+from datetime import datetime
 
-from .errors import GitError
-from .gitrepo import Repository
+from .gitrepo import Hunk, Repository
 from .miner import FixingCommit, InducingCandidate, MinerConfig, history_steps
 from .pdparser import decode_patch_bytes
 
@@ -28,22 +31,35 @@ class LineOrigin:
     file_path: str
     line_number: int  # 1-based, in the pre-fix version
     origin_commit: str
+    origin_time: datetime  # committer time of the origin commit
     line_text: str
 
 
-def changed_pre_fix_lines(old_text: str, new_text: str) -> list[int]:
-    """1-based old-side line numbers deleted or modified by the change,
+def changed_pre_fix_lines(old_lines: list[str], hunks: Iterable[Hunk]) -> list[int]:
+    """1-based old-side line numbers deleted or modified by the ``hunks``,
     whitespace-only lines skipped."""
-    old_lines = old_text.splitlines()
-    new_lines = new_text.splitlines()
-    matcher = SequenceMatcher(None, old_lines, new_lines, autojunk=False)
-    numbers = []
-    for tag, i1, i2, _, _ in matcher.get_opcodes():
-        if tag in ("replace", "delete"):
-            for i in range(i1, i2):
-                if old_lines[i].strip():
-                    numbers.append(i + 1)
-    return numbers
+    return [
+        n
+        for old_start, old_count, _, _ in hunks
+        for n in range(old_start, old_start + old_count)
+        if old_lines[n - 1].strip()
+    ]
+
+
+def _position_before(position: int, hunks: Iterable[Hunk]) -> int | None:
+    """Where new-side line ``position`` was before the step with ``hunks``;
+    None when the step introduced the line."""
+    shift = 0
+    for old_start, old_count, new_start, new_count in hunks:
+        if new_count == 0:
+            if new_start >= position:
+                break  # a deletion after the line
+        elif new_start > position:
+            break
+        elif position < new_start + new_count:
+            return None
+        shift += old_count - new_count
+    return position + shift
 
 
 def annotate(repo: Repository, path: str, before: str, line_numbers,
@@ -63,65 +79,66 @@ def annotate(repo: Repository, path: str, before: str, line_numbers,
     for step in steps:
         if not tracked:
             break
-        new_lines = _lines_at(repo, step.entry.commit_id, step.path_new)
-        parent = step.entry.parents[0] if step.entry.parents else None
-        old_lines = (
-            _lines_at(repo, parent, step.path_old)
-            if step.path_old is not None and parent is not None
-            else []
+        entry = step.entry
+        parent = entry.parents[0] if entry.parents else None
+        # no old side (creation, or a rename cut): every tracked line starts here
+        hunks = (
+            None if step.path_old is None or parent is None
+            else repo.line_hunks(parent, step.path_old, entry.commit_id, step.path_new)
         )
-        matcher = SequenceMatcher(None, old_lines, new_lines, autojunk=False)
         remapped: dict[int, int] = {}
-        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-            for requested, position in tracked.items():
-                if j1 < position <= j2:
-                    if tag == "equal":
-                        remapped[requested] = i1 + (position - j1)
-                    else:
-                        origins[requested] = LineOrigin(
-                            file_path=step.path_new,
-                            line_number=requested,
-                            origin_commit=step.entry.commit_id,
-                            line_text=pre_fix_lines[requested - 1],
-                        )
+        for requested, position in tracked.items():
+            earlier = None if hunks is None else _position_before(position, hunks)
+            if earlier is not None:
+                remapped[requested] = earlier
+            else:
+                origins[requested] = LineOrigin(
+                    file_path=step.path_new,
+                    line_number=requested,
+                    origin_commit=entry.commit_id,
+                    origin_time=entry.commit_time,
+                    line_text=pre_fix_lines[requested - 1],
+                )
         tracked = remapped
     return origins
 
 
 def _lines_at(repo: Repository, rev: str, path: str) -> list[str]:
+    """Lines as git numbers them: split at ``\\n`` only, where
+    ``str.splitlines`` would also split at form feeds and the like."""
     data = repo.read_file(rev, path)
     if data is None:
         return []
     text, _ = decode_patch_bytes(data)
-    return text.splitlines()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 @dataclass(frozen=True)
 class TextualResult:
     candidates: tuple[InducingCandidate, ...]
-    failures: tuple = ()
 
 
 def textual_find_inducing(repo: Repository, fixing: FixingCommit,
                           config: MinerConfig) -> TextualResult:
     """Line-blame candidates for a fixing commit's visual files."""
-    try:
-        parent = repo.rev_parse(f"{fixing.commit_id}^")
-    except GitError:
-        parent = None
+    parents = repo.first_parent_log(fixing.commit_id)[0].parents
+    parent = parents[0] if parents else None
 
     by_key: dict[tuple[str, str], InducingCandidate] = {}
     for change in fixing.visual_files:
         if change.status == "added" or parent is None:
             continue  # nothing was deleted or modified
         old_path = change.old_path if change.status == "renamed-from" else change.path
-        old_text = "\n".join(_lines_at(repo, parent, old_path))
-        new_text = (
-            ""
+        old_lines = _lines_at(repo, parent, old_path)
+        hunks = (
+            ((1, len(old_lines), 0, 0),)
             if change.status == "deleted"
-            else "\n".join(_lines_at(repo, fixing.commit_id, change.path))
+            else repo.line_hunks(parent, old_path, fixing.commit_id, change.path)
         )
-        lines = changed_pre_fix_lines(old_text, new_text)
+        lines = changed_pre_fix_lines(old_lines, hunks)
         if not lines:
             continue
         origins = annotate(repo, old_path, fixing.commit_id, lines,
@@ -137,7 +154,7 @@ def textual_find_inducing(repo: Repository, fixing: FixingCommit,
                     file_path=change.path,
                     matched_paths=(),
                     via_addition_reduction=False,
-                    inducing_commit_time=repo.commit_time(origin.origin_commit),
+                    inducing_commit_time=origin.origin_time,
                 )
     return TextualResult(candidates=tuple(
         by_key[key] for key in sorted(by_key)

@@ -96,6 +96,25 @@ class RepoFixture:
         out = self._git("blame", "--porcelain", "-L", f"{line},{line}", rev, "--", path)
         return out.splitlines()[0].split()[0]
 
+    def blame_origins(self, rev: str, path: str) -> list[str]:
+        """Independent oracle: git blame's origin commit for every line, in
+        line order (one ``--porcelain`` run for the whole file)."""
+        proc = subprocess.run(
+            ["git", "-C", str(self.path), "blame", "--porcelain", rev, "--", path],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, f"git blame failed: {proc.stderr}"
+        by_line = {}
+        at_header = True
+        for line in proc.stdout.split(b"\n"):
+            if at_header and line:
+                commit, _, final_line = line.split()[:3]
+                by_line[int(final_line)] = commit.decode()
+                at_header = False
+            elif line.startswith(b"\t"):
+                at_header = True  # the line's content ends its entry
+        return [by_line[n] for n in sorted(by_line)]
+
     def log_follow(self, path: str, first_parent: bool = True) -> list[str]:
         """Independent oracle: rename-following history of a path."""
         args = ["log", "--follow", "--format=%H"]

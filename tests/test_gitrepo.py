@@ -79,3 +79,68 @@ def test_changed_files_and_messages(repo_fixture):
     assert repo.commit_message(c2).startswith("fix: solves #12")
     assert repo.is_ancestor(commits[1][0], c2)
     assert not repo.is_ancestor(c2, commits[1][0])
+
+
+def _hunks(repo_fixture, old: str, new: str):
+    c1 = repo_fixture.commit({"f.pd": old}, "c1", T1)
+    c2 = repo_fixture.commit({"f.pd": new}, "c2", T2)
+    return Repository(str(repo_fixture.path)).line_hunks(c1, "f.pd", c2, "f.pd")
+
+
+@pytest.mark.parametrize("old, new, hunks", [
+    ("a\nb\n", "a\nx\nb\n", ((1, 0, 2, 1),)),  # pure insertion: -a,0
+    ("a\nb\nc\n", "a\nc\n", ((2, 1, 1, 0),)),  # pure deletion: +c,0
+    ("a\nb", "a\nc", ((2, 1, 2, 1),)),  # last line without a newline
+    ("a\nb", "a\nb\n", ((2, 1, 2, 1),)),  # adding that newline changes it
+    ("a\x00\nb\n", "a\x00\nc\n", ((2, 1, 2, 1),)),  # NUL byte: still text
+    ("x\n", "x\n", ()),
+])
+def test_line_hunks(repo_fixture, old, new, hunks):
+    assert _hunks(repo_fixture, old, new) == hunks
+
+
+def test_line_hunks_across_paths_and_renames(repo_fixture):
+    c1 = repo_fixture.commit({"a.pd": "one\ntwo\n"}, "c1", T1)
+    repo_fixture.move("a.pd", "b.pd")
+    c2 = repo_fixture.commit({"b.pd": "zero\none\ntwo\n"}, "c2", T2)
+    repo = Repository(str(repo_fixture.path))
+    assert repo.line_hunks(c1, "a.pd", c2, "b.pd") == ((0, 0, 1, 1),)
+    with pytest.raises(GitError):
+        repo.line_hunks(c1, "b.pd", c2, "b.pd")
+
+
+def test_line_hunks_ignore_diff_config(repo_fixture):
+    # histogram aligns the first pair differently; an inter-hunk context
+    # would merge the two hunks of the second pair
+    c1 = repo_fixture.commit({"f.pd": "\n\nb\na\na\n", "g.pd": "a\nb\nc\nd\ne\n"},
+                             "c1", T1)
+    c2 = repo_fixture.commit({"f.pd": "a\n\t}\nb\n", "g.pd": "A\nb\nc\nD\ne\n"},
+                             "c2", T2)
+    expected = {
+        "f.pd": ((1, 4, 0, 0), (5, 0, 2, 2)),
+        "g.pd": ((1, 1, 1, 1), (4, 1, 4, 1)),
+    }
+
+    def hunks():
+        repo = Repository(str(repo_fixture.path))
+        return {path: repo.line_hunks(c1, path, c2, path) for path in expected}
+
+    assert hunks() == expected
+    for key, value in (("diff.algorithm", "histogram"), ("diff.external", "false"),
+                       ("color.diff", "always"), ("diff.interHunkContext", "3"),
+                       ("diff.indentHeuristic", "false")):
+        repo_fixture._git("config", key, value)
+    assert hunks() == expected
+    # the config does act on a git diff without the pinned flags
+    plain = repo_fixture._git("diff", "--no-ext-diff", "--no-color", "-U0",
+                              f"{c1}:f.pd", f"{c2}:f.pd")
+    assert "@@ -1,4 +0,0 @@" not in plain
+
+
+def test_line_hunks_are_memoized(repo_fixture, monkeypatch):
+    c1 = repo_fixture.commit({"f.pd": "a\n"}, "c1", T1)
+    c2 = repo_fixture.commit({"f.pd": "b\n"}, "c2", T2)
+    repo = Repository(str(repo_fixture.path))
+    first = repo.line_hunks(c1, "f.pd", c2, "f.pd")
+    monkeypatch.setattr(repo, "_run", None)  # a second git call would fail
+    assert repo.line_hunks(c1, "f.pd", c2, "f.pd") is first
