@@ -343,12 +343,12 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_history(args) -> int:
-    repo = Repository(args.repo)
     follow = _parse_bool(args.follow_renames, "--follow-renames")
-    entries = file_history(
-        repo, args.path, args.before,
-        follow_renames=True if follow is None else follow,
-    )
+    with Repository(args.repo) as repo:
+        entries = file_history(
+            repo, args.path, args.before,
+            follow_renames=True if follow is None else follow,
+        )
     for commit_id, path in entries:
         print(f"{commit_id} {path}")
     return EXIT_OK

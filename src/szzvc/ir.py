@@ -64,10 +64,6 @@ class Num:
             parsed = float(self.raw)
         object.__setattr__(self, "value", parsed)
 
-    @classmethod
-    def wrap(cls, value: int | float) -> "Num":
-        return cls(repr(value))
-
 
 def leaf_equal(a: object, b: object) -> bool:
     """Scalar equality as the diff engine sees it: Nums compare by value."""

@@ -18,6 +18,11 @@ Unparseable file versions (hand-edited patches) are recorded as per-file
 failures: the fixing side skips the file, a historical side skips that
 commit and the walk continues. The time filter afterwards drops candidates
 committed after the linked bug report.
+
+Fixing commits on one file share most of their history, so a run keeps one
+:class:`MiningCache`: each file version is read and parsed once, keyed by its
+blob id, and each history step is diffed once, keyed by its two blob ids.
+Blob ids come with the changed files of the repository's commit index.
 """
 
 from __future__ import annotations
@@ -85,9 +90,6 @@ class MinerConfig:
         except re.error as exc:
             raise ConfigError(f"bad message regex: {exc}")
 
-    def effective_filter(self) -> PropertyFilter:
-        return self.property_filter
-
     @property
     def method_tag_vc(self) -> str:
         if self.depth_mode == MAX_DEPTH:
@@ -109,7 +111,7 @@ class MinerConfig:
             "parallelism": self.parallelism,
             "all_matches": self.all_matches,
             "include_layout": self.include_layout,
-            "property_filter": self.effective_filter().to_dict(),
+            "property_filter": self.property_filter.to_dict(),
         }
 
     @classmethod
@@ -169,7 +171,7 @@ def parse_patch_text(text: str, language: Language, config: MinerConfig,
     if language is Language.PURE_DATA:
         return parse_pd(text, include_layout=config.include_layout,
                         source_path=source_path)
-    return parse_maxpat(text, prop_filter=config.effective_filter(),
+    return parse_maxpat(text, prop_filter=config.property_filter,
                         source_path=source_path)
 
 
@@ -285,6 +287,8 @@ class HistoryStep:
     path_new: str  # the file's path as of this commit
     path_old: str | None  # path on the parent side; None when the step
     # introduced the file (creation, or a rename boundary with following off)
+    old_blob: str | None  # None exactly when path_old is
+    new_blob: str
 
 
 def history_steps(repo: Repository, path: str, before: str,
@@ -300,16 +304,18 @@ def history_steps(repo: Repository, path: str, before: str,
             continue
         if touched.status == "renamed-from":
             if follow_renames:
-                steps.append(HistoryStep(entry, cur, touched.old_path))
+                steps.append(HistoryStep(entry, cur, touched.old_path,
+                                         touched.old_blob, touched.new_blob))
                 cur = touched.old_path
             else:
-                steps.append(HistoryStep(entry, cur, None))
+                steps.append(HistoryStep(entry, cur, None, None, touched.new_blob))
                 break
         elif touched.status == "added":
-            steps.append(HistoryStep(entry, cur, None))
+            steps.append(HistoryStep(entry, cur, None, None, touched.new_blob))
             break
         elif touched.status == "modified":
-            steps.append(HistoryStep(entry, cur, cur))
+            steps.append(HistoryStep(entry, cur, cur,
+                                     touched.old_blob, touched.new_blob))
         else:  # a deletion older than the creation boundary: stop
             break
     return steps
@@ -363,40 +369,76 @@ class InducingResult:
     fix_diffs: dict[str, IRDiff]
 
 
-class _IRLoader:
-    """Per-run cache of parsed IR versions; absent files parse as empty."""
+class MiningCache:
+    """One run's parsed file versions and history-step diffs, keyed by blob id.
 
-    def __init__(self, repo: Repository, language: Language, config: MinerConfig):
+    Built for one repository and config and shared by every fixing commit
+    of the run, also across parallel workers (a race at worst computes an
+    entry twice, with equal results). An unparseable version is kept as its
+    ``PatchSyntaxError`` and raised again at each use, so every fix that
+    meets it records the failure.
+    """
+
+    def __init__(self, repo: Repository, config: MinerConfig):
         self.repo = repo
-        self.language = language
         self.config = config
-        self._cache: dict[tuple[str, str], VisualIR] = {}
+        self._irs: dict[tuple[str, Language], VisualIR | PatchSyntaxError] = {}
+        self._diffs: dict[tuple[str | None, str | None, Language], IRDiff] = {}
 
-    def at(self, rev: str | None, path: str | None) -> VisualIR:
-        if rev is None or path is None:
-            return empty_ir(self.language, path or "")
-        key = (rev, path)
-        if key not in self._cache:
-            data = self.repo.read_file(rev, path)
-            if data is None:
-                ir = empty_ir(self.language, path)
-            else:
-                text, _ = decode_patch_bytes(data)
-                ir = parse_patch_text(text, self.language, self.config,
-                                      source_path=path)
-            self._cache[key] = ir
-        return self._cache[key]
+    def ir(self, language: Language, blob: str | None, rev: str | None,
+           path: str | None) -> VisualIR:
+        """IR of blob ``blob``, read as ``rev:path`` on a miss; a side
+        without a blob is empty."""
+        if blob is None:
+            return empty_ir(language, path or "")
+        key = (blob, language)
+        ir = self._irs.get(key)
+        if ir is None:
+            ir = self._irs[key] = self._parse(language, rev, path)
+        if isinstance(ir, PatchSyntaxError):
+            raise ir.with_traceback(None)
+        return ir
+
+    def _parse(self, language: Language, rev: str, path: str
+               ) -> VisualIR | PatchSyntaxError:
+        data = self.repo.read_file(rev, path)
+        if data is None:  # not a file, e.g. a gitlink
+            return empty_ir(language, path)
+        text, _ = decode_patch_bytes(data)
+        try:
+            return parse_patch_text(text, language, self.config, source_path=path)
+        except PatchSyntaxError as exc:
+            return exc
+
+    def step_diff(self, language: Language, step: HistoryStep) -> IRDiff:
+        """The diff a history step made to the file."""
+        key = (step.old_blob, step.new_blob, language)
+        diff = self._diffs.get(key)
+        if diff is None:
+            entry = step.entry
+            parent = entry.parents[0] if entry.parents else None
+            diff = self._diffs[key] = diff_ir(
+                self.ir(language, step.old_blob, parent, step.path_old),
+                self.ir(language, step.new_blob, entry.commit_id, step.path_new),
+                old_version=parent or "", new_version=entry.commit_id,
+            )
+        return diff
 
 
-def find_inducing(repo: Repository, fixing: FixingCommit,
-                  config: MinerConfig) -> InducingResult:
+def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
+                  cache: MiningCache | None = None) -> InducingResult:
     """Backtrack every visual file of a fixing commit to its defect-inducing
-    candidates (unfiltered; apply :func:`filter_candidates` afterwards)."""
+    candidates (unfiltered; apply :func:`filter_candidates` afterwards).
+    ``cache`` shares parses and diffs across the fixes of a run; it must be
+    built for the same ``repo`` and ``config``."""
+    cache = MiningCache(repo, config) if cache is None else cache
     merged: dict[tuple[str, str], dict] = {}
     failures: list[AnalysisFailure] = []
     fix_diffs: dict[str, IRDiff] = {}
+    fix_entry = repo.first_parent_log(fixing.commit_id)[0]
     for change in fixing.visual_files:
-        _mine_file(repo, fixing, change, config, merged, failures, fix_diffs)
+        _mine_file(repo, cache, fixing, fix_entry, change, config, merged,
+                   failures, fix_diffs)
 
     candidates = tuple(
         InducingCandidate(
@@ -421,7 +463,9 @@ def find_inducing(repo: Repository, fixing: FixingCommit,
 
 def _mine_file(
     repo: Repository,
+    cache: MiningCache,
     fixing: FixingCommit,
+    fix_entry: LogEntry,
     change: ChangedFile,
     config: MinerConfig,
     merged: dict,
@@ -431,24 +475,14 @@ def _mine_file(
     language = language_for_path(change.path, config.extensions)
     if language is None:
         return
-    loader = _IRLoader(repo, language, config)
-    try:
-        parent = repo.rev_parse(f"{fixing.commit_id}^")
-    except GitError:
-        parent = None
+    parent = fix_entry.parents[0] if fix_entry.parents else None
     old_path = change.old_path if change.status == "renamed-from" else change.path
+    # the indexed listing of the same change carries its blob ids
+    change = next((c for c in fix_entry.changes if c == change), change)
 
     try:
-        old_ir = (
-            empty_ir(language, change.path)
-            if change.status == "added"
-            else loader.at(parent, old_path)
-        )
-        new_ir = (
-            empty_ir(language, change.path)
-            if change.status == "deleted"
-            else loader.at(fixing.commit_id, change.path)
-        )
+        old_ir = cache.ir(language, change.old_blob, parent, old_path)
+        new_ir = cache.ir(language, change.new_blob, fixing.commit_id, change.path)
     except PatchSyntaxError as exc:
         failures.append(AnalysisFailure(fixing.commit_id, change.path, str(exc)))
         return
@@ -480,16 +514,7 @@ def _mine_file(
     step_diffs: list[IRDiff | None] = []
     for step in steps:
         try:
-            step_old = loader.at(
-                step.entry.parents[0] if step.entry.parents else None,
-                step.path_old,
-            )
-            step_new = loader.at(step.entry.commit_id, step.path_new)
-            step_diffs.append(
-                diff_ir(step_old, step_new,
-                        old_version=step.entry.parents[0] if step.entry.parents else "",
-                        new_version=step.entry.commit_id)
-            )
+            step_diffs.append(cache.step_diff(language, step))
         except PatchSyntaxError as exc:
             failures.append(
                 AnalysisFailure(step.entry.commit_id, step.path_new, str(exc))

@@ -213,8 +213,9 @@ def _attach_array_data(canvas: _Canvas, record: PdRecord) -> None:
 
 
 def decode_patch_bytes(data: bytes) -> tuple[str, list[str]]:
-    """UTF-8 with Latin-1 fallback; the fallback is reported as a warning."""
+    """UTF-8 without a leading byte-order mark, with Latin-1 fallback; the
+    fallback is reported as a warning."""
     try:
-        return data.decode("utf-8"), []
+        return data.decode("utf-8-sig"), []
     except UnicodeDecodeError:
         return data.decode("latin-1"), ["decoded as latin-1 (invalid utf-8)"]

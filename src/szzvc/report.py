@@ -9,7 +9,6 @@ aligned tables printed elsewhere are derived from it, never the reverse.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -21,9 +20,11 @@ from .miner import (
     FixingCommit,
     InducingCandidate,
     MinerConfig,
+    MiningCache,
     filter_candidates,
     find_inducing,
     identify_fixing_commits,
+    language_for_path,
 )
 from .textual import textual_find_inducing
 
@@ -56,25 +57,20 @@ def run_analysis(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-    repo = Repository(repo_path)
-    fixing = identify_fixing_commits(repo, config, issue_links=issue_links, head=head)
+    with Repository(repo_path) as repo:
+        fixing = identify_fixing_commits(repo, config, issue_links=issue_links,
+                                         head=head)
+        cache = MiningCache(repo, config)
 
-    local = threading.local()
+        def analyze_one(fix: FixingCommit) -> dict:
+            return _analyze_fixing_commit(repo, cache, fix, config, methods)
 
-    def worker_repo() -> Repository:
-        if getattr(local, "repo", None) is None:
-            local.repo = Repository(repo_path)
-        return local.repo
-
-    def analyze_one(fix: FixingCommit) -> dict:
-        return _analyze_fixing_commit(worker_repo(), fix, config, methods)
-
-    if config.parallelism > 1 and len(fixing) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            entries = list(pool.map(analyze_one, fixing))
-    else:
-        local.repo = repo
-        entries = [analyze_one(fix) for fix in fixing]
+        if config.parallelism > 1 and len(fixing) > 1:
+            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+                entries = list(pool.map(analyze_one, fixing))
+        else:
+            entries = [analyze_one(fix) for fix in fixing]
+        head_id = repo.rev_parse(head)
 
     had_failures = any(entry.pop("_had_failures") for entry in entries)
     if strict and had_failures:
@@ -86,7 +82,7 @@ def run_analysis(
         "config": {
             **config.to_dict(),
             "methods": sorted(methods),
-            "head": repo.rev_parse(head),
+            "head": head_id,
         },
         "fixing_commits": entries,
     }
@@ -98,14 +94,15 @@ def run_analysis(
     return report, had_failures
 
 
-def _analyze_fixing_commit(repo: Repository, fixing: FixingCommit,
-                           config: MinerConfig, methods) -> dict:
+def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
+                           fixing: FixingCommit, config: MinerConfig,
+                           methods) -> dict:
     warnings: list[str] = []
     had_failures = False
     languages = sorted({
         lang.value
         for change in fixing.visual_files
-        for lang in [_language_of(change.path, config)]
+        for lang in [language_for_path(change.path, config.extensions)]
         if lang is not None
     })
     entry = {
@@ -124,7 +121,7 @@ def _analyze_fixing_commit(repo: Repository, fixing: FixingCommit,
     }
 
     if "szz-vc" in methods:
-        result = find_inducing(repo, fixing, config)
+        result = find_inducing(repo, fixing, config, cache)
         for failure in result.failures:
             had_failures = True
             warnings.append(
@@ -155,12 +152,6 @@ def _analyze_fixing_commit(repo: Repository, fixing: FixingCommit,
 
     entry["_had_failures"] = had_failures
     return entry
-
-
-def _language_of(path: str, config: MinerConfig):
-    from .miner import language_for_path
-
-    return language_for_path(path, config.extensions)
 
 
 def _method_section(candidates, fixing: FixingCommit, warnings: list[str]) -> dict:

@@ -63,17 +63,21 @@ def _position_before(position: int, hunks: Iterable[Hunk]) -> int | None:
 
 
 def annotate(repo: Repository, path: str, before: str, line_numbers,
-             follow_renames: bool = True) -> dict[int, LineOrigin | None]:
+             follow_renames: bool = True,
+             pre_fix_lines: list[str] | None = None
+             ) -> dict[int, LineOrigin | None]:
     """Origin commit of each requested pre-fix line of ``path``.
 
     ``None`` when the origin is unreachable (history cut at a rename with
-    following disabled).
+    following disabled). ``pre_fix_lines``, when the caller has already read
+    them, are the lines of ``path`` just before ``before``.
     """
     steps = history_steps(repo, path, before, follow_renames=follow_renames)
     origins: dict[int, LineOrigin | None] = {n: None for n in line_numbers}
     if not steps:
         return origins
-    pre_fix_lines = _lines_at(repo, steps[0].entry.commit_id, steps[0].path_new)
+    if pre_fix_lines is None:
+        pre_fix_lines = _lines_at(repo, steps[0].entry.commit_id, steps[0].path_new)
     # position of each traced line in the version at the current step
     tracked = {n: n for n in line_numbers if 1 <= n <= len(pre_fix_lines)}
     for step in steps:
@@ -142,7 +146,8 @@ def textual_find_inducing(repo: Repository, fixing: FixingCommit,
         if not lines:
             continue
         origins = annotate(repo, old_path, fixing.commit_id, lines,
-                           follow_renames=config.follow_renames)
+                           follow_renames=config.follow_renames,
+                           pre_fix_lines=old_lines)
         for origin in origins.values():
             if origin is None or origin.origin_commit == fixing.commit_id:
                 continue

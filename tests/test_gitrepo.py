@@ -1,3 +1,5 @@
+import sys
+import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -144,3 +146,145 @@ def test_line_hunks_are_memoized(repo_fixture, monkeypatch):
     first = repo.line_hunks(c1, "f.pd", c2, "f.pd")
     monkeypatch.setattr(repo, "_run", None)  # a second git call would fail
     assert repo.line_hunks(c1, "f.pd", c2, "f.pd") is first
+
+
+def test_read_file_through_the_batch_reader(repo_fixture):
+    files = {
+        "dir/nested.pd": "nested\n",
+        "with space .pd": "spaced\n",
+        "line\nbreak.pd": "newline in name\n",
+        "ends in cr.pd\r": "carriage return\n",
+        "nul.pd": "a\x00b\n",
+        "crlf.pd": "one\r\ntwo\r\n",
+        "no-final-newline.pd": "last",
+    }
+    c1 = repo_fixture.commit(files, "c1", T1)
+    repo = Repository(str(repo_fixture.path))
+    for path, content in files.items():
+        assert repo.read_file(c1, path) == content.encode()
+    assert repo.read_file(c1, "missing.pd") is None
+    assert repo.read_file(c1, "dir") is None  # a tree, not a file
+    assert repo.read_file("0" * 40, "nul.pd") is None
+    assert repo.read_file(c1, "nul.pd") == b"a\x00b\n"  # the reader is in sync
+
+
+def test_newline_path_reads_without_the_batch_reader(repo_fixture):
+    c1 = repo_fixture.commit({"line\nbreak.pd": "x\n"}, "c1", T1)
+    repo = Repository(str(repo_fixture.path))
+    assert repo.read_file(c1, "line\nbreak.pd") == b"x\n"
+    assert repo._batch is None
+
+
+def test_concurrent_reads_share_one_reader(repo_fixture):
+    files = {f"f{k}.pd": f"{k}\n" * (k * 700 + 1) for k in range(6)}
+    c1 = repo_fixture.commit(files, "c1", T1)
+    repo = Repository(str(repo_fixture.path))
+    mismatches = []
+
+    def reader(offset: int) -> None:
+        paths = sorted(files)
+        for n in range(60):
+            path = paths[(n + offset) % len(paths)]
+            if repo.read_file(c1, path) != files[path].encode():
+                mismatches.append(path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    process = repo._batch
+    repo.close()
+    assert process.returncode is not None and repo._batch is None
+    assert repo.read_file(c1, "f1.pd") == files["f1.pd"].encode()  # restarts
+    repo.close()
+
+
+def test_context_manager_ends_the_reader(repo_fixture):
+    c1 = repo_fixture.commit({"a.pd": "a\n"}, "c1", T1)
+    with Repository(str(repo_fixture.path)) as repo:
+        assert repo.read_file(c1, "a.pd") == b"a\n"
+        process = repo._batch
+    assert process.returncode is not None
+
+
+_STATUS = {"M": "modified", "A": "added", "D": "deleted", "R": "renamed-from"}
+
+
+def _direct_first_parent_walk(repo_fixture, commit: str) -> list[tuple]:
+    """Oracle: (id, time, parents, changes) of ``git log --first-parent
+    --name-status`` from ``commit``, with changes as sorted tuples."""
+    out = repo_fixture._git(
+        "log", "--first-parent", "--diff-merges=first-parent", "--find-renames",
+        "--name-status", "--format=%x01%H %ct %P", commit,
+    )
+    walk = []
+    for chunk in out.split("\x01")[1:]:
+        header, *lines = chunk.strip("\n").split("\n")
+        commit_id, epoch, *parents = header.split()
+        changes = []
+        for line in filter(None, lines):
+            status, *paths = line.split("\t")
+            old_path = paths[0] if status[0] == "R" else None
+            changes.append((_STATUS[status[0]], paths[-1], old_path))
+        walk.append((commit_id, datetime.fromtimestamp(int(epoch), tz=timezone.utc),
+                     tuple(parents), sorted(changes)))
+    return walk
+
+
+def test_index_matches_a_direct_first_parent_walk(repo_fixture, monkeypatch):
+    repo_fixture.commit({"a.pd": "a\n", "b.pd": "b\n"}, "c1", T1)
+    repo_fixture.checkout("side", create=True)
+    repo_fixture.commit({"a.pd": "a\nside\n"}, "fix: side #1", T2)
+    repo_fixture.move("b.pd", "c.pd")
+    repo_fixture.commit({"d.pd": "d\n"}, "side rename", T3)
+    repo_fixture.checkout("main")
+    repo_fixture.commit({"e.pd": "e\n", "b.pd": "b\nmain\n"}, "main work", T3)
+    repo_fixture.merge("side", "merge side", T4)
+    repo_fixture.commit({"a.pd": None}, "fix: drop a #2", T4)
+    commits = repo_fixture._git("rev-list", "--all").split()
+    assert len(commits) == 6
+
+    repo = Repository(str(repo_fixture.path))
+    assert [c for c, _, _ in repo.all_commits("HEAD")] == \
+        repo_fixture._git("log", "--format=%H").split()
+    # every commit is indexed now: no name resolution, no further process
+    monkeypatch.setattr(repo, "rev_parse", None)
+    monkeypatch.setattr(repo, "_run", None)
+    for commit in commits:
+        walk = [(e.commit_id, e.commit_time, e.parents,
+                 sorted((c.status, c.path, c.old_path) for c in e.changes))
+                for e in repo.first_parent_log(commit)]
+        assert walk == _direct_first_parent_walk(repo_fixture, commit)
+        assert sorted((c.status, c.path, c.old_path)
+                      for c in repo.changed_files(commit)) == walk[0][3]
+        assert repo.commit_time(commit) == walk[0][1]
+        message = repo_fixture._git("log", "-1", "--format=%B", commit)
+        assert repo.commit_message(commit) + "\n" == message
+
+
+def test_changed_files_carry_blob_ids(repo_fixture):
+    repo_fixture.commit({"a.pd": "a\n", "gone.pd": "g\n"}, "c1", T1)
+    repo_fixture.move("a.pd", "b.pd")
+    c2 = repo_fixture.commit({"b.pd": "a\nb\n", "gone.pd": None, "new.pd": "n\n"},
+                             "c2", T2)
+    repo = Repository(str(repo_fixture.path))
+
+    def blob(spec: str) -> str:
+        return repo_fixture._git("rev-parse", spec).strip()
+
+    by_path = {c.path: c for c in repo.changed_files(c2)}
+    assert by_path["b.pd"].status == "renamed-from"
+    assert (by_path["b.pd"].old_blob, by_path["b.pd"].new_blob) == \
+        (blob(f"{c2}^:a.pd"), blob(f"{c2}:b.pd"))
+    assert (by_path["gone.pd"].old_blob, by_path["gone.pd"].new_blob) == \
+        (blob(f"{c2}^:gone.pd"), None)
+    assert (by_path["new.pd"].old_blob, by_path["new.pd"].new_blob) == \
+        (None, blob(f"{c2}:new.pd"))

@@ -11,6 +11,7 @@ from szzvc.maxparser import (
     default_property_filter,
     parse_maxpat,
 )
+from szzvc.pdparser import decode_patch_bytes
 from conftest import maxpat_doc
 
 MINIMAL = maxpat_doc(
@@ -149,3 +150,9 @@ def test_maxhelp_is_the_same_format():
     ir = parse_maxpat(MINIMAL, source_path="thing.maxhelp")
     assert ir.source_path == "thing.maxhelp"
     assert set(ir.subtrees) == {"obj-1", "obj-2"}
+
+
+def test_utf8_bom_is_not_part_of_the_patch():
+    text, warnings = decode_patch_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
+    assert warnings == []
+    assert parse_maxpat(text) == parse_maxpat(MINIMAL)

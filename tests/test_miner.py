@@ -3,6 +3,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from szzvc import miner as miner_module
 from szzvc.diff import MAX_DEPTH, ChangeKind
 from szzvc.errors import ConfigError, GitError
 from szzvc.gitrepo import Repository
@@ -20,6 +21,7 @@ from szzvc.miner import (
     load_issue_links,
 )
 from szzvc.ir import Language
+from szzvc.report import run_analysis
 from conftest import maxpat_doc
 
 T = [f"2021-05-{day:02d}T10:00:00+00:00" for day in range(1, 10)]
@@ -352,3 +354,72 @@ def test_merge_commits_walk_first_parent(repo_fixture):
     result = find_inducing(repo, _fixing(repo, fix), MinerConfig())
     assert [c.inducing_commit for c in result.candidates] == [main_edit]
     assert merge not in {c.inducing_commit for c in result.candidates}
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    texts = []
+    real = miner_module.parse_pd
+
+    def counting(text, *args, **kwargs):
+        texts.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(miner_module, "parse_pd", counting)
+    return texts
+
+
+def test_run_parses_each_blob_once(repo_fixture, monkeypatch):
+    versions = [PATCH_V1, PATCH_V2, PATCH_V3, PATCH_V1,
+                PATCH_V3.replace("hello again", "hi"), PATCH_V2,
+                PATCH_V2.replace("print", "print out")]
+    for day, text in enumerate(versions):
+        message = "fix #%d" % day if day in (2, 4, 6) else f"c{day}"
+        repo_fixture.commit({"p.pd": text}, message, T[day])
+    texts = _count_parses(monkeypatch)
+    report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
+                                        with_timing=False)
+    assert not had_failures
+    assert len(report["fixing_commits"]) == 3
+    blobs = set(repo_fixture._git("log", "--format=%T", "p.pd").split())
+    blobs = {repo_fixture._git("rev-parse", f"{tree}:p.pd").strip() for tree in blobs}
+    assert len(blobs) == 5  # seven versions, two of them repeats
+    assert len(texts) == len(set(texts)) == len(blobs)
+
+
+def test_unparseable_version_warns_in_every_fix(repo_fixture):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    repo_fixture.commit({"p.pd": PATCH_V2}, "c2", T[1])
+    broken = repo_fixture.commit({"p.pd": "#N canvas 0 0 1 1 10;\n#X msg 5 5 oops"},
+                                 "c3 hand-edited", T[2])
+    repo_fixture.commit({"p.pd": PATCH_V3}, "c4", T[3])
+    repo_fixture.commit({"p.pd": PATCH_V3.replace("hello again", "back")},
+                        "fix #1", T[4])
+    repo_fixture.commit({"p.pd": PATCH_V3.replace("hello again", "back again")},
+                        "fix #2", T[5])
+    report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
+                                        with_timing=False)
+    assert had_failures
+    entries = report["fixing_commits"]
+    assert len(entries) == 2
+    for entry in entries:
+        assert any(w.startswith(f"unparseable version {broken}:p.pd")
+                   for w in entry["warnings"])
+
+
+def test_unchanged_blob_across_rename_is_parsed_once(repo_fixture, monkeypatch):
+    repo_fixture.commit({"a.pd": PATCH_V1}, "c1", T[0])
+    c2 = repo_fixture.commit({"a.pd": PATCH_V2}, "c2", T[1])
+    repo_fixture.move("a.pd", "b.pd")
+    renamed = repo_fixture.commit({}, "c3 pure rename", T[2])
+    fix = repo_fixture.commit({"b.pd": PATCH_V3}, "c4 fix", T[3])
+    repo = _repo(repo_fixture)
+    steps = history_steps(repo, "b.pd", fix)
+    assert [s.entry.commit_id for s in steps][:2] == [renamed, c2]
+    assert steps[0].old_blob == steps[0].new_blob
+    texts = _count_parses(monkeypatch)
+    result = find_inducing(repo, _fixing(repo, fix), MinerConfig())
+    assert sorted(texts) == sorted([PATCH_V1, PATCH_V2, PATCH_V3])
+    assert [(c.inducing_commit, c.file_path, c.matched_paths)
+            for c in result.candidates] == [
+        (c2, "b.pd", ((("obj-0", "serialized_contents", "text"), 3),)),
+    ]

@@ -217,3 +217,9 @@ def test_decode_fallback():
     text, warnings = decode_patch_bytes("caf\xe9".encode("latin-1"))
     assert text == "caf\xe9"
     assert warnings and "latin-1" in warnings[0]
+
+
+def test_utf8_bom_is_not_part_of_the_patch():
+    text, warnings = decode_patch_bytes(b"\xef\xbb\xbf" + HELLO_WORLD_PD.encode())
+    assert warnings == []
+    assert parse_pd(text) == parse_pd(HELLO_WORLD_PD)

@@ -39,14 +39,20 @@ def test_deleted_file_is_one_hunk_over_every_line(repo_fixture):
     assert changed_pre_fix_lines(PATCH_V2.splitlines(), [(1, 4, 0, 0)]) == [1, 2, 3, 4]
 
 
-def test_three_commit_fixture_blames_line_introducer(repo_fixture):
+def test_three_commit_fixture_blames_line_introducer(repo_fixture, monkeypatch):
     # oracle below: git blame's own origin for the same line
     repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
     c2 = repo_fixture.commit({"p.pd": PATCH_V2}, "c2", T[1])
     c3 = repo_fixture.commit({"p.pd": PATCH_V3}, "c3 fix", T[2])
     repo = _repo(repo_fixture)
-    result = textual_find_inducing(repo, _fixing(repo, c3), MinerConfig())
+    fixing = _fixing(repo, c3)
+    reads = []
+    real_read = repo.read_file
+    monkeypatch.setattr(repo, "read_file",
+                        lambda *spec: reads.append(spec) or real_read(*spec))
+    result = textual_find_inducing(repo, fixing, MinerConfig())
     assert [c.inducing_commit for c in result.candidates] == [c2]
+    assert reads == [(c2, "p.pd")]  # the pre-fix version, read once
     assert result.candidates[0].matched_paths == ()
 
     # the modified line is line 2 (the msg record); cross-check with blame
