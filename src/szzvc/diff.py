@@ -7,6 +7,12 @@ at the leaf's path. Record paths are therefore prefix-free (asserted on every
 diff). Connections are compared as set elements — an edge has no identity
 beyond its value, so rewiring an endpoint is a Delete+Add pair.
 
+A node whose subtree equals its counterpart is skipped without descent. That
+is sound because dataclass equality compares a ``Num`` by its spelling: equal
+subtrees hold equal leaves, which ``leaf_equal`` also finds equal, so they
+cannot yield a record, while ``1.0`` against ``1.00`` is unequal and still
+reaches ``leaf_equal``, which reports no change.
+
 Change-depth: a path's depth is its component count. ``paths_at_depth``
 renders a diff either at full depth or truncated to a fixed depth, merging
 kinds where truncation collapses several records onto one path (any real
@@ -58,10 +64,6 @@ class ChangeRecord:
             ok = self.old_value is not ABSENT and self.new_value is not ABSENT
         if not ok:
             raise ValueError(f"inconsistent {self.kind.value} record at {self.path}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def _diff_subtrees(old: VisualIR, new: VisualIR, prefix: ChangePath,
             records.append(ChangeRecord(ChangeKind.DELETED, path, o, ABSENT))
         elif o is None:
             records.append(ChangeRecord(ChangeKind.ADDED, path, ABSENT, n))
-        else:
+        elif o != n:
             _diff_one_node(o, n, path, records)
 
 

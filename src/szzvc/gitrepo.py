@@ -203,13 +203,6 @@ class Repository:
     def commit_message(self, rev: str) -> str:
         return self._messages[self._indexed(rev)]
 
-    def is_ancestor(self, ancestor: str, descendant: str) -> bool:
-        proc = subprocess.run(
-            ["git", "-C", self.path, "merge-base", "--is-ancestor", ancestor, descendant],
-            capture_output=True,
-        )
-        return proc.returncode == 0
-
     def read_file(self, rev: str, path: str) -> bytes | None:
         """File content at a revision, or None when absent there or not a
         file (a tree or a gitlink)."""

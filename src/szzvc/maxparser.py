@@ -11,6 +11,13 @@ Box attributes pass through a configurable ``PropertyFilter`` applied
 recursively at every nesting level. The default excludes editor-derived
 churn (geometry, fonts, inlet/outlet counts, app metadata); ``text``,
 ``maxclass`` and ``patcher`` identify a node and can never be excluded.
+
+Numbers become ``Num`` only where the filter keeps them. The JSON decoder
+hands each number's source text to a ``_Number`` marker; the filter and the
+patchline reader turn a kept marker into ``Num(raw)``, so the numbers under
+excluded keys (geometry, mostly) are never converted. The decoder has
+already checked their grammar. A marker is no ``str``, so a numeric box id or
+patchline endpoint is still rejected.
 """
 
 from __future__ import annotations
@@ -80,13 +87,22 @@ def default_property_filter() -> PropertyFilter:
     return PropertyFilter(mode=FilterMode.EXCLUDE_LIST, keys=DEFAULT_EXCLUDED_KEYS)
 
 
+class _Number:
+    """A JSON number's source text, not yet known to be kept."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: str):
+        self.raw = raw
+
+
 def parse_maxpat(text: str, prop_filter: PropertyFilter | None = None,
                  source_path: str = "") -> VisualIR:
     """Parse a patcher document into a canonical IR."""
     if prop_filter is None:
         prop_filter = default_property_filter()
     try:
-        doc = json.loads(text, parse_int=Num, parse_float=Num,
+        doc = json.loads(text, parse_int=_Number, parse_float=_Number,
                          parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise PatchSyntaxError(
@@ -153,10 +169,10 @@ def _endpoint(line: dict, key: str) -> tuple[str, int]:
         not isinstance(value, list)
         or len(value) != 2
         or not isinstance(value[0], str)
-        or not isinstance(value[1], Num)
+        or not isinstance(value[1], _Number)
     ):
         raise PatchSyntaxError(f"patchline {key} must be [box-id, port]")
-    port = value[1].value
+    port = Num(value[1].raw).value
     if not isinstance(port, int) or port < 0:
         raise PatchSyntaxError(f"patchline {key} port must be a non-negative integer")
     return value[0], port
@@ -185,4 +201,6 @@ def _filter_value(value, prop_filter: PropertyFilter):
         }
     if isinstance(value, list):
         return [_filter_value(v, prop_filter) for v in value]
+    if isinstance(value, _Number):
+        return Num(value.raw)
     return value

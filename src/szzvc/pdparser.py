@@ -2,22 +2,32 @@
 
 The text format is a stream of records terminated by an unescaped ``;``.
 Records start with a chunk marker (``#N`` canvas declarations, ``#X``
-elements, ``#A`` array data); a backslash escapes the following character, so
-``\\;`` does not terminate. The format has no node ids, so pseudo-ids
-``obj-<k>`` are assigned by the 0-based ordinal position of node-defining
-records on their canvas — meaning an insertion shifts every later id, which
-is exactly the instability the Max format avoids with persistent ids.
+elements, ``#A`` array data); a backslash escapes the following character,
+whitespace and newlines included, so ``\\;`` does not terminate and a lone
+backslash at the end of the text leaves its record unterminated. Each record
+is one match of a compiled pattern (plain characters and escapes up to an
+unescaped ``;``); a body without a backslash splits into atoms with
+``str.split()``, one with a backslash through an atom pattern in which a
+backslash keeps the next character, and record line spans are counted from
+the newlines before each record's first atom and its ``;``. The format has
+no node ids, so pseudo-ids ``obj-<k>`` are assigned by the 0-based ordinal
+position of node-defining records on their canvas — meaning an insertion
+shifts every later id, which is exactly the instability the Max format
+avoids with persistent ids.
 
 Grammar subset: node-defining elements are obj, msg, text (comments appear as
 nodes in the editor), floatatom, symbolatom, number, and array (so ``#A``
 data has a home); ``connect`` wires ordinals, ``coords`` is layout, a nested
 ``#N canvas``/``#X restore`` pair becomes one node whose contents nest the
-subcanvas IR. Anything else is skipped. Layout x/y coordinates are excluded
-unless ``include_layout`` is set.
+subcanvas IR. Anything else is skipped. An ``#A`` record writes its values
+from the index given by its first atom. Layout is excluded unless
+``include_layout`` is set: the x/y coordinates and the box width, which Pd
+appends to a box's atoms as an unescaped ``, f <int>``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import PatchSyntaxError
@@ -33,6 +43,7 @@ from .ir import (
 
 NODE_ELEMENTS = {"obj", "msg", "text", "floatatom", "symbolatom", "number", "array"}
 COORDLESS_ELEMENTS = {"array"}
+_DIGITS = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -47,48 +58,41 @@ class PdRecord:
         return self.chunk == "X" and self.element in NODE_ELEMENTS
 
 
+# One record: leading whitespace, then plain characters and backslash escapes
+# up to an unescaped ``;``. Possessive quantifiers keep a failed match (an
+# unterminated last record) linear.
+_RECORD = re.compile(r"\s*+([^;\\]*+(?:\\[\s\S][^;\\]*+)*+);")
+_NON_SPACE = re.compile(r"\S")
+# An atom in a record body with escapes: a backslash takes the next character,
+# whitespace included.
+_ESCAPED_ATOM = re.compile(r"(?=\S)[^\s\\]*+(?:\\[\s\S][^\s\\]*+)*+")
+
+
 def split_records(text: str) -> list[PdRecord]:
-    """Tokenize patch text into records, honoring ``\\;`` escapes."""
+    """Tokenize patch text into records, honoring ``\\;`` escapes.
+
+    Whitespace is what ``str.isspace`` accepts; ``re``'s ``\\s`` and
+    ``str.split()`` use the same set. A span is the lines of the record's
+    first atom and of its ``;``.
+    """
     records: list[PdRecord] = []
-    token = ""
-    tokens: list[str] = []
-    line = 1
-    start_line = 1
-    in_record = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-        if not in_record:
-            if ch.isspace():
-                i += 1
-                continue
-            in_record = True
-            start_line = line
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "\n":
-                line += 1
-            token += ch + nxt
-            i += 2
-            continue
-        if ch == ";":
-            if token:
-                tokens.append(token)
-                token = ""
-            records.append(_make_record(tokens, (start_line, line)))
-            tokens = []
-            in_record = False
-        elif ch.isspace():
-            if token:
-                tokens.append(token)
-                token = ""
-        else:
-            token += ch
-        i += 1
-    if in_record:
-        raise PatchSyntaxError("unterminated record", (start_line, line))
+    match = _RECORD.match
+    count = text.count
+    pos = 0
+    line = 1  # the line of text[pos]
+    while (m := match(text, pos)) is not None:
+        body = m.group(1)
+        start, end = m.start(1), m.end(1)
+        start_line = line + count("\n", pos, start)
+        line = start_line + count("\n", start, end)
+        tokens = _ESCAPED_ATOM.findall(body) if "\\" in body else body.split()
+        records.append(_make_record(tokens, (start_line, line)))
+        pos = end + 1
+    rest = _NON_SPACE.search(text, pos)
+    if rest is not None:
+        start_line = line + count("\n", pos, rest.start())
+        raise PatchSyntaxError("unterminated record",
+                               (start_line, line + count("\n", pos)))
     return records
 
 
@@ -107,10 +111,12 @@ def _make_record(tokens: list[str], span: tuple[int, int]) -> PdRecord:
 
 def pd_node_properties(record: PdRecord, include_layout: bool = False) -> dict:
     """Contents for a node-defining record: at minimum element and the text
-    after the x/y coordinates; coordinates only with ``include_layout``."""
+    after the x/y coordinates; coordinates and box width only with
+    ``include_layout``."""
     atoms = record.atoms
     if record.element in COORDLESS_ELEMENTS:
         return {"element": record.element, "text": " ".join(atoms)}
+    atoms, width = _split_width(atoms)
     if len(atoms) < 2:
         raise PatchSyntaxError(
             f"{record.element} record missing coordinates", record.source_span
@@ -119,7 +125,22 @@ def pd_node_properties(record: PdRecord, include_layout: bool = False) -> dict:
     if include_layout:
         contents["x"] = _layout_value(atoms[0])
         contents["y"] = _layout_value(atoms[1])
+        if width is not None:
+            contents["width"] = _layout_value(width)
     return contents
+
+
+def _split_width(atoms: tuple[str, ...]) -> tuple[tuple[str, ...], str | None]:
+    """The atoms without a trailing ``, f <int>`` box-width suffix, and the
+    width (None without a suffix). Pd writes the suffix's comma unescaped and
+    attached to the atom before it; an escaped ``\\,`` is message content."""
+    if len(atoms) < 3 or atoms[-2] != "f" or not _DIGITS.fullmatch(atoms[-1]):
+        return atoms, None
+    last = atoms[-3]
+    stem = last[:-1]
+    if not last.endswith(",") or (len(stem) - len(stem.rstrip("\\"))) % 2:
+        return atoms, None  # no comma, or one escaped by an odd backslash run
+    return atoms[:-3] + ((stem,) if stem else ()), atoms[-1]
 
 
 def _layout_value(token: str):
@@ -205,11 +226,21 @@ def _restore_as_node(record: PdRecord) -> PdRecord:
 
 
 def _attach_array_data(canvas: _Canvas, record: PdRecord) -> None:
+    """An ``#A`` record's first atom is the index its values are written
+    from; it may not leave a gap after the values already read."""
     if not canvas.contents or canvas.contents[-1].get("element") != "array":
         raise PatchSyntaxError("array data without an array object",
                                record.source_span)
     data = canvas.contents[-1].setdefault("data", [])
-    data.extend(_layout_value(tok) for tok in record.atoms)
+    index, *values = record.atoms or ("",)
+    # a longer index is out of range anyway, and int() refuses huge digit runs
+    start = int(index) if len(index) < 19 and _DIGITS.fullmatch(index) else -1
+    if not 0 <= start <= len(data):
+        raise PatchSyntaxError(
+            f"array data start index {index!r} is not an integer from 0 to {len(data)}",
+            record.source_span,
+        )
+    data[start:start + len(values)] = [_layout_value(tok) for tok in values]
 
 
 def decode_patch_bytes(data: bytes) -> tuple[str, list[str]]:

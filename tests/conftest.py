@@ -115,6 +115,15 @@ class RepoFixture:
                 at_header = True  # the line's content ends its entry
         return [by_line[n] for n in sorted(by_line)]
 
+    def is_ancestor(self, ancestor: str, descendant: str) -> bool:
+        """Independent oracle: ``git merge-base --is-ancestor``."""
+        proc = subprocess.run(
+            ["git", "-C", str(self.path), "merge-base", "--is-ancestor",
+             ancestor, descendant],
+            capture_output=True,
+        )
+        return proc.returncode == 0
+
     def log_follow(self, path: str, first_parent: bool = True) -> list[str]:
         """Independent oracle: rename-following history of a path."""
         args = ["log", "--follow", "--format=%H"]

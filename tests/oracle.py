@@ -3,11 +3,14 @@
 Flattens both IRs to (path -> leaf marker) maps, set-compares them, and
 checks the engine's records against the resulting changed-path set without
 reusing any engine traversal code. Also provides a test-only patch operation
-for the composition-soundness property.
+for the composition-soundness property, and a character-at-a-time reference
+for the Pd record splitter.
 """
 
 from szzvc.diff import ChangeKind, IRDiff, diff_ir, is_prefix
+from szzvc.errors import PatchSyntaxError
 from szzvc.ir import Connection, NodeSubtree, Num, VisualIR
+from szzvc.pdparser import PdRecord
 
 
 def flatten(ir: VisualIR) -> dict:
@@ -198,3 +201,67 @@ def apply_diff(old: VisualIR, diff: IRDiff) -> VisualIR:
             else:
                 container.append(value)
     return _from_mutable(root, old.source_language, old.source_path)
+
+
+# ---------------------------------------------------------------------------
+# Reference Pd record splitter (one character at a time)
+# ---------------------------------------------------------------------------
+
+
+def split_records_reference(text: str) -> list[PdRecord]:
+    """Records of ``text`` by a plain scan: a backslash keeps the next
+    character, ``;`` ends a record, ``str.isspace`` separates atoms."""
+    records: list[PdRecord] = []
+    token = ""
+    tokens: list[str] = []
+    line = 1
+    start_line = 1
+    in_record = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+        if not in_record:
+            if ch.isspace():
+                i += 1
+                continue
+            in_record = True
+            start_line = line
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            if nxt == "\n":
+                line += 1
+            token += ch + nxt
+            i += 2
+            continue
+        if ch == ";":
+            if token:
+                tokens.append(token)
+                token = ""
+            records.append(_reference_record(tokens, (start_line, line)))
+            tokens = []
+            in_record = False
+        elif ch.isspace():
+            if token:
+                tokens.append(token)
+                token = ""
+        else:
+            token += ch
+        i += 1
+    if in_record:
+        raise PatchSyntaxError("unterminated record", (start_line, line))
+    return records
+
+
+def _reference_record(tokens: list[str], span: tuple[int, int]) -> PdRecord:
+    if not tokens:
+        raise PatchSyntaxError("empty record", span)
+    marker = tokens[0]
+    if marker in ("#N", "#X"):
+        if len(tokens) < 2:
+            raise PatchSyntaxError(f"record {marker} has no element", span)
+        return PdRecord(marker[1], tokens[1], tuple(tokens[2:]), span)
+    if marker == "#A":
+        return PdRecord("A", "", tuple(tokens[1:]), span)
+    raise PatchSyntaxError(f"unknown chunk {marker!r}", span)

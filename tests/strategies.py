@@ -135,3 +135,12 @@ def pd_node_records(draw):
 def pd_patches(draw, max_nodes=6):
     records = draw(st.lists(pd_node_records(), max_size=max_nodes))
     return "#N canvas 0 0 450 300 12;\n" + "\n".join(records) + ("\n" if records else "")
+
+
+# Pieces that exercise the record splitter's escape, terminator, line and
+# whitespace rules (str.isspace counts \x0c, \x1c and U+00A0); a text that
+# ends in the lone "\\" piece leaves its record unterminated.
+_PD_SPLIT_PIECES = ["#N", "#X", "#A", ";", "\\;", "\\\n", "\\", "\r\n", "\n", " ",
+                    "\t", "\x0c", "\x1c", "\u00a0", "obj", "msg", "12", "a,"]
+
+pd_split_texts = st.lists(st.sampled_from(_PD_SPLIT_PIECES), max_size=20).map("".join)

@@ -87,7 +87,12 @@ def test_language_mismatch_rejected():
 def test_numeric_spelling_is_not_a_change():
     old = _ir({"obj-0": NodeSubtree((), {"gain": Num("1.0")})})
     new = _ir({"obj-0": NodeSubtree((), {"gain": Num("1.00")})})
+    assert old != new
     assert diff_ir(old, new).is_empty
+    # beside a changed node, and inside a subpatch
+    old = _ir({"obj-0": NodeSubtree((), {"p": old}), "obj-1": NodeSubtree((), {"t": "a"})})
+    new = _ir({"obj-0": NodeSubtree((), {"p": new}), "obj-1": NodeSubtree((), {"t": "b"})})
+    assert diff_ir(old, new).paths() == {("obj-1", "serialized_contents", "t")}
 
 
 def test_kind_change_is_reported_at_that_path():

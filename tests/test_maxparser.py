@@ -146,6 +146,56 @@ def test_negative_port_rejected():
         parse_maxpat(doc)
 
 
+@pytest.mark.parametrize("port", [1.0, True, "1"])
+def test_non_integer_port_rejected(port):
+    doc = maxpat_doc(
+        boxes=[{"id": "obj-1", "text": "a"}, {"id": "obj-2", "text": "b"}],
+        lines=[("obj-1", 0, "obj-2", port)],
+    )
+    with pytest.raises(PatchSyntaxError, match="destination"):
+        parse_maxpat(doc)
+
+
+@pytest.mark.parametrize("box_id", [5, 5.0, True])
+def test_non_string_box_id_is_an_error(box_id):
+    with pytest.raises(PatchSyntaxError, match="no id"):
+        parse_maxpat(maxpat_doc(boxes=[{"id": box_id, "text": "print"}]))
+
+
+def test_numeric_patchline_endpoint_is_an_error():
+    doc = maxpat_doc(
+        boxes=[{"id": "obj-1", "text": "a"}, {"id": "2", "text": "b"}],
+        lines=[("obj-1", 0, 2, 0)],
+    )
+    with pytest.raises(PatchSyntaxError, match="destination must be"):
+        parse_maxpat(doc)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_standard_number_constants_are_rejected(constant):
+    doc = maxpat_doc(boxes=[{"id": "obj-1", "text": "a", "gain": 0}])
+    for key in ("gain", "patching_rect"):  # kept and excluded keys alike
+        with pytest.raises(PatchSyntaxError, match="non-standard number"):
+            parse_maxpat(doc.replace('"gain": 0', f'"{key}": {constant}'))
+
+
+def test_kept_numbers_keep_their_spelling():
+    doc = (
+        '{"patcher": {"boxes": [{"box": {"id": "obj-1", "text": "a", '
+        '"gain": [1.50, -0, 1e3], "style": {"size": 12}}}], "lines": []}}'
+    )
+    contents = parse_maxpat(doc).subtrees["obj-1"].serialized_contents
+    assert contents["gain"] == [Num("1.50"), Num("-0"), Num("1e3")]
+    assert contents["style"] == {"size": Num("12")}
+    assert '"gain": [1.50, -0, 1e3]' in dumps_ir(parse_maxpat(doc))
+
+
+def test_excluded_key_may_hold_a_huge_integer():
+    doc = maxpat_doc(boxes=[{"id": "obj-1", "text": "a", "rect": 0}])
+    ir = parse_maxpat(doc.replace('"rect": 0', '"rect": ' + "7" * 5000))
+    assert ir.subtrees["obj-1"].serialized_contents == {"text": "a"}
+
+
 def test_maxhelp_is_the_same_format():
     ir = parse_maxpat(MINIMAL, source_path="thing.maxhelp")
     assert ir.source_path == "thing.maxhelp"

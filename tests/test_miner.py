@@ -203,7 +203,7 @@ def test_find_inducing_three_commit_fixture(repo_fixture):
     assert not candidate.via_addition_reduction
     assert result.failures == ()
     # ancestry oracle: the blamed commit is an ancestor of the fix
-    assert repo.is_ancestor(candidate.inducing_commit, c3)
+    assert repo_fixture.is_ancestor(candidate.inducing_commit, c3)
     assert candidate.inducing_commit != c3
 
 

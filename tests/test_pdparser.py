@@ -1,5 +1,6 @@
 import pytest
 
+from szzvc.diff import ChangeKind, diff_ir
 from szzvc.errors import PatchSyntaxError
 from szzvc.ir import ABSENT, Connection, Num, VisualIR, subtree_at
 from szzvc.pdparser import (
@@ -96,6 +97,48 @@ def test_layout_excluded_by_default_and_included_on_flag():
     }
 
 
+def test_box_width_suffix_is_layout():
+    record = PdRecord("X", "obj", ("50", "50", "osc~", "440,", "f", "12"), (2, 2))
+    assert pd_node_properties(record) == {"element": "obj", "text": "osc~ 440"}
+    assert pd_node_properties(record, include_layout=True) == {
+        "element": "obj", "text": "osc~ 440",
+        "x": Num("50"), "y": Num("50"), "width": Num("12"),
+    }
+    # an empty box carries the comma on its y coordinate
+    empty = PdRecord("X", "msg", ("10", "20,", "f", "8"), (2, 2))
+    assert pd_node_properties(empty, include_layout=True) == {
+        "element": "msg", "text": "", "x": Num("10"), "y": Num("20"), "width": Num("8"),
+    }
+
+
+@pytest.mark.parametrize("atoms", [
+    ("0", "0", "set", "a\\,", "f", "3"),  # escaped comma: message content
+    ("0", "0", "a,", "f", "x"),
+    ("0", "0", "a,", "g", "3"),
+    ("0", "0", "f", "3"),
+])
+def test_text_that_is_not_a_width_suffix_stays(atoms):
+    record = PdRecord("X", "msg", atoms, (2, 2))
+    assert pd_node_properties(record, include_layout=True)["text"] == " ".join(atoms[2:])
+    assert "width" not in pd_node_properties(record, include_layout=True)
+
+
+def test_resizing_a_box_is_a_layout_change_only():
+    old = HELLO_WORLD_PD
+    new = HELLO_WORLD_PD.replace("#X obj 50 120 print;", "#X obj 50 120 print, f 12;")
+    assert diff_ir(parse_pd(old), parse_pd(new)).is_empty
+    diff = diff_ir(parse_pd(old, include_layout=True), parse_pd(new, include_layout=True))
+    assert [(r.kind, r.path, r.new_value) for r in diff.records] == [
+        (ChangeKind.ADDED, ("obj-1", "serialized_contents", "width"), Num("12")),
+    ]
+    resized = new.replace("f 12", "f 20")
+    diff = diff_ir(parse_pd(new, include_layout=True),
+                   parse_pd(resized, include_layout=True))
+    assert [(r.kind, r.path) for r in diff.records] == [
+        (ChangeKind.MODIFIED, ("obj-1", "serialized_contents", "width")),
+    ]
+
+
 def test_subcanvas_becomes_nested_node():
     text = (
         "#N canvas 0 0 300 300 12;\n"
@@ -140,8 +183,27 @@ def test_array_data_attaches_to_array_node():
     array = graph.subtrees["obj-0"].serialized_contents
     assert array["element"] == "array"
     assert array["text"] == "wave 4 float 3"
-    assert array["data"] == [Num("0"), Num("0.1"), Num("0.2"), Num("-0.5"),
-                             Num("3"), Num("1")]
+    assert array["data"] == [Num("0.1"), Num("0.2"), Num("-0.5"), Num("1")]
+
+
+def _array_data(*chunks: str):
+    text = "#N canvas 0 0 100 100 10;\n#X array a 4 float 0;\n" + "".join(
+        f"#A {chunk};\n" for chunk in chunks
+    )
+    return parse_pd(text).subtrees["obj-0"].serialized_contents["data"]
+
+
+def test_array_start_index_places_values():
+    assert _array_data("0 1 2", "2 3 4") == [Num("1"), Num("2"), Num("3"), Num("4")]
+    assert _array_data("0 1 2 3", "1 9") == [Num("1"), Num("9"), Num("3")]
+
+
+@pytest.mark.parametrize("chunks", [("",), ("1 5",), ("0 1", "3 2"), ("-1 5",),
+                                    ("0.0 5",), ("x 5",), ("9" * 40 + " 5",)])
+def test_array_start_index_must_be_in_range(chunks):
+    with pytest.raises(PatchSyntaxError, match="array data") as excinfo:
+        _array_data(*chunks)
+    assert excinfo.value.source_span[0] >= 3
 
 
 def test_array_data_without_array_is_an_error():

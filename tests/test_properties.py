@@ -4,11 +4,19 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from szzvc.diff import ChangeKind, diff_ir, is_prefix, paths_at_depth, truncate_path
+from szzvc.errors import PatchSyntaxError
 from szzvc.ir import canonicalize, dumps_ir
 from szzvc.maxparser import parse_maxpat
 from szzvc.pdparser import parse_pd, split_records
-from oracle import apply_diff, assert_matches_bruteforce, flatten
-from strategies import ir_pairs, maxpat_documents, pd_node_records, pd_patches, visual_irs
+from oracle import apply_diff, assert_matches_bruteforce, flatten, split_records_reference
+from strategies import (
+    ir_pairs,
+    maxpat_documents,
+    pd_node_records,
+    pd_patches,
+    pd_split_texts,
+    visual_irs,
+)
 
 CASES = settings(max_examples=150, deadline=None)
 
@@ -90,6 +98,20 @@ def test_pd_ordinal_shift_on_insertion(patch, data):
         expected = f"obj-{ordinal + 1}" if ordinal >= position else f"obj-{ordinal}"
         assert shifted.subtrees[expected].serialized_contents == \
             base.subtrees[f"obj-{ordinal}"].serialized_contents
+
+
+def _records_or_error(split, text):
+    try:
+        return split(text)
+    except PatchSyntaxError as exc:
+        return str(exc), exc.source_span
+
+
+@settings(max_examples=400, deadline=None)
+@given(pd_split_texts)
+def test_split_records_matches_character_scan(text):
+    assert _records_or_error(split_records, text) == \
+        _records_or_error(split_records_reference, text)
 
 
 # Supporting invariants of the diff engine, same randomized regime.

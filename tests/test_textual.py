@@ -140,7 +140,7 @@ def test_no_self_blame_and_ancestry(repo_fixture):
     result = textual_find_inducing(repo, _fixing(repo, c2), MinerConfig())
     for candidate in result.candidates:
         assert candidate.inducing_commit != c2
-        assert repo.is_ancestor(candidate.inducing_commit, c2)
+        assert repo_fixture.is_ancestor(candidate.inducing_commit, c2)
 
 
 def test_lines_are_numbered_at_newlines_only(repo_fixture):
