@@ -58,22 +58,25 @@ class PdRecord:
         return self.chunk == "X" and self.element in NODE_ELEMENTS
 
 
-# One record: leading whitespace, then plain characters and backslash escapes
-# up to an unescaped ``;``. Possessive quantifiers keep a failed match (an
-# unterminated last record) linear.
-_RECORD = re.compile(r"\s*+([^;\\]*+(?:\\[\s\S][^;\\]*+)*+);")
+# One record from the end of the last: plain characters and backslash escapes
+# up to an unescaped ``;``. Each piece starts with a character no other piece
+# starts with, so a failed match (an unterminated last record) backtracks
+# linearly; a leading ``\s*`` would overlap ``[^;\\]`` and break that. Only
+# syntax that Python 3.10 compiles (no possessive quantifiers).
+_RECORD = re.compile(r"[^;\\]*(?:\\[\s\S][^;\\]*)*;")
 _NON_SPACE = re.compile(r"\S")
 # An atom in a record body with escapes: a backslash takes the next character,
-# whitespace included.
-_ESCAPED_ATOM = re.compile(r"(?=\S)[^\s\\]*+(?:\\[\s\S][^\s\\]*+)*+")
+# whitespace included. A body without escapes splits with ``str.split()``,
+# which is faster.
+_ESCAPED_ATOM = re.compile(r"(?=\S)[^\s\\]*(?:\\[\s\S][^\s\\]*)*")
 
 
 def split_records(text: str) -> list[PdRecord]:
     """Tokenize patch text into records, honoring ``\\;`` escapes.
 
-    Whitespace is what ``str.isspace`` accepts; ``re``'s ``\\s`` and
-    ``str.split()`` use the same set. A span is the lines of the record's
-    first atom and of its ``;``.
+    Whitespace is what ``str.isspace`` accepts; ``re``'s ``\\s``,
+    ``str.split()`` and ``str.lstrip()`` use the same set. A span is the lines
+    of the record's first atom and of its ``;``.
     """
     records: list[PdRecord] = []
     match = _RECORD.match
@@ -81,8 +84,9 @@ def split_records(text: str) -> list[PdRecord]:
     pos = 0
     line = 1  # the line of text[pos]
     while (m := match(text, pos)) is not None:
-        body = m.group(1)
-        start, end = m.start(1), m.end(1)
+        end = m.end() - 1
+        body = text[pos:end]
+        start = end - len(body.lstrip())
         start_line = line + count("\n", pos, start)
         line = start_line + count("\n", start, end)
         tokens = _ESCAPED_ATOM.findall(body) if "\\" in body else body.split()
