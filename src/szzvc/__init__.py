@@ -40,7 +40,6 @@ from .miner import (
     FixingCommit,
     InducingCandidate,
     MinerConfig,
-    file_history,
     filter_candidates,
     find_inducing,
     identify_fixing_commits,
@@ -76,7 +75,6 @@ __all__ = [
     "default_property_filter",
     "diff_ir",
     "dumps_ir",
-    "file_history",
     "filter_candidates",
     "find_inducing",
     "identify_fixing_commits",

@@ -28,7 +28,7 @@ from .ir import Language, dumps_ir
 from .maxparser import PropertyFilter
 from .miner import (
     MinerConfig,
-    file_history,
+    history_steps,
     language_for_path,
     load_issue_links,
     parse_depth,
@@ -345,10 +345,20 @@ def _cmd_parse(args) -> int:
 def _cmd_history(args) -> int:
     follow = _parse_bool(args.follow_renames, "--follow-renames")
     with Repository(args.repo) as repo:
-        entries = file_history(
-            repo, args.path, args.before,
-            follow_renames=True if follow is None else follow,
-        )
-    for commit_id, path in entries:
-        print(f"{commit_id} {path}")
+        steps = history_steps(repo, args.path, args.before,
+                              follow_renames=True if follow is None else follow)
+        if not steps and not _existed_around(repo, args.path, args.before):
+            raise GitError(f"path never existed before {args.before}: {args.path}")
+    for step in steps:
+        print(f"{step.entry.commit_id} {step.path_new}")
     return EXIT_OK
+
+
+def _existed_around(repo: Repository, path: str, before: str) -> bool:
+    if repo.read_file(before, path) is not None:
+        return True
+    try:
+        parent = repo.rev_parse(f"{before}^")
+    except GitError:
+        return False
+    return repo.read_file(parent, path) is not None

@@ -12,7 +12,7 @@ over its own ancestors.
 
 File contents come from one long-lived ``git cat-file --batch`` process,
 started by the first read. A lock serialises its request/response pairs, so
-parallel workers share one instance. ``close()``, or leaving a ``with``
+threads may share one instance. ``close()``, or leaving a ``with``
 block, ends the process; a ``weakref.finalize`` ends it when the instance is
 garbage collected or the interpreter exits. The batch protocol reads one
 name per line and drops a carriage return before the newline, so a spec

@@ -9,7 +9,7 @@ Canonical form: subtree keys and property-map keys iterate in lexicographic
 order and connection lists are sorted, so two canonicalized IRs are equal
 exactly when their serialized text is byte-equal. All values are immutable
 after construction (frozen dataclasses; dicts are never mutated once built),
-so IRs can be shared freely between workers.
+so IRs can be shared freely, also between threads.
 
 Numbers keep their source spelling: ``Num`` stores the original token next to
 the parsed value. Serialization emits the token verbatim (so round-trips are

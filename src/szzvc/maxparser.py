@@ -13,11 +13,11 @@ churn (geometry, fonts, inlet/outlet counts, app metadata); ``text``,
 ``maxclass`` and ``patcher`` identify a node and can never be excluded.
 
 Numbers become ``Num`` only where the filter keeps them. The JSON decoder
-hands each number's source text to a ``_Number`` marker; the filter and the
-patchline reader turn a kept marker into ``Num(raw)``, so the numbers under
-excluded keys (geometry, mostly) are never converted. The decoder has
-already checked their grammar. A marker is no ``str``, so a numeric box id or
-patchline endpoint is still rejected.
+hands each number's source text to a ``_Number`` marker; the filter turns a
+kept marker into ``Num(raw)`` and the patchline reader reads a port with
+``int(raw)``, so the numbers under excluded keys (geometry, mostly) are never
+converted. The decoder has already checked their grammar. A marker is no
+``str``, so a numeric box id or patchline endpoint is still rejected.
 """
 
 from __future__ import annotations
@@ -74,10 +74,13 @@ class PropertyFilter:
     def from_dict(cls, data: dict) -> "PropertyFilter":
         try:
             mode = FilterMode(data["mode"])
-            keys = frozenset(data["keys"])
+            keys = data["keys"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed property filter: {exc}")
-        return cls(mode=mode, keys=keys)
+        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+            raise ConfigError(f"property filter keys must be a list of strings, "
+                              f"got {keys!r}")
+        return cls(mode=mode, keys=frozenset(keys))
 
     def to_dict(self) -> dict:
         return {"mode": self.mode.value, "keys": sorted(self.keys)}
@@ -172,8 +175,11 @@ def _endpoint(line: dict, key: str) -> tuple[str, int]:
         or not isinstance(value[1], _Number)
     ):
         raise PatchSyntaxError(f"patchline {key} must be [box-id, port]")
-    port = Num(value[1].raw).value
-    if not isinstance(port, int) or port < 0:
+    try:  # int() rejects a fraction, an exponent and too many digits
+        port = int(value[1].raw)
+    except ValueError:
+        port = -1
+    if port < 0:
         raise PatchSyntaxError(f"patchline {key} port must be a non-negative integer")
     return value[0], port
 

@@ -69,7 +69,6 @@ class MinerConfig:
     fixing_detection: str = "message-regex"
     message_regex: str = DEFAULT_MESSAGE_REGEX
     follow_renames: bool = True
-    parallelism: int = 1
     all_matches: bool = False
     include_layout: bool = False
     property_filter: PropertyFilter = field(default_factory=default_property_filter)
@@ -77,14 +76,24 @@ class MinerConfig:
     def __post_init__(self):
         if self.property_filter is None:
             object.__setattr__(self, "property_filter", default_property_filter())
-        if not self.extensions or any(not exts for exts in self.extensions.values()):
-            raise ConfigError("extension lists must be non-empty")
+        if not self.extensions or not all(
+            isinstance(exts, tuple) and exts
+            and all(isinstance(ext, str) and ext for ext in exts)
+            for exts in self.extensions.values()
+        ):
+            raise ConfigError("extension lists must be non-empty lists of "
+                              "non-empty strings")
         if self.fixing_detection not in FIXING_DETECTION_MODES:
             raise ConfigError(f"unknown fixing_detection {self.fixing_detection!r}")
-        if self.depth_mode != MAX_DEPTH and int(self.depth_mode) < 1:
-            raise ConfigError("depth must be a positive integer or 'max'")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
+        object.__setattr__(self, "depth_mode", parse_depth(self.depth_mode))
+        for name in ("follow_renames", "all_matches", "include_layout"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}"
+                )
+        if not isinstance(self.message_regex, str):
+            raise ConfigError(f"message_regex must be a string, "
+                              f"got {self.message_regex!r}")
         try:
             re.compile(self.message_regex)
         except re.error as exc:
@@ -94,7 +103,7 @@ class MinerConfig:
     def method_tag_vc(self) -> str:
         if self.depth_mode == MAX_DEPTH:
             return "szz-vc-max"
-        return f"szz-vc-depth{int(self.depth_mode)}"
+        return f"szz-vc-depth{self.depth_mode}"
 
     def to_dict(self) -> dict:
         return {
@@ -103,12 +112,10 @@ class MinerConfig:
                     self.extensions.items(), key=lambda kv: kv[0].value
                 )
             },
-            "depth": self.depth_mode if self.depth_mode == MAX_DEPTH
-            else int(self.depth_mode),
+            "depth": self.depth_mode,
             "fixing_detection": self.fixing_detection,
             "message_regex": self.message_regex,
             "follow_renames": self.follow_renames,
-            "parallelism": self.parallelism,
             "all_matches": self.all_matches,
             "include_layout": self.include_layout,
             "property_filter": self.property_filter.to_dict(),
@@ -118,30 +125,22 @@ class MinerConfig:
     def from_dict(cls, data: dict) -> "MinerConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be an object")
-        kwargs = {}
-        if "extensions" in data:
+        unknown = set(data) - set(cls().to_dict())  # the keys to_dict writes
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        kwargs = dict(data)
+        if "depth" in kwargs:
+            kwargs["depth_mode"] = kwargs.pop("depth")
+        if "extensions" in kwargs:
             try:
                 kwargs["extensions"] = {
-                    Language(lang): tuple(exts)
-                    for lang, exts in data["extensions"].items()
+                    Language(lang): tuple(exts) if isinstance(exts, list) else exts
+                    for lang, exts in kwargs["extensions"].items()
                 }
             except (ValueError, AttributeError) as exc:
                 raise ConfigError(f"bad extensions table: {exc}")
-        if "depth" in data:
-            kwargs["depth_mode"] = parse_depth(data["depth"])
-        for key in ("fixing_detection", "message_regex", "follow_renames",
-                    "parallelism", "all_matches", "include_layout"):
-            if key in data:
-                kwargs[key] = data[key]
-        if data.get("property_filter") is not None:
-            kwargs["property_filter"] = PropertyFilter.from_dict(data["property_filter"])
-        unknown = set(data) - {
-            "extensions", "depth", "fixing_detection", "message_regex",
-            "follow_renames", "parallelism", "all_matches", "include_layout",
-            "property_filter",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        if kwargs.get("property_filter") is not None:
+            kwargs["property_filter"] = PropertyFilter.from_dict(kwargs["property_filter"])
         return cls(**kwargs)
 
 
@@ -149,6 +148,8 @@ def parse_depth(value) -> DepthMode:
     if value == MAX_DEPTH:
         return MAX_DEPTH
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise TypeError  # JSON true is an int; a float would be truncated
         depth = int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"depth must be a positive integer or 'max', got {value!r}")
@@ -321,25 +322,6 @@ def history_steps(repo: Repository, path: str, before: str,
     return steps
 
 
-def file_history(repo: Repository, path: str, before: str,
-                 follow_renames: bool = True) -> list[tuple[str, str]]:
-    """(revision, path-at-revision) pairs strictly before ``before``."""
-    steps = history_steps(repo, path, before, follow_renames=follow_renames)
-    if not steps and not _existed_around(repo, path, before):
-        raise GitError(f"path never existed before {before}: {path}")
-    return [(step.entry.commit_id, step.path_new) for step in steps]
-
-
-def _existed_around(repo: Repository, path: str, before: str) -> bool:
-    if repo.read_file(before, path) is not None:
-        return True
-    try:
-        parent = repo.rev_parse(f"{before}^")
-    except GitError:
-        return False
-    return repo.read_file(parent, path) is not None
-
-
 # ---------------------------------------------------------------------------
 # Inducing candidates
 # ---------------------------------------------------------------------------
@@ -373,8 +355,8 @@ class MiningCache:
     """One run's parsed file versions and history-step diffs, keyed by blob id.
 
     Built for one repository and config and shared by every fixing commit
-    of the run, also across parallel workers (a race at worst computes an
-    entry twice, with equal results). An unparseable version is kept as its
+    of the run. It takes no lock: threads sharing one instance may compute
+    an entry twice, with equal results. An unparseable version is kept as its
     ``PatchSyntaxError`` and raised again at each use, so every fix that
     meets it records the failure.
     """

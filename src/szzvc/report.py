@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from . import __version__
@@ -61,18 +60,12 @@ def run_analysis(
         fixing = identify_fixing_commits(repo, config, issue_links=issue_links,
                                          head=head)
         cache = MiningCache(repo, config)
-
-        def analyze_one(fix: FixingCommit) -> dict:
-            return _analyze_fixing_commit(repo, cache, fix, config, methods)
-
-        if config.parallelism > 1 and len(fixing) > 1:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                entries = list(pool.map(analyze_one, fixing))
-        else:
-            entries = [analyze_one(fix) for fix in fixing]
+        results = [_analyze_fixing_commit(repo, cache, fix, config, methods)
+                   for fix in fixing]
         head_id = repo.rev_parse(head)
 
-    had_failures = any(entry.pop("_had_failures") for entry in entries)
+    entries = [entry for entry, _ in results]
+    had_failures = any(failed for _, failed in results)
     if strict and had_failures:
         raise StrictAnalysisError("per-file parse failures (strict mode)")
 
@@ -96,7 +89,9 @@ def run_analysis(
 
 def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
                            fixing: FixingCommit, config: MinerConfig,
-                           methods) -> dict:
+                           methods) -> tuple[dict, bool]:
+    """One fixing commit's report entry, and whether any version of its
+    files failed to parse."""
     warnings: list[str] = []
     had_failures = False
     languages = sorted({
@@ -150,8 +145,7 @@ def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
             result.candidates, fixing, warnings
         )
 
-    entry["_had_failures"] = had_failures
-    return entry
+    return entry, had_failures
 
 
 def _method_section(candidates, fixing: FixingCommit, warnings: list[str]) -> dict:

@@ -157,11 +157,13 @@ def test_analyze_nonexistent_repo_exits_3(tmp_path, capsys):
 
 def test_analyze_invalid_config_exits_2(repo_fixture, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text('{"depth": -2}')
-    code, _, err = run_cli(
-        capsys, "analyze", "--repo", str(repo_fixture.path), "--config", str(config)
-    )
-    assert code == 2
+    for text in ('{"depth": -2}', '{"parallelism": 2}', '{"message_regex": 5}'):
+        config.write_text(text)
+        code, _, err = run_cli(
+            capsys, "analyze", "--repo", str(repo_fixture.path), "--config", str(config)
+        )
+        assert code == 2
+        assert "config error" in err
 
 
 def test_analyze_is_deterministic(repo_fixture, tmp_path, capsys):
@@ -321,3 +323,12 @@ def test_history_command(repo_fixture, capsys):
                            "--repo", str(repo_fixture.path),
                            "--follow-renames=false")
     assert out.splitlines() == [f"{c2} b.pd"]
+
+
+def test_history_never_existed(repo_fixture, capsys):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    code, out, err = run_cli(capsys, "history", "ghost.pd",
+                             "--repo", str(repo_fixture.path))
+    assert code == 3
+    assert out == ""
+    assert "never existed" in err

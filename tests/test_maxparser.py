@@ -146,14 +146,30 @@ def test_negative_port_rejected():
         parse_maxpat(doc)
 
 
-@pytest.mark.parametrize("port", [1.0, True, "1"])
-def test_non_integer_port_rejected(port):
-    doc = maxpat_doc(
+def _doc_with_inlet(spelling: str) -> str:
+    """A two-box document whose one patchline's inlet is ``spelling``."""
+    return maxpat_doc(
         boxes=[{"id": "obj-1", "text": "a"}, {"id": "obj-2", "text": "b"}],
-        lines=[("obj-1", 0, "obj-2", port)],
-    )
+        lines=[("obj-1", 0, "obj-2", 424242)],
+    ).replace("424242", spelling)
+
+
+@pytest.mark.parametrize("port", [
+    pytest.param("1.0", id="1.0"),
+    pytest.param("true", id="True"),
+    pytest.param('"1"', id="1"),
+    "1e3",
+    pytest.param("7" * 5000, id="5000-digits"),  # past int()'s digit limit
+])
+def test_non_integer_port_rejected(port):
     with pytest.raises(PatchSyntaxError, match="destination"):
-        parse_maxpat(doc)
+        parse_maxpat(_doc_with_inlet(port))
+
+
+@pytest.mark.parametrize("port", ["0", "-0"])
+def test_zero_port_spellings_accepted(port):
+    ir = parse_maxpat(_doc_with_inlet(port))
+    assert ir.subtrees["obj-1"].connections == (Connection(0, "obj-2", 0),)
 
 
 @pytest.mark.parametrize("box_id", [5, 5.0, True])

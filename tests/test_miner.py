@@ -5,14 +5,13 @@ import pytest
 
 from szzvc import miner as miner_module
 from szzvc.diff import MAX_DEPTH, ChangeKind
-from szzvc.errors import ConfigError, GitError
+from szzvc.errors import ConfigError
 from szzvc.gitrepo import Repository
 from szzvc.miner import (
     FixingCommit,
     InducingCandidate,
     IssueRecord,
     MinerConfig,
-    file_history,
     filter_candidates,
     find_inducing,
     history_steps,
@@ -45,20 +44,37 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MinerConfig(depth_mode=0)
     with pytest.raises(ConfigError):
-        MinerConfig(parallelism=0)
-    with pytest.raises(ConfigError):
         MinerConfig(fixing_detection="psychic")
     with pytest.raises(ConfigError):
         MinerConfig(message_regex="(unclosed")
     assert MinerConfig(depth_mode=1).method_tag_vc == "szz-vc-depth1"
     assert MinerConfig().method_tag_vc == "szz-vc-max"
+    # JSON values of the wrong type: "false" is truthy, ".pd" is three
+    # one-letter extensions, true is depth 1 and 2.5 would be truncated
+    for raw in (
+        {"follow_renames": "false"},
+        {"all_matches": "false"},
+        {"include_layout": 1},
+        {"extensions": {"pure-data": ".pd"}},
+        {"extensions": {"pure-data": [".pd", 5]}},
+        {"extensions": {"pure-data": [""]}},
+        {"message_regex": 5},
+        {"depth": True},
+        {"depth": 2.5},
+        {"property_filter": {"mode": "exclude-list", "keys": "rect"}},
+    ):
+        with pytest.raises(ConfigError):
+            MinerConfig.from_dict(raw)
 
 
 def test_config_roundtrip_and_unknown_keys():
-    config = MinerConfig(depth_mode=2, follow_renames=False, parallelism=3)
+    config = MinerConfig(depth_mode=2, follow_renames=False, all_matches=True)
     assert MinerConfig.from_dict(config.to_dict()) == config
+    assert MinerConfig.from_dict({"depth": "2"}).depth_mode == 2
     with pytest.raises(ConfigError, match="unknown config keys"):
         MinerConfig.from_dict({"depht": 1})
+    with pytest.raises(ConfigError, match="unknown config keys: parallelism"):
+        MinerConfig.from_dict({"parallelism": 2})
 
 
 def test_language_for_path():
@@ -141,12 +157,17 @@ def test_malformed_issue_table(tmp_path):
         load_issue_links(str(bad))
 
 
+def _history(repo, path, before, follow_renames=True):
+    steps = history_steps(repo, path, before, follow_renames=follow_renames)
+    return [(step.entry.commit_id, step.path_new) for step in steps]
+
+
 def test_file_history_linear(repo_fixture):
     c1 = repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
     c2 = repo_fixture.commit({"p.pd": PATCH_V2}, "c2", T[1])
     c3 = repo_fixture.commit({"p.pd": PATCH_V3}, "c3", T[2])
     repo = _repo(repo_fixture)
-    assert file_history(repo, "p.pd", c3) == [(c2, "p.pd"), (c1, "p.pd")]
+    assert _history(repo, "p.pd", c3) == [(c2, "p.pd"), (c1, "p.pd")]
 
 
 def test_file_history_rename_follow_matches_git_follow(repo_fixture):
@@ -156,20 +177,13 @@ def test_file_history_rename_follow_matches_git_follow(repo_fixture):
     c3 = repo_fixture.commit({"b.pd": PATCH_V2}, "c3", T[2])
     repo = _repo(repo_fixture)
 
-    followed = file_history(repo, "b.pd", c3, follow_renames=True)
+    followed = _history(repo, "b.pd", c3, follow_renames=True)
     assert followed == [(c2, "b.pd"), (c1, "a.pd")]
     # independent oracle: git's own rename-following log (minus c3 itself)
     oracle = repo_fixture.log_follow("b.pd")
     assert [rev for rev, _ in followed] == [rev for rev in oracle if rev != c3]
 
-    assert file_history(repo, "b.pd", c3, follow_renames=False) == [(c2, "b.pd")]
-
-
-def test_file_history_never_existed(repo_fixture):
-    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
-    repo = _repo(repo_fixture)
-    with pytest.raises(GitError, match="never existed"):
-        file_history(repo, "ghost.pd", "HEAD")
+    assert _history(repo, "b.pd", c3, follow_renames=False) == [(c2, "b.pd")]
 
 
 def _fixing(repo, commit_id, report_time=None):

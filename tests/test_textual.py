@@ -1,11 +1,10 @@
-import json
 import random
 
 import pytest
 
 from szzvc.gitrepo import Repository
 from szzvc.miner import MinerConfig, find_inducing, language_for_path
-from szzvc.report import dumps_report, run_analysis
+from szzvc.report import run_analysis
 from szzvc.textual import annotate, changed_pre_fix_lines, textual_find_inducing
 from test_miner import PATCH_V1, PATCH_V2, PATCH_V3, T, _fixing
 
@@ -194,32 +193,39 @@ def _patch(msg: str, obj: str) -> str:
             f"#X obj 50 120 {obj};\n#X connect 0 0 1 0;\n")
 
 
-def test_parallel_report_equals_serial(repo_fixture):
-    # four fixes over two files with shared history: each worker's hunk and
-    # log caches see a different subset of the steps
-    for day, (msg, obj, message) in enumerate((
-        ("hello", "print", "c0"),
-        ("hello world", "print a", "c1"),
-        ("hello there", "print b", "fix #1"),
-        ("hello again", "print bb", "c2"),
-        ("hello twice", "print b", "fixes #2"),
-        ("hello world", "print b2", "fixed #3"),
-        ("hello there", "print b3", "fix #4"),
-    )):
+def test_four_fixes_over_shared_history(repo_fixture):
+    # four fixes over two files with shared history; every commit edits the
+    # second atom of a.pd's msg and of b.pd's obj, so each fix blames the
+    # commit before it in both files, by both methods
+    commits = [
         repo_fixture.commit({"a.pd": _patch(msg, "print"), "b.pd": _patch("hi", obj)},
                             message, T[day])
-
-    def report(parallelism: int) -> str:
-        result, _ = run_analysis(
-            str(repo_fixture.path), MinerConfig(parallelism=parallelism),
-            methods=("szz-vc", "textual"), with_timing=False,
-        )
-        result["config"].pop("parallelism")
-        return dumps_report(result)
-
-    serial = report(1)
-    entries = json.loads(serial)["fixing_commits"]
-    assert len(entries) == 4
-    assert all(entry["methods"][method]["candidates"]
-               for entry in entries for method in ("szz-vc-max", "textual"))
-    assert report(2) == serial
+        for day, (msg, obj, message) in enumerate((
+            ("hello", "print", "c0"),
+            ("hello world", "print a", "c1"),
+            ("hello there", "print b", "fix #1"),
+            ("hello again", "print bb", "c2"),
+            ("hello twice", "print b", "fixes #2"),
+            ("hello world", "print b2", "fixed #3"),
+            ("hello there", "print b3", "fix #4"),
+        ))
+    ]
+    label = {commit: f"c{day}" for day, commit in enumerate(commits)}
+    report, had_failures = run_analysis(
+        str(repo_fixture.path), MinerConfig(), methods=("szz-vc", "textual"),
+        with_timing=False,
+    )
+    assert not had_failures
+    found = {
+        (label[entry["commit"]], method): [
+            (label[c["inducing_commit"]], c["file_path"])
+            for c in section["candidates"]
+        ]
+        for entry in report["fixing_commits"]
+        for method, section in entry["methods"].items()
+    }
+    assert found == {
+        (fix, method): [(blamed, "a.pd"), (blamed, "b.pd")]
+        for fix, blamed in (("c2", "c1"), ("c4", "c3"), ("c5", "c4"), ("c6", "c5"))
+        for method in ("szz-vc-max", "textual")
+    }
