@@ -1,28 +1,38 @@
 """Read-only access to a local git clone: one indexed history walk, one blob
-reader.
+reader, one diff reader.
 
 History comes from one ``git log -z --raw`` walk over every ancestor of the
 queried head, with merges diffed against their first parent, renames
 detected and full blob ids kept. It is parsed once into a commit index (id to
-parents, committer time, message and changed files). ``all_commits``,
-``first_parent_log``, ``changed_files``, ``commit_time`` and
+parents, committer time, message and changed files). ``log_entry``,
+``all_commits``, ``first_parent_log``, ``changed_files``, ``commit_time`` and
 ``commit_message`` answer from the index. A name that is not an indexed
 commit id costs a ``rev-parse``, and a commit outside the index one more walk,
 over its own ancestors.
 
-File contents come from one long-lived ``git cat-file --batch`` process,
-started by the first read. A lock serialises its request/response pairs, so
-threads may share one instance. ``close()``, or leaving a ``with``
-block, ends the process; a ``weakref.finalize`` ends it when the instance is
-garbage collected or the interpreter exits. The batch protocol reads one
-name per line and drops a carriage return before the newline, so a spec
-containing ``\\n`` or ending in ``\\r`` is read with a one-shot
-``cat-file blob``.
+Two long-lived git processes answer the reads, each started by its first
+request and spoken to one request/reply pair at a time under its own lock,
+so threads may share one instance. ``close()``, or leaving a ``with`` block,
+ends both; a ``weakref.finalize`` ends each when the instance is garbage
+collected or the interpreter exits; a reply read only in part (an exception
+or an interrupt mid-read) ends its process too, and the next request starts
+a new one.
 
-``line_hunks`` reads the hunk headers of one ``git diff -U0`` between two
-blobs, with every flag that affects the line alignment pinned so that user
-or repository config cannot change it; the hunks are memoized by their
-arguments (callers pass commit ids).
+- File contents come from ``git cat-file --batch``. The batch protocol reads
+  one name per line and drops a carriage return before the newline, so a
+  spec containing ``\\n`` or ending in ``\\r`` is read with a one-shot
+  ``cat-file blob``.
+- ``line_hunks`` reads the hunk headers of ``git diff-tree --stdin -p -U0``
+  between two commits, with every flag that affects the line alignment
+  pinned so that user or repository config cannot change it. It is run with
+  no pathspec, since a pathspec changes how renames pair up against the
+  index's unrestricted walk. A request is ``<new> <old>`` and an empty line;
+  diff-tree copies that empty line to its output and flushes, and a ``-U0``
+  patch holds no empty line, so the echo ends the reply. The hunks of every
+  file section in a reply are memoized by (old blob, new blob) from its
+  ``index`` line. A patch splits a change between file and symlink into a
+  deletion and a creation, so such a pair is not in the reply; it is diffed
+  by a one-shot ``git diff`` of the two blobs.
 
 Commits and blobs are immutable, so the index and the caches never go stale.
 """
@@ -34,8 +44,10 @@ import re
 import subprocess
 import threading
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import BinaryIO, TypeVar
 
 from .errors import GitError
 
@@ -50,6 +62,8 @@ _DIFF_FLAGS = (
 )
 _HUNK_HEADER = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@",
                           re.MULTILINE)
+_INDEX_LINE = re.compile(rb"index ([0-9a-f]+)\.\.([0-9a-f]+)")
+_OBJECT_ID = re.compile(r"[0-9a-f]{40}(?:[0-9a-f]{24})?")
 
 # (old_start, old_count, new_start, new_count) of one ``git diff -U0`` hunk;
 # a start with a zero count is the line just before the empty range
@@ -96,12 +110,94 @@ def _change(raw: str, paths: list[str]) -> ChangedFile | None:
     return None  # unmerged/unknown entries are not analyzable changes
 
 
-def _end_batch(proc: subprocess.Popen) -> None:
+def _hunk(header: re.Match) -> Hunk:
+    old_start, old_count, new_start, new_count = header.groups()
+    return (int(old_start), int(old_count) if old_count else 1,
+            int(new_start), int(new_count) if new_count else 1)
+
+
+def _end_process(proc: subprocess.Popen) -> None:
     try:
-        proc.stdin.close()  # end of input: cat-file exits
+        proc.stdin.close()  # end of input: the reader exits
     finally:
         proc.wait()
         proc.stdout.close()
+
+
+_Reply = TypeVar("_Reply")
+
+
+class _Reader:
+    """One long-lived git process answering requests on its pipes, one
+    request/reply pair at a time."""
+
+    def __init__(self, argv: list[str]):
+        self._argv = argv
+        self.proc: subprocess.Popen | None = None
+        self._end: weakref.finalize | None = None
+        self._lock = threading.Lock()
+
+    def ask(self, request: bytes,
+            read_reply: Callable[[BinaryIO], _Reply]) -> _Reply:
+        with self._lock:
+            try:
+                if self.proc is None:
+                    self.proc = subprocess.Popen(
+                        self._argv, stdin=subprocess.PIPE,
+                        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                    )
+                    self._end = weakref.finalize(self, _end_process, self.proc)
+                self.proc.stdin.write(request)
+                self.proc.stdin.flush()
+                return read_reply(self.proc.stdout)
+            except BaseException:
+                self._close()  # a half-read reply would desync the next
+                raise
+
+    def close(self) -> None:
+        with self._lock:
+            self._close()
+
+    def _close(self) -> None:
+        if self._end is not None:
+            self._end()
+        self.proc = self._end = None
+
+
+def _read_blob(out: BinaryIO) -> bytes | None:
+    """One ``cat-file --batch`` reply: the blob, or None for anything else."""
+    header = out.readline().split()
+    if not header:
+        raise GitError("git cat-file --batch ended unexpectedly")
+    if header[-1] in (b"missing", b"ambiguous"):
+        return None
+    _, kind, size = header
+    data = out.read(int(size) + 1)[:-1]  # content, then LF
+    if len(data) != int(size):
+        raise GitError("git cat-file --batch ended unexpectedly")
+    return data if kind == b"blob" else None
+
+
+def _read_patch(out: BinaryIO) -> dict[tuple[str, str], tuple[Hunk, ...]]:
+    """The hunks of each file section of one ``diff-tree --stdin`` reply, by
+    (old blob, new blob); the reply ends at the echoed empty line.
+
+    Every content line starts with one of ``+- \\``, so only header lines
+    start with ``index`` or ``@@``. Each section with hunks has its
+    ``index`` line before them; a pure rename or a mode change has neither."""
+    by_pair: dict[tuple[str, str], list[Hunk]] = {}
+    hunks: list[Hunk] = []  # of the section being read
+    for line in iter(out.readline, b"\n"):
+        if not line:
+            raise GitError("git diff-tree --stdin ended unexpectedly")
+        if line[:1] in b"+- \\":
+            continue
+        if line.startswith(b"@@"):
+            hunks.append(_hunk(_HUNK_HEADER.match(line)))
+        elif line.startswith(b"index "):
+            old_blob, new_blob = _INDEX_LINE.match(line).groups()
+            hunks = by_pair[old_blob.decode(), new_blob.decode()] = []
+    return {pair: tuple(hunks) for pair, hunks in by_pair.items()}
 
 
 class Repository:
@@ -111,10 +207,12 @@ class Repository:
         self._messages: dict[str, str] = {}
         self._walks: dict[str, tuple[str, ...]] = {}  # walked head -> log order
         self._walk_lock = threading.Lock()
-        self._hunk_cache: dict[tuple[str, str, str, str], tuple[Hunk, ...]] = {}
-        self._batch: subprocess.Popen | None = None
-        self._batch_end: weakref.finalize | None = None
-        self._batch_lock = threading.Lock()
+        self._blobs = _Reader(["git", "-C", self.path, "cat-file", "--batch"])
+        self._diffs = _Reader([
+            "git", "-C", self.path, "diff-tree", "--stdin", "--no-commit-id",
+            "-r", "-M", "-p", "--full-index", *_DIFF_FLAGS,
+        ])
+        self._hunks: dict[tuple[str, str], tuple[Hunk, ...]] = {}
         try:
             self._run("rev-parse", "--git-dir")
         except GitError as exc:
@@ -127,14 +225,9 @@ class Repository:
         self.close()
 
     def close(self) -> None:
-        """End the blob reader; a later read starts a new one."""
-        with self._batch_lock:
-            self._close_batch()
-
-    def _close_batch(self) -> None:
-        if self._batch_end is not None:
-            self._batch_end()
-        self._batch = self._batch_end = None
+        """End the blob and diff readers; a later request starts a new one."""
+        self._blobs.close()
+        self._diffs.close()
 
     def _run(self, *args: str) -> bytes:
         proc = subprocess.run(
@@ -197,8 +290,12 @@ class Repository:
             self._entries.update(entries)
             self._walks[head_id] = tuple(entries)
 
+    def log_entry(self, rev: str) -> LogEntry:
+        """The indexed entry of one commit: time, parents and changes."""
+        return self._entries[self._indexed(rev)]
+
     def commit_time(self, rev: str) -> datetime:
-        return self._entries[self._indexed(rev)].commit_time
+        return self.log_entry(rev).commit_time
 
     def commit_message(self, rev: str) -> str:
         return self._messages[self._indexed(rev)]
@@ -213,55 +310,33 @@ class Repository:
                 capture_output=True,
             )
             return proc.stdout if proc.returncode == 0 else None
-        with self._batch_lock:
-            try:
-                return self._batch_read(spec)
-            except BaseException:
-                self._close_batch()  # a half-read reply would desync the next
-                raise
+        return self._blobs.ask(os.fsencode(spec) + b"\n", _read_blob)
 
-    def _batch_read(self, spec: str) -> bytes | None:
-        if self._batch is None:
-            self._batch = subprocess.Popen(
-                ["git", "-C", self.path, "cat-file", "--batch"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-            )
-            self._batch_end = weakref.finalize(self, _end_batch, self._batch)
-        self._batch.stdin.write(os.fsencode(spec) + b"\n")
-        self._batch.stdin.flush()
-        header = self._batch.stdout.readline().split()
-        if not header:
-            raise GitError("git cat-file --batch ended unexpectedly")
-        if header[-1] in (b"missing", b"ambiguous"):
-            return None
-        _, kind, size = header
-        data = self._batch.stdout.read(int(size) + 1)[:-1]  # content, then LF
-        if len(data) != int(size):
-            raise GitError("git cat-file --batch ended unexpectedly")
-        return data if kind == b"blob" else None
-
-    def line_hunks(self, old_rev: str, old_path: str, new_rev: str,
-                   new_path: str) -> tuple[Hunk, ...]:
-        """Changed line ranges from ``old_rev:old_path`` to
-        ``new_rev:new_path``, in file order; memoized, so pass commit ids.
-        Both blobs must exist."""
-        key = (old_rev, old_path, new_rev, new_path)
-        if key not in self._hunk_cache:
-            out = self._run("diff", *_DIFF_FLAGS,
-                            f"{old_rev}:{old_path}", f"{new_rev}:{new_path}")
-            self._hunk_cache[key] = tuple(
-                (int(old_start), int(old_count) if old_count else 1,
-                 int(new_start), int(new_count) if new_count else 1)
-                for old_start, old_count, new_start, new_count
-                in _HUNK_HEADER.findall(out)
-            )
-        return self._hunk_cache[key]
+    def line_hunks(self, old_commit: str, new_commit: str, old_blob: str,
+                   new_blob: str) -> tuple[Hunk, ...]:
+        """Changed line ranges from blob ``old_blob`` to blob ``new_blob``, in
+        file order, as the step from commit ``old_commit`` to commit
+        ``new_commit`` changes them; memoized by blob pair. Pass full commit
+        ids; equal blobs (a pure rename, a mode change) need no request."""
+        if old_blob == new_blob:
+            return ()
+        key = (old_blob, new_blob)
+        if key not in self._hunks:
+            if not (_OBJECT_ID.fullmatch(old_commit)
+                    and _OBJECT_ID.fullmatch(new_commit)):
+                raise GitError(f"not a pair of commit ids: {old_commit!r}, "
+                               f"{new_commit!r}")
+            self._hunks.update(self._diffs.ask(
+                f"{new_commit} {old_commit}\n\n".encode(), _read_patch))
+        if key not in self._hunks:  # a change between file and symlink
+            self._hunks[key] = tuple(map(_hunk, _HUNK_HEADER.finditer(
+                self._run("diff", *_DIFF_FLAGS, old_blob, new_blob))))
+        return self._hunks[key]
 
     def first_parent_log(self, head: str) -> tuple[LogEntry, ...]:
         """First-parent history of ``head`` (inclusive), newest first, each
         entry carrying its rename-detected changes vs its first parent."""
-        entry = self._entries[self._indexed(head)]
+        entry = self.log_entry(head)
         chain = [entry]
         while entry.parents:
             entry = self._entries[entry.parents[0]]
@@ -280,4 +355,4 @@ class Repository:
 
     def changed_files(self, rev: str) -> tuple[ChangedFile, ...]:
         """Changes of one commit vs its first parent (full tree for a root)."""
-        return self._entries[self._indexed(rev)].changes
+        return self.log_entry(rev).changes

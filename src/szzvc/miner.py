@@ -207,10 +207,19 @@ def load_issue_links(path: str) -> list[IssueRecord]:
                 continue
             try:
                 raw = json.loads(line)
+                key, commit_ids = raw["issue_key"], raw["fixing_commit_ids"]
+                # a string would become its characters, a number would
+                # reach the report as the issue key
+                if not isinstance(key, str):
+                    raise TypeError(f"issue_key must be a string, got {key!r}")
+                if not (isinstance(commit_ids, list)
+                        and all(isinstance(rev, str) for rev in commit_ids)):
+                    raise TypeError("fixing_commit_ids must be a list of "
+                                    f"strings, got {commit_ids!r}")
                 records.append(
                     IssueRecord(
-                        issue_key=raw["issue_key"],
-                        fixing_commit_ids=tuple(raw["fixing_commit_ids"]),
+                        issue_key=key,
+                        fixing_commit_ids=tuple(commit_ids),
                         report_time=parse_timestamp(raw.get("report_time")),
                         description=raw.get("description"),
                     )
@@ -417,7 +426,7 @@ def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
     merged: dict[tuple[str, str], dict] = {}
     failures: list[AnalysisFailure] = []
     fix_diffs: dict[str, IRDiff] = {}
-    fix_entry = repo.first_parent_log(fixing.commit_id)[0]
+    fix_entry = repo.log_entry(fixing.commit_id)
     for change in fixing.visual_files:
         _mine_file(repo, cache, fixing, fix_entry, change, config, merged,
                    failures, fix_diffs)

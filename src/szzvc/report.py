@@ -57,12 +57,12 @@ def run_analysis(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
     with Repository(repo_path) as repo:
+        head_id = repo.rev_parse(head)  # once: the ref may move during the run
         fixing = identify_fixing_commits(repo, config, issue_links=issue_links,
-                                         head=head)
+                                         head=head_id)
         cache = MiningCache(repo, config)
         results = [_analyze_fixing_commit(repo, cache, fix, config, methods)
                    for fix in fixing]
-        head_id = repo.rev_parse(head)
 
     entries = [entry for entry, _ in results]
     had_failures = any(failed for _, failed in results)

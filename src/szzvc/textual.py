@@ -6,13 +6,15 @@ the commit that last introduced it; those origin commits are the candidates.
 Whitespace-only lines are skipped as cosmetic. Pure line additions have no
 prior line to blame, so adds-only fixes yield nothing.
 
-Line positions are mapped through the hunk headers of one ``git diff -U0``
-per history step (:meth:`Repository.line_hunks`): git's own Myers diff with
-its flags pinned, the engine ``git blame`` uses. Lines are numbered as git
-numbers them, split at ``\\n`` only. ``git blame`` itself is not called:
-it cannot disable whole-file rename following, and the trace must honor
-``follow_renames`` from the miner config. Tests cross-check the trace
-against ``git blame --porcelain``.
+Line positions are mapped through the ``-U0`` hunk headers of each history
+step (:meth:`Repository.line_hunks`, keyed by the step's blob pair and served
+by one long-lived ``git diff-tree --stdin``): git's own Myers diff with its
+flags pinned, the engine ``git blame`` uses. A step whose blobs are equal (a
+pure rename) moves no line. Lines are numbered as git numbers them, split at
+``\\n`` only. ``git blame`` itself is not called: it cannot disable
+whole-file rename following, and the trace must honor ``follow_renames``
+from the miner config. Tests cross-check the trace against
+``git blame --porcelain`` (``--first-parent`` where history has merges).
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def annotate(repo: Repository, path: str, before: str, line_numbers,
         # no old side (creation, or a rename cut): every tracked line starts here
         hunks = (
             None if step.path_old is None or parent is None
-            else repo.line_hunks(parent, step.path_old, entry.commit_id, step.path_new)
+            else repo.line_hunks(parent, entry.commit_id, step.old_blob, step.new_blob)
         )
         remapped: dict[int, int] = {}
         for requested, position in tracked.items():
@@ -128,7 +130,7 @@ class TextualResult:
 def textual_find_inducing(repo: Repository, fixing: FixingCommit,
                           config: MinerConfig) -> TextualResult:
     """Line-blame candidates for a fixing commit's visual files."""
-    parents = repo.first_parent_log(fixing.commit_id)[0].parents
+    parents = repo.log_entry(fixing.commit_id).parents
     parent = parents[0] if parents else None
 
     by_key: dict[tuple[str, str], InducingCandidate] = {}
@@ -140,7 +142,8 @@ def textual_find_inducing(repo: Repository, fixing: FixingCommit,
         hunks = (
             ((1, len(old_lines), 0, 0),)
             if change.status == "deleted"
-            else repo.line_hunks(parent, old_path, fixing.commit_id, change.path)
+            else repo.line_hunks(parent, fixing.commit_id, change.old_blob,
+                                 change.new_blob)
         )
         lines = changed_pre_fix_lines(old_lines, hunks)
         if not lines:

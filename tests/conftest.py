@@ -1,5 +1,6 @@
 import json
 import subprocess
+import threading
 from pathlib import Path
 
 import pytest
@@ -96,11 +97,14 @@ class RepoFixture:
         out = self._git("blame", "--porcelain", "-L", f"{line},{line}", rev, "--", path)
         return out.splitlines()[0].split()[0]
 
-    def blame_origins(self, rev: str, path: str) -> list[str]:
+    def blame_origins(self, rev: str, path: str,
+                      first_parent: bool = False) -> list[str]:
         """Independent oracle: git blame's origin commit for every line, in
-        line order (one ``--porcelain`` run for the whole file)."""
+        line order (one ``--porcelain`` run for the whole file); with
+        ``first_parent``, a merge takes the blame for what it brought in."""
+        args = ["blame", "--porcelain", *(["--first-parent"] if first_parent else [])]
         proc = subprocess.run(
-            ["git", "-C", str(self.path), "blame", "--porcelain", rev, "--", path],
+            ["git", "-C", str(self.path), *args, rev, "--", path],
             capture_output=True,
         )
         assert proc.returncode == 0, f"git blame failed: {proc.stderr}"
@@ -130,6 +134,26 @@ class RepoFixture:
         if first_parent:
             args.insert(1, "--first-parent")
         return self._git(*args, "--", path).split()
+
+
+def within(seconds: float, work):
+    """``work()`` run in a thread joined with a timeout, so a pipe protocol
+    that hangs fails the test instead of stalling the run."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = work()
+        except BaseException as exc:  # handed to the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 @pytest.fixture

@@ -1,9 +1,16 @@
+import gc
+import os
+import random
+import re
+import subprocess
 import sys
 import threading
 from datetime import datetime, timezone
 
 import pytest
 
+from conftest import within
+from szzvc import gitrepo
 from szzvc.errors import GitError
 from szzvc.gitrepo import Repository
 
@@ -81,10 +88,23 @@ def test_changed_files_and_messages(repo_fixture):
     assert repo.commit_message(c2).startswith("fix: solves #12")
 
 
+def _blob(repo_fixture, rev: str, path: str) -> str:
+    return repo_fixture._git("rev-parse", f"{rev}:{path}").strip()
+
+
+def _step_hunks(repo, repo_fixture, old: str, new: str, path: str,
+                new_path: str | None = None):
+    """``line_hunks`` of ``path`` (renamed to ``new_path``) from ``old`` to
+    ``new``, given as commit ids."""
+    return repo.line_hunks(old, new, _blob(repo_fixture, old, path),
+                           _blob(repo_fixture, new, new_path or path))
+
+
 def _hunks(repo_fixture, old: str, new: str):
     c1 = repo_fixture.commit({"f.pd": old}, "c1", T1)
     c2 = repo_fixture.commit({"f.pd": new}, "c2", T2)
-    return Repository(str(repo_fixture.path)).line_hunks(c1, "f.pd", c2, "f.pd")
+    return _step_hunks(Repository(str(repo_fixture.path)), repo_fixture,
+                       c1, c2, "f.pd")
 
 
 @pytest.mark.parametrize("old, new, hunks", [
@@ -104,9 +124,9 @@ def test_line_hunks_across_paths_and_renames(repo_fixture):
     repo_fixture.move("a.pd", "b.pd")
     c2 = repo_fixture.commit({"b.pd": "zero\none\ntwo\n"}, "c2", T2)
     repo = Repository(str(repo_fixture.path))
-    assert repo.line_hunks(c1, "a.pd", c2, "b.pd") == ((0, 0, 1, 1),)
-    with pytest.raises(GitError):
-        repo.line_hunks(c1, "b.pd", c2, "b.pd")
+    assert _step_hunks(repo, repo_fixture, c1, c2, "a.pd", "b.pd") == ((0, 0, 1, 1),)
+    with pytest.raises(GitError):  # no such blob
+        repo.line_hunks(c1, c2, "f" * 40, _blob(repo_fixture, c2, "b.pd"))
 
 
 def test_line_hunks_ignore_diff_config(repo_fixture):
@@ -123,7 +143,8 @@ def test_line_hunks_ignore_diff_config(repo_fixture):
 
     def hunks():
         repo = Repository(str(repo_fixture.path))
-        return {path: repo.line_hunks(c1, path, c2, path) for path in expected}
+        return {path: _step_hunks(repo, repo_fixture, c1, c2, path)
+                for path in expected}
 
     assert hunks() == expected
     for key, value in (("diff.algorithm", "histogram"), ("diff.external", "false"),
@@ -141,9 +162,12 @@ def test_line_hunks_are_memoized(repo_fixture, monkeypatch):
     c1 = repo_fixture.commit({"f.pd": "a\n"}, "c1", T1)
     c2 = repo_fixture.commit({"f.pd": "b\n"}, "c2", T2)
     repo = Repository(str(repo_fixture.path))
-    first = repo.line_hunks(c1, "f.pd", c2, "f.pd")
-    monkeypatch.setattr(repo, "_run", None)  # a second git call would fail
-    assert repo.line_hunks(c1, "f.pd", c2, "f.pd") is first
+    first = _step_hunks(repo, repo_fixture, c1, c2, "f.pd")
+    repo.close()
+    # a second git call would fail
+    monkeypatch.setattr(repo, "_run", None)
+    monkeypatch.setattr(repo, "_diffs", None)
+    assert _step_hunks(repo, repo_fixture, c1, c2, "f.pd") is first
 
 
 def test_read_file_through_the_batch_reader(repo_fixture):
@@ -170,7 +194,7 @@ def test_newline_path_reads_without_the_batch_reader(repo_fixture):
     c1 = repo_fixture.commit({"line\nbreak.pd": "x\n"}, "c1", T1)
     repo = Repository(str(repo_fixture.path))
     assert repo.read_file(c1, "line\nbreak.pd") == b"x\n"
-    assert repo._batch is None
+    assert repo._blobs.proc is None
 
 
 def test_concurrent_reads_share_one_reader(repo_fixture):
@@ -198,9 +222,9 @@ def test_concurrent_reads_share_one_reader(repo_fixture):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
-    process = repo._batch
+    process = repo._blobs.proc
     repo.close()
-    assert process.returncode is not None and repo._batch is None
+    assert process.returncode is not None and repo._blobs.proc is None
     assert repo.read_file(c1, "f1.pd") == files["f1.pd"].encode()  # restarts
     repo.close()
 
@@ -209,7 +233,7 @@ def test_context_manager_ends_the_reader(repo_fixture):
     c1 = repo_fixture.commit({"a.pd": "a\n"}, "c1", T1)
     with Repository(str(repo_fixture.path)) as repo:
         assert repo.read_file(c1, "a.pd") == b"a\n"
-        process = repo._batch
+        process = repo._blobs.proc
     assert process.returncode is not None
 
 
@@ -286,3 +310,245 @@ def test_changed_files_carry_blob_ids(repo_fixture):
         (blob(f"{c2}^:gone.pd"), None)
     assert (by_path["new.pd"].old_blob, by_path["new.pd"].new_blob) == \
         (None, blob(f"{c2}:new.pd"))
+
+
+# --- the diff reader behind line_hunks -------------------------------------
+
+_HUNK_HEADER = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@", re.MULTILINE)
+
+
+def _one_shot_hunks(repo_fixture, old_blob: str, new_blob: str) -> tuple:
+    """Oracle: the hunk headers of one ``git diff -U0`` between two blobs."""
+    proc = subprocess.run(
+        ["git", "-C", str(repo_fixture.path), "diff", "--no-color", "--no-ext-diff",
+         "--text", "--diff-algorithm=myers", "--indent-heuristic",
+         "--inter-hunk-context=0", "-U0", old_blob, new_blob],
+        capture_output=True, check=True,
+    )
+    return tuple((int(a), int(b) if b else 1, int(c), int(d) if d else 1)
+                 for a, b, c, d in _HUNK_HEADER.findall(proc.stdout))
+
+
+def _steps(repo) -> list[tuple[str, str, str, str]]:
+    """(old commit, new commit, old blob, new blob) of every first-parent
+    change that has both sides."""
+    return [(entry.parents[0], entry.commit_id, change.old_blob, change.new_blob)
+            for entry in repo.first_parent_log("HEAD") if entry.parents
+            for change in entry.changes if change.old_blob and change.new_blob]
+
+
+def _no_one_shot(monkeypatch, repo) -> None:
+    """Fail on any further one-shot git process: every pair must come from
+    the diff reader's replies."""
+    def one_shot(*args):
+        raise AssertionError(f"one-shot git {args}")
+    monkeypatch.setattr(repo, "_run", one_shot)
+
+
+def _requests(monkeypatch, repo) -> list[bytes]:
+    """Every request the diff reader is sent from now on."""
+    sent = []
+    ask = repo._diffs.ask
+    monkeypatch.setattr(repo._diffs, "ask",
+                        lambda request, read: sent.append(request) or ask(request, read))
+    return sent
+
+
+def test_one_diff_reader_serves_every_step(repo_fixture, monkeypatch):
+    # a.pd flips between two versions, so its blob pair comes back
+    flip = ("x\ny\n", "x\nY\n")
+    commits = [
+        repo_fixture.commit({"a.pd": flip[k % 2], "b.pd": f"b\n{k}\n" * 3,
+                             "c.pd": "c\n" * k + "end\n"}, f"c{k}", T1)
+        for k in range(6)
+    ]
+    repo = Repository(str(repo_fixture.path))
+    steps = _steps(repo)
+    assert len(steps) == 15  # three files in each of five steps
+    _no_one_shot(monkeypatch, repo)
+    sent = _requests(monkeypatch, repo)
+
+    def run():
+        pair = (_blob(repo_fixture, commits[0], "a.pd"),
+                _blob(repo_fixture, commits[1], "a.pd"))
+        first = repo.line_hunks(commits[0], commits[1], *pair)
+        process = repo._diffs.proc
+        # served from the first reply: never asked for the step c2 -> c3
+        assert repo.line_hunks(commits[2], commits[3], *pair) is first
+        assert len(sent) == 1
+        got = {step: repo.line_hunks(*step) for step in steps}
+        assert len(sent) == 5  # one request per step, not per file
+        assert repo._diffs.proc is process and process.poll() is None
+        return got
+
+    got = within(60, run)
+    assert got == {step: _one_shot_hunks(repo_fixture, *step[2:]) for step in steps}
+    repo.close()
+    # memoized by blob pair: no further git call of any kind
+    monkeypatch.setattr(repo, "_diffs", None)
+    monkeypatch.setattr(repo, "_run", None)
+    assert {step: repo.line_hunks(*step) for step in steps} == got
+
+
+def test_missing_pair_raises_and_the_reader_stays_in_sync(repo_fixture, monkeypatch):
+    c1 = repo_fixture.commit({"f.pd": "a\nb\n"}, "c1", T1)
+    c2 = repo_fixture.commit({"f.pd": "a\nc\n"}, "c2", T2)
+    c3 = repo_fixture.commit({"f.pd": "z\na\nc\n"}, "c3", T3)
+    blobs = [_blob(repo_fixture, c, "f.pd") for c in (c1, c2, c3)]
+    repo = Repository(str(repo_fixture.path))
+    sent = _requests(monkeypatch, repo)
+
+    def run():
+        with pytest.raises(GitError):  # the reply has no such pair
+            repo.line_hunks(c1, c2, "f" * 40, "e" * 40)
+        process = repo._diffs.proc
+        assert repo.line_hunks(c2, c3, blobs[1], blobs[2]) == ((0, 0, 1, 1),)
+        assert repo.line_hunks(c1, c2, blobs[0], blobs[1]) == ((2, 1, 2, 1),)
+        assert repo._diffs.proc is process
+        with pytest.raises(GitError, match="commit ids"):
+            repo.line_hunks("HEAD~1", "HEAD", blobs[1], blobs[2] + "\n")
+
+    within(60, run)
+    assert len(sent) == 2  # the first reply also held the pair of c1 -> c2
+    repo.close()
+
+
+def test_reply_framing_survives_header_like_content(repo_fixture, monkeypatch):
+    tricky = ("diff --git a/x b/x\nindex 0..1\n@@ -1 +1 @@\n\n\x0c\n"
+              "a\x00b\n--- a/x\n+++ b/x\n\\ No newline at end of file\nlast")
+    edited = ("diff --git a/y b/y\nindex 0..1\n@@ -2 +2 @@\n\x0c\nnew\x00\n"
+              "a\x00b\n--- a/x\n+++ b/y\n\\ No newline at end of file\n\nlast\n")
+    c1 = repo_fixture.commit({"a.pd": "1\n", "tricky.pd": tricky, "z.pd": "z\n"},
+                             "c1", T1)
+    c2 = repo_fixture.commit({"a.pd": "2\n", "tricky.pd": edited, "z.pd": "\n\nz"},
+                             "c2", T2)
+    # a second reply after the tricky one: a desync would show in it
+    repo_fixture.commit({"tricky.pd": tricky, "z.pd": "z\n"}, "c3", T3)
+    repo = Repository(str(repo_fixture.path))
+    steps = _steps(repo)
+    assert [step[:2] for step in steps] == [(c2, repo.rev_parse("HEAD"))] * 2 + [(c1, c2)] * 3
+    _no_one_shot(monkeypatch, repo)
+    got = within(60, lambda: [repo.line_hunks(*step) for step in steps])
+    assert got == [_one_shot_hunks(repo_fixture, *step[2:]) for step in steps]
+    assert all(got)
+    repo.close()
+
+
+def test_line_hunks_on_quoted_and_non_ascii_paths(repo_fixture, monkeypatch):
+    names = ["with space.pd", 'quo"te.pd', "tab\there.pd", "back\\slash.pd",
+             "ünïcödé.pd", "日本語.pd", "line\nbreak.pd", "ä.pd"]
+    repo_fixture.commit({name: f"{name}\none\ntwo\nthree\n" for name in names},
+                        "c1", T1)
+    repo_fixture.move("ä.pd", "ö.pd")
+    repo_fixture.commit({**{name: f"{name}\none\n2\nthree\n" for name in names[:-1]},
+                         "ö.pd": "ä.pd\none\ntwo\nthree\nfour\n"}, "c2", T2)
+    repo = Repository(str(repo_fixture.path))
+    statuses = {c.path: c.status for c in repo.changed_files("HEAD")}
+    assert statuses["ö.pd"] == "renamed-from"
+    steps = _steps(repo)
+    assert len(steps) == len(names)
+    _no_one_shot(monkeypatch, repo)
+    got = within(60, lambda: [repo.line_hunks(*step) for step in steps])
+    assert got == [_one_shot_hunks(repo_fixture, *step[2:]) for step in steps]
+    repo.close()
+
+
+def test_file_to_symlink_change_is_diffed_by_blob(repo_fixture):
+    # a patch splits a type change into a deletion and a creation, so the
+    # reply has no pair for it; the line diff of the two blobs still holds
+    c1 = repo_fixture.commit({"l.pd": "target\nmore\n"}, "c1", T1)
+    (repo_fixture.path / "l.pd").unlink()
+    os.symlink("target", repo_fixture.path / "l.pd")
+    c2 = repo_fixture.commit({}, "c2", T2)
+    repo = Repository(str(repo_fixture.path))
+    (step,) = _steps(repo)
+    assert step[:2] == (c1, c2)
+    assert within(60, lambda: repo.line_hunks(*step)) == \
+        _one_shot_hunks(repo_fixture, *step[2:]) == ((1, 2, 1, 1),)
+    repo.close()
+
+
+class _Interrupted(BaseException):
+    pass
+
+
+def test_diff_reader_lifetime(repo_fixture, monkeypatch):
+    c1 = repo_fixture.commit({"f.pd": "a\n"}, "c1", T1)
+    c2 = repo_fixture.commit({"f.pd": "b\n"}, "c2", T2)
+    step = (c1, c2, _blob(repo_fixture, c1, "f.pd"), _blob(repo_fixture, c2, "f.pd"))
+
+    def run():
+        with Repository(str(repo_fixture.path)) as repo:
+            assert repo.line_hunks(*step) == ((1, 1, 1, 1),)
+            assert repo.read_file(c1, "f.pd") == b"a\n"
+            processes = (repo._diffs.proc, repo._blobs.proc)
+        assert all(p.returncode is not None for p in processes)
+
+        repo = Repository(str(repo_fixture.path))
+        repo.line_hunks(*step)
+        process = repo._diffs.proc
+        repo.close()
+        assert process.returncode is not None and repo._diffs.proc is None
+
+        # a reply read in part ends the process; the next request restarts it
+        def half_read(out):
+            out.readline()
+            raise _Interrupted
+
+        repo._hunks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(gitrepo, "_read_patch", half_read)
+            with pytest.raises(_Interrupted):
+                repo.line_hunks(*step)
+        assert repo._diffs.proc is None
+        assert repo.line_hunks(*step) == ((1, 1, 1, 1),)
+        process = repo._diffs.proc
+        del repo  # the finalizer ends what close() was not called for
+        gc.collect()
+        assert process.returncode is not None
+
+    within(60, run)
+
+
+def test_concurrent_line_hunks_and_reads(repo_fixture, monkeypatch):
+    rng = random.Random(5)
+    lines = {path: [f"{path} {n}" for n in range(300)] for path in ("g.pd", "h.pd")}
+    contents = []
+    for k in range(16):
+        for path in lines:
+            for _ in range(4):
+                lines[path][rng.randrange(300)] = f"{path} {k} {rng.random()}"
+        files = {path: "\n".join(body) + "\n" for path, body in lines.items()}
+        contents.append((repo_fixture.commit(files, f"c{k}", T1), files))
+    repo = Repository(str(repo_fixture.path))
+    steps = _steps(repo)
+    assert len(steps) == 30
+    expected = {step: _one_shot_hunks(repo_fixture, *step[2:]) for step in steps}
+    _no_one_shot(monkeypatch, repo)
+    mismatches = []
+
+    def worker(offset: int) -> None:
+        for n in range(len(steps)):
+            step = steps[(n * 7 + offset) % len(steps)]
+            if repo.line_hunks(*step) != expected[step]:
+                mismatches.append(step)
+            commit, files = contents[(n + offset) % len(contents)]
+            for path, text in files.items():
+                if repo.read_file(commit, path) != text.encode():
+                    mismatches.append((commit, path))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # each round asks the reader again
+            repo._hunks.clear()
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
+    repo.close()

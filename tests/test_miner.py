@@ -20,6 +20,7 @@ from szzvc.miner import (
     load_issue_links,
 )
 from szzvc.ir import Language
+from szzvc import report as report_module
 from szzvc.report import run_analysis
 from conftest import maxpat_doc
 
@@ -155,6 +156,44 @@ def test_malformed_issue_table(tmp_path):
     bad.write_text('{"issue_key": "X"}\n')
     with pytest.raises(ConfigError, match="malformed issue link table at line 1"):
         load_issue_links(str(bad))
+
+
+@pytest.mark.parametrize("record, message", [
+    # a string would become its characters: ('d', 'e', 'a', ...)
+    ({"issue_key": "X", "fixing_commit_ids": "deadbeef"}, "list of strings"),
+    ({"issue_key": "X", "fixing_commit_ids": ["deadbeef", 7]}, "list of strings"),
+    ({"issue_key": "X", "fixing_commit_ids": {"deadbeef": 1}}, "list of strings"),
+    # a number would reach the report as the issue key
+    ({"issue_key": 12, "fixing_commit_ids": ["deadbeef"]}, "issue_key"),
+    ({"issue_key": None, "fixing_commit_ids": []}, "issue_key"),
+])
+def test_issue_table_values_are_type_checked(tmp_path, record, message):
+    table = tmp_path / "issues.jsonl"
+    good = {"issue_key": "GH-1", "fixing_commit_ids": ["cafe"]}
+    table.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
+    with pytest.raises(ConfigError,
+                       match=f"malformed issue link table at line 3: .*{message}"):
+        load_issue_links(str(table))
+    table.write_text(json.dumps(good) + "\n")
+    assert load_issue_links(str(table)) == [IssueRecord("GH-1", ("cafe",))]
+
+
+def test_report_head_is_the_commit_that_was_mined(repo_fixture, monkeypatch):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    mined = repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1", T[1])
+    identify = report_module.identify_fixing_commits
+
+    def identify_then_move_head(*args, **kwargs):
+        found = identify(*args, **kwargs)
+        repo_fixture.commit({"p.pd": PATCH_V3}, "fix #2, after mining", T[2])
+        return found
+
+    monkeypatch.setattr(report_module, "identify_fixing_commits",
+                        identify_then_move_head)
+    report, _ = run_analysis(str(repo_fixture.path), MinerConfig(), with_timing=False)
+    assert repo_fixture._git("rev-parse", "HEAD").strip() != mined
+    assert report["config"]["head"] == mined
+    assert [entry["commit"] for entry in report["fixing_commits"]] == [mined]
 
 
 def _history(repo, path, before, follow_renames=True):

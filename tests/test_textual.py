@@ -6,6 +6,8 @@ from szzvc.gitrepo import Repository
 from szzvc.miner import MinerConfig, find_inducing, language_for_path
 from szzvc.report import run_analysis
 from szzvc.textual import annotate, changed_pre_fix_lines, textual_find_inducing
+from conftest import within
+from test_gitrepo import _blob
 from test_miner import PATCH_V1, PATCH_V2, PATCH_V3, T, _fixing
 
 
@@ -17,7 +19,8 @@ def _changed(repo_fixture, old: str, new: str) -> list[int]:
     """changed_pre_fix_lines of one fixture commit from ``old`` to ``new``."""
     c1 = repo_fixture.commit({"f.pd": old}, f"before {old!r}", T[0])
     c2 = repo_fixture.commit({"f.pd": new}, f"after {new!r}", T[1])
-    hunks = _repo(repo_fixture).line_hunks(c1, "f.pd", c2, "f.pd")
+    hunks = _repo(repo_fixture).line_hunks(c1, c2, _blob(repo_fixture, c1, "f.pd"),
+                                           _blob(repo_fixture, c2, "f.pd"))
     return changed_pre_fix_lines(old.splitlines(), hunks)
 
 
@@ -55,7 +58,8 @@ def test_three_commit_fixture_blames_line_introducer(repo_fixture, monkeypatch):
     assert result.candidates[0].matched_paths == ()
 
     # the modified line is line 2 (the msg record); cross-check with blame
-    hunks = repo.line_hunks(c2, "p.pd", c3, "p.pd")
+    hunks = repo.line_hunks(c2, c3, _blob(repo_fixture, c2, "p.pd"),
+                            _blob(repo_fixture, c3, "p.pd"))
     assert changed_pre_fix_lines(PATCH_V2.splitlines(), hunks) == [2]
     assert repo_fixture.blame_origin(f"{c3}^", "p.pd", 2) == c2
 
@@ -112,6 +116,45 @@ def test_annotate_follows_renames(repo_fixture):
     # with following off the rename commit becomes the apparent creator
     cut = annotate(repo, "b.pd", fix, [2], follow_renames=False)
     assert cut[2].origin_commit == c2
+
+
+def test_annotate_through_a_merge_and_renames(repo_fixture, monkeypatch):
+    base = [f"line {n}" for n in range(1, 11)]
+
+    def text(edits: dict) -> str:
+        return _text([edits.get(n, line) for n, line in enumerate(base, 1)])
+
+    repo_fixture.commit({"f.pd": text({})}, "c0", T[0])
+    repo_fixture.checkout("side", create=True)
+    side = repo_fixture.commit({"f.pd": text({3: "side 3"})}, "side edit", T[1])
+    repo_fixture.checkout("main")
+    main = repo_fixture.commit({"f.pd": text({6: "main 6"})}, "main edit", T[2])
+    merge = repo_fixture.merge("side", "merge side", T[3])
+    repo_fixture.move("f.pd", "g.pd")
+    renamed = text({3: "side 3", 6: "main 6", 9: "moved 9"}) + "added\n"
+    moved = repo_fixture.commit({"g.pd": renamed}, "rename with edits", T[4])
+    repo_fixture.move("g.pd", "h.pd")
+    pure = repo_fixture.commit({}, "pure rename", T[5])
+    fix = repo_fixture.commit({"h.pd": renamed.replace("line 1\n", "fixed 1\n")},
+                              "fix", T[6])
+    repo = _repo(repo_fixture)
+    sent = []
+    ask = repo._diffs.ask
+    monkeypatch.setattr(repo._diffs, "ask",
+                        lambda request, read: sent.append(request) or ask(request, read))
+
+    numbers = range(1, 12)
+    origins = within(60, lambda: annotate(repo, "h.pd", fix, numbers))
+    oracle = repo_fixture.blame_origins(f"{fix}^", "h.pd", first_parent=True)
+    assert [origins[n].origin_commit for n in numbers] == oracle
+    assert (oracle[2], oracle[5], oracle[8], oracle[10]) == (merge, main, moved, moved)
+    # without --first-parent, blame credits the side commit instead
+    assert repo_fixture.blame_origins(f"{fix}^", "h.pd")[2] == side
+    # the merge is diffed against its first parent; the pure rename moves
+    # no line and is never sent
+    assert f"{merge} {main}\n\n".encode() in sent
+    assert not any(request.startswith(pure.encode()) for request in sent)
+    repo.close()
 
 
 def test_textual_equals_visual_depth1_on_stable_order_fixture(repo_fixture):
