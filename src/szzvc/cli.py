@@ -277,20 +277,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    report = _load_report(args.report)
+    methods = _score_groups(_load_report(args.report))
     verdicts = load_verdicts(args.verdicts)
-    methods: dict[str, list[ScoreGroup]] = {}
-    for entry in report.get("fixing_commits", []):
-        for method, section in sorted(entry.get("methods", {}).items()):
-            methods.setdefault(method, []).append(
-                ScoreGroup(
-                    fixing_commit=entry["commit"],
-                    language=entry.get("language", "unknown"),
-                    candidates=tuple(
-                        c["inducing_commit"] for c in section["candidates"]
-                    ),
-                )
-            )
     results = {}
     for method, groups in sorted(methods.items()):
         evaluation = score(groups, verdicts, method=method,
@@ -319,6 +307,28 @@ def _cmd_score(args) -> int:
         }
         _write_out(json.dumps(structured, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
+
+
+def _score_groups(report: dict) -> dict[str, list[ScoreGroup]]:
+    """Each method's candidate set per fixing commit."""
+    methods: dict[str, list[ScoreGroup]] = {}
+    try:
+        for entry in report.get("fixing_commits", []):
+            for method, section in sorted(entry.get("methods", {}).items()):
+                group = ScoreGroup(
+                    fixing_commit=entry["commit"],
+                    language=entry.get("language", "unknown"),
+                    candidates=tuple(
+                        c["inducing_commit"] for c in section["candidates"]
+                    ),
+                )
+                if not all(isinstance(value, str) for value in (
+                        group.fixing_commit, group.language, *group.candidates)):
+                    raise TypeError("commit ids and languages must be strings")
+                methods.setdefault(method, []).append(group)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"not a usable report: {exc!r}")
+    return methods
 
 
 def _load_report(path: str) -> dict:

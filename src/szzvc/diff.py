@@ -246,7 +246,9 @@ def match_changes(
     Only Modified/Deleted fix paths participate; Added fix paths go through
     the miner's depth-reduction rule instead.
     """
-    historical = {p for p, _ in paths_at_depth(historical_diff, mode)}
+    historical = historical_diff.paths()
+    if mode != MAX_DEPTH:
+        historical = {truncate_path(p, int(mode)) for p in historical}
     return {
         path
         for path, kind in fix_paths

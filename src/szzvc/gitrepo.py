@@ -24,15 +24,16 @@ a new one.
   ``cat-file blob``.
 - ``line_hunks`` reads the hunk headers of ``git diff-tree --stdin -p -U0``
   between two commits, with every flag that affects the line alignment
-  pinned so that user or repository config cannot change it. It is run with
-  no pathspec, since a pathspec changes how renames pair up against the
-  index's unrestricted walk. A request is ``<new> <old>`` and an empty line;
-  diff-tree copies that empty line to its output and flushes, and a ``-U0``
-  patch holds no empty line, so the echo ends the reply. The hunks of every
-  file section in a reply are memoized by (old blob, new blob) from its
-  ``index`` line. A patch splits a change between file and symlink into a
-  deletion and a creation, so such a pair is not in the reply; it is diffed
-  by a one-shot ``git diff`` of the two blobs.
+  pinned so that user or repository config cannot change it; every git
+  process starts without ``GIT_DIFF_OPTS``, whose ``-u<n>`` would override
+  the pinned ``-U0``. It is run with no pathspec, since a pathspec changes
+  how renames pair up against the index's unrestricted walk. A request is
+  ``<new> <old>`` and an empty line; diff-tree copies that empty line to its
+  output and flushes, and a ``-U0`` patch holds no empty line, so the echo
+  ends the reply. The hunks of every file section in a reply are memoized by
+  (old blob, new blob) from its ``index`` line. A patch splits a change
+  between file and symlink into a deletion and a creation, so such a pair is
+  not in the reply; it is diffed by a one-shot ``git diff`` of the two blobs.
 
 Commits and blobs are immutable, so the index and the caches never go stale.
 """
@@ -116,6 +117,11 @@ def _hunk(header: re.Match) -> Hunk:
             int(new_start), int(new_count) if new_count else 1)
 
 
+def _git_env() -> dict[str, str]:
+    return {name: value for name, value in os.environ.items()
+            if name != "GIT_DIFF_OPTS"}
+
+
 def _end_process(proc: subprocess.Popen) -> None:
     try:
         proc.stdin.close()  # end of input: the reader exits
@@ -145,6 +151,7 @@ class _Reader:
                     self.proc = subprocess.Popen(
                         self._argv, stdin=subprocess.PIPE,
                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                        env=_git_env(),
                     )
                     self._end = weakref.finalize(self, _end_process, self.proc)
                 self.proc.stdin.write(request)
@@ -232,7 +239,7 @@ class Repository:
     def _run(self, *args: str) -> bytes:
         proc = subprocess.run(
             ["git", "-C", self.path, *args],
-            capture_output=True,
+            capture_output=True, env=_git_env(),
         )
         if proc.returncode != 0:
             raise GitError(
@@ -307,7 +314,7 @@ class Repository:
         if "\n" in spec or spec.endswith("\r"):
             proc = subprocess.run(
                 ["git", "-C", self.path, "cat-file", "blob", spec],
-                capture_output=True,
+                capture_output=True, env=_git_env(),
             )
             return proc.stdout if proc.returncode == 0 else None
         return self._blobs.ask(os.fsencode(spec) + b"\n", _read_blob)

@@ -2,8 +2,8 @@
 
 Pipeline per fixing commit and visual file:
 
-1. Diff the file's IR across the fixing commit and project the change set to
-   the configured change-depth.
+1. Diff the file's IR across the fixing commit, a history step of its own
+   (:func:`fix_step`), and project the change set to the change-depth.
 2. Walk the file's first-parent history strictly before the fix, newest
    first, following renames when configured.
 3. Modified/Deleted fix paths: the most recent prior commit whose own IR diff
@@ -21,8 +21,8 @@ committed after the linked bug report.
 
 Fixing commits on one file share most of their history, so a run keeps one
 :class:`MiningCache`: each file version is read and parsed once, keyed by its
-blob id, and each history step is diffed once, keyed by its two blob ids.
-Blob ids come with the changed files of the repository's commit index.
+blob id, and each step, the fix's own included, is diffed once, keyed by its
+two blob ids. Blob ids come with the changed files of the commit index.
 """
 
 from __future__ import annotations
@@ -293,12 +293,30 @@ def identify_fixing_commits(
 
 @dataclass(frozen=True)
 class HistoryStep:
+    """One first-parent commit's change to a file; the fix's own is one too."""
+
     entry: LogEntry
     path_new: str  # the file's path as of this commit
     path_old: str | None  # path on the parent side; None when the step
     # introduced the file (creation, or a rename boundary with following off)
-    old_blob: str | None  # None exactly when path_old is
-    new_blob: str
+    old_blob: str | None  # None when path_old is
+    new_blob: str | None  # None only for a fix that deletes the file
+
+    @property
+    def parent(self) -> str | None:
+        """The commit's first parent; None for a root commit."""
+        return self.entry.parents[0] if self.entry.parents else None
+
+
+def _step(entry: LogEntry, change: ChangedFile) -> HistoryStep:
+    old_path = None if change.status == "added" else change.old_path or change.path
+    return HistoryStep(entry, change.path, old_path, change.old_blob, change.new_blob)
+
+
+def fix_step(fix_entry: LogEntry, change: ChangedFile) -> HistoryStep:
+    """The fixing commit's change to one file, as a step of its history."""
+    # the indexed listing of the same change carries its blob ids
+    return _step(fix_entry, next((c for c in fix_entry.changes if c == change), change))
 
 
 def history_steps(repo: Repository, path: str, before: str,
@@ -312,22 +330,15 @@ def history_steps(repo: Repository, path: str, before: str,
         touched = next((c for c in entry.changes if c.path == cur), None)
         if touched is None:
             continue
-        if touched.status == "renamed-from":
-            if follow_renames:
-                steps.append(HistoryStep(entry, cur, touched.old_path,
-                                         touched.old_blob, touched.new_blob))
-                cur = touched.old_path
-            else:
-                steps.append(HistoryStep(entry, cur, None, None, touched.new_blob))
-                break
-        elif touched.status == "added":
-            steps.append(HistoryStep(entry, cur, None, None, touched.new_blob))
-            break
-        elif touched.status == "modified":
-            steps.append(HistoryStep(entry, cur, cur,
-                                     touched.old_blob, touched.new_blob))
-        else:  # a deletion older than the creation boundary: stop
-            break
+        if touched.status == "deleted":
+            break  # a deletion older than the creation boundary: stop
+        step = _step(entry, touched)
+        if touched.status == "renamed-from" and not follow_renames:
+            step = replace(step, path_old=None, old_blob=None)
+        steps.append(step)
+        if step.path_old is None:
+            break  # the file starts here
+        cur = step.path_old
     return steps
 
 
@@ -402,16 +413,15 @@ class MiningCache:
             return exc
 
     def step_diff(self, language: Language, step: HistoryStep) -> IRDiff:
-        """The diff a history step made to the file."""
+        """The diff a step made to the file."""
         key = (step.old_blob, step.new_blob, language)
         diff = self._diffs.get(key)
         if diff is None:
-            entry = step.entry
-            parent = entry.parents[0] if entry.parents else None
+            commit_id = step.entry.commit_id
             diff = self._diffs[key] = diff_ir(
-                self.ir(language, step.old_blob, parent, step.path_old),
-                self.ir(language, step.new_blob, entry.commit_id, step.path_new),
-                old_version=parent or "", new_version=entry.commit_id,
+                self.ir(language, step.old_blob, step.parent, step.path_old),
+                self.ir(language, step.new_blob, commit_id, step.path_new),
+                old_version=step.parent or "", new_version=commit_id,
             )
         return diff
 
@@ -428,8 +438,7 @@ def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
     fix_diffs: dict[str, IRDiff] = {}
     fix_entry = repo.log_entry(fixing.commit_id)
     for change in fixing.visual_files:
-        _mine_file(repo, cache, fixing, fix_entry, change, config, merged,
-                   failures, fix_diffs)
+        _mine_file(cache, fix_step(fix_entry, change), merged, failures, fix_diffs)
 
     candidates = tuple(
         InducingCandidate(
@@ -452,35 +461,31 @@ def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
     )
 
 
+def _diff_or_failure(cache: MiningCache, language: Language, step: HistoryStep,
+                     failures: list[AnalysisFailure]) -> IRDiff | None:
+    """The step's diff; None, with the failure recorded, when unparseable."""
+    try:
+        return cache.step_diff(language, step)
+    except PatchSyntaxError as exc:
+        failures.append(AnalysisFailure(step.entry.commit_id, step.path_new, str(exc)))
+        return None
+
+
 def _mine_file(
-    repo: Repository,
     cache: MiningCache,
-    fixing: FixingCommit,
-    fix_entry: LogEntry,
-    change: ChangedFile,
-    config: MinerConfig,
+    fix: HistoryStep,
     merged: dict,
     failures: list[AnalysisFailure],
     fix_diffs: dict[str, IRDiff],
 ) -> None:
-    language = language_for_path(change.path, config.extensions)
+    config = cache.config
+    language = language_for_path(fix.path_new, config.extensions)
     if language is None:
         return
-    parent = fix_entry.parents[0] if fix_entry.parents else None
-    old_path = change.old_path if change.status == "renamed-from" else change.path
-    # the indexed listing of the same change carries its blob ids
-    change = next((c for c in fix_entry.changes if c == change), change)
-
-    try:
-        old_ir = cache.ir(language, change.old_blob, parent, old_path)
-        new_ir = cache.ir(language, change.new_blob, fixing.commit_id, change.path)
-    except PatchSyntaxError as exc:
-        failures.append(AnalysisFailure(fixing.commit_id, change.path, str(exc)))
-        return
-
-    fix_diff = diff_ir(old_ir, new_ir, old_version=parent or "",
-                       new_version=fixing.commit_id)
-    fix_diffs[change.path] = fix_diff
+    fix_diff = _diff_or_failure(cache, language, fix, failures)
+    if fix_diff is None:
+        return  # the fixing side skips the file
+    fix_diffs[fix.path_new] = fix_diff
     fix_paths = paths_at_depth(fix_diff, config.depth_mode)
     md_pairs = sorted(
         (
@@ -497,23 +502,16 @@ def _mine_file(
     )
     if not md_pairs and not added_paths:
         return
-    if change.status == "added":
+    if fix.path_old is None:
         return  # a brand-new file has no history to blame
 
-    steps = history_steps(repo, old_path, fixing.commit_id,
+    steps = history_steps(cache.repo, fix.path_old, fix.entry.commit_id,
                           follow_renames=config.follow_renames)
-    step_diffs: list[IRDiff | None] = []
-    for step in steps:
-        try:
-            step_diffs.append(cache.step_diff(language, step))
-        except PatchSyntaxError as exc:
-            failures.append(
-                AnalysisFailure(step.entry.commit_id, step.path_new, str(exc))
-            )
-            step_diffs.append(None)  # skipped; matching continues further back
+    # an unparseable step is skipped; matching continues further back
+    step_diffs = [_diff_or_failure(cache, language, s, failures) for s in steps]
 
     def emit(step: HistoryStep, path: ChangePath, depth: int, via: bool) -> None:
-        key = (step.entry.commit_id, change.path)
+        key = (step.entry.commit_id, fix.path_new)
         info = merged.setdefault(
             key, {"paths": set(), "via": False, "time": step.entry.commit_time}
         )

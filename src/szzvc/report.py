@@ -57,7 +57,8 @@ def run_analysis(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
     with Repository(repo_path) as repo:
-        head_id = repo.rev_parse(head)  # once: the ref may move during the run
+        # once, indexing it: the ref may move during the run
+        head_id = repo.log_entry(head).commit_id
         fixing = identify_fixing_commits(repo, config, issue_links=issue_links,
                                          head=head_id)
         cache = MiningCache(repo, config)

@@ -6,14 +6,15 @@ the commit that last introduced it; those origin commits are the candidates.
 Whitespace-only lines are skipped as cosmetic. Pure line additions have no
 prior line to blame, so adds-only fixes yield nothing.
 
-Line positions are mapped through the ``-U0`` hunk headers of each history
-step (:meth:`Repository.line_hunks`, keyed by the step's blob pair and served
-by one long-lived ``git diff-tree --stdin``): git's own Myers diff with its
-flags pinned, the engine ``git blame`` uses. A step whose blobs are equal (a
-pure rename) moves no line. Lines are numbered as git numbers them, split at
-``\\n`` only. ``git blame`` itself is not called: it cannot disable
-whole-file rename following, and the trace must honor ``follow_renames``
-from the miner config. Tests cross-check the trace against
+The fix is a history step of its own (:func:`fix_step`). Its changed lines,
+and every line's position back through history, come from the ``-U0`` hunk
+headers of each step (:meth:`Repository.line_hunks`, keyed by the step's
+blob pair and served by one long-lived ``git diff-tree --stdin``): git's own
+Myers diff with its flags pinned, the engine ``git blame`` uses. A step
+whose blobs are equal (a pure rename) moves no line. Lines are numbered as
+git numbers them, split at ``\\n`` only. ``git blame`` itself is not called:
+it cannot disable whole-file rename following, and the trace must honor
+``follow_renames`` from the miner config. Tests cross-check the trace against
 ``git blame --porcelain`` (``--first-parent`` where history has merges).
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .gitrepo import Hunk, Repository
-from .miner import FixingCommit, InducingCandidate, MinerConfig, history_steps
+from .miner import FixingCommit, InducingCandidate, MinerConfig, fix_step, history_steps
 from .pdparser import decode_patch_bytes
 
 
@@ -86,11 +87,11 @@ def annotate(repo: Repository, path: str, before: str, line_numbers,
         if not tracked:
             break
         entry = step.entry
-        parent = entry.parents[0] if entry.parents else None
         # no old side (creation, or a rename cut): every tracked line starts here
         hunks = (
-            None if step.path_old is None or parent is None
-            else repo.line_hunks(parent, entry.commit_id, step.old_blob, step.new_blob)
+            None if step.path_old is None
+            else repo.line_hunks(step.parent, entry.commit_id, step.old_blob,
+                                 step.new_blob)
         )
         remapped: dict[int, int] = {}
         for requested, position in tracked.items():
@@ -130,29 +131,27 @@ class TextualResult:
 def textual_find_inducing(repo: Repository, fixing: FixingCommit,
                           config: MinerConfig) -> TextualResult:
     """Line-blame candidates for a fixing commit's visual files."""
-    parents = repo.log_entry(fixing.commit_id).parents
-    parent = parents[0] if parents else None
-
+    fix_entry = repo.log_entry(fixing.commit_id)
     by_key: dict[tuple[str, str], InducingCandidate] = {}
     for change in fixing.visual_files:
-        if change.status == "added" or parent is None:
-            continue  # nothing was deleted or modified
-        old_path = change.old_path if change.status == "renamed-from" else change.path
-        old_lines = _lines_at(repo, parent, old_path)
+        fix = fix_step(fix_entry, change)
+        if fix.path_old is None:
+            continue  # an added file: nothing was deleted or modified
+        old_lines = _lines_at(repo, fix.parent, fix.path_old)
         hunks = (
             ((1, len(old_lines), 0, 0),)
-            if change.status == "deleted"
-            else repo.line_hunks(parent, fixing.commit_id, change.old_blob,
-                                 change.new_blob)
+            if fix.new_blob is None  # a deleted file
+            else repo.line_hunks(fix.parent, fix_entry.commit_id, fix.old_blob,
+                                 fix.new_blob)
         )
         lines = changed_pre_fix_lines(old_lines, hunks)
         if not lines:
             continue
-        origins = annotate(repo, old_path, fixing.commit_id, lines,
+        origins = annotate(repo, fix.path_old, fix_entry.commit_id, lines,
                            follow_renames=config.follow_renames,
                            pre_fix_lines=old_lines)
         for origin in origins.values():
-            if origin is None or origin.origin_commit == fixing.commit_id:
+            if origin is None:
                 continue
             key = (origin.origin_commit, change.path)
             if key not in by_key:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from szzvc.cli import main
-from szzvc.report import loads_report
+from szzvc.report import SCHEMA, loads_report
 from conftest import HELLO_WORLD_PD
 from test_miner import PATCH_V1, PATCH_V2, PATCH_V3, T
 
@@ -305,6 +305,40 @@ def test_score_missing_verdict_exits_2_unless_partial(repo_fixture, tmp_path, ca
     code, out, _ = run_cli(capsys, "score", str(report_path), str(empty),
                            "--allow-partial")
     assert code == 0
+
+
+def _section(*candidates):
+    return {"candidates": [{"inducing_commit": c} for c in candidates]}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps({"schema": SCHEMA, "fixing_commits": {"c3": {}}}),
+    json.dumps({"schema": SCHEMA, "fixing_commits": ["c3"]}),
+    json.dumps({"schema": SCHEMA, "fixing_commits": [
+        {"methods": {"textual": _section("c2")}}]}),
+    json.dumps({"schema": SCHEMA, "fixing_commits": [
+        {"commit": "c3", "methods": [["textual", _section("c2")]]}]}),
+    json.dumps({"schema": SCHEMA, "fixing_commits": [
+        {"commit": "c3", "methods": {"textual": {"candidates": "c2"}}}]}),
+    json.dumps({"schema": SCHEMA, "fixing_commits": [
+        {"commit": "c3", "language": ["pd"], "methods": {"textual": _section("c2")}}]}),
+    json.dumps({"schema": SCHEMA, "fixing_commits": [
+        {"commit": "c3", "methods": {"textual": _section(2)}}]}),
+], ids=["bad-json", "commits-object", "commit-string", "no-commit", "methods-list",
+        "candidates-string", "language-list", "candidate-number"])
+def test_score_unusable_report_exits_2(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_text(
+        json.dumps({"fixing_commit": "c3", "inducing_commit": "c2", "label": "TP"}) + "\n"
+    )
+    code, out, err = run_cli(capsys, "score", str(report), str(verdicts),
+                             "--allow-partial")
+    assert code == 2
+    assert "not a usable report" in err
+    assert out == ""
 
 
 # --- history ---------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_line_hunks_across_paths_and_renames(repo_fixture):
         repo.line_hunks(c1, c2, "f" * 40, _blob(repo_fixture, c2, "b.pd"))
 
 
-def test_line_hunks_ignore_diff_config(repo_fixture):
+def test_line_hunks_ignore_diff_config(repo_fixture, monkeypatch):
     # histogram aligns the first pair differently; an inter-hunk context
     # would merge the two hunks of the second pair
     c1 = repo_fixture.commit({"f.pd": "\n\nb\na\na\n", "g.pd": "a\nb\nc\nd\ne\n"},
@@ -156,6 +156,9 @@ def test_line_hunks_ignore_diff_config(repo_fixture):
     plain = repo_fixture._git("diff", "--no-ext-diff", "--no-color", "-U0",
                               f"{c1}:f.pd", f"{c2}:f.pd")
     assert "@@ -1,4 +0,0 @@" not in plain
+    # GIT_DIFF_OPTS=-u3 would give every hunk three lines of context
+    monkeypatch.setenv("GIT_DIFF_OPTS", "-u3")
+    assert hunks() == expected
 
 
 def test_line_hunks_are_memoized(repo_fixture, monkeypatch):

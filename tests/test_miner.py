@@ -3,10 +3,11 @@ from datetime import datetime, timezone
 
 import pytest
 
+from szzvc import gitrepo as gitrepo_module
 from szzvc import miner as miner_module
 from szzvc.diff import MAX_DEPTH, ChangeKind
 from szzvc.errors import ConfigError
-from szzvc.gitrepo import Repository
+from szzvc.gitrepo import ChangedFile, Repository
 from szzvc.miner import (
     FixingCommit,
     InducingCandidate,
@@ -22,6 +23,7 @@ from szzvc.miner import (
 from szzvc.ir import Language
 from szzvc import report as report_module
 from szzvc.report import run_analysis
+from szzvc.textual import textual_find_inducing
 from conftest import maxpat_doc
 
 T = [f"2021-05-{day:02d}T10:00:00+00:00" for day in range(1, 10)]
@@ -196,6 +198,31 @@ def test_report_head_is_the_commit_that_was_mined(repo_fixture, monkeypatch):
     assert [entry["commit"] for entry in report["fixing_commits"]] == [mined]
 
 
+def test_run_resolves_head_once(repo_fixture, monkeypatch):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1", T[1])
+    real = gitrepo_module.subprocess
+    commands = []  # each git process's arguments after ``git -C <path>``
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def run(self, argv, *args, **kwargs):
+            commands.append(argv[3:5])
+            return real.run(argv, *args, **kwargs)
+
+        def Popen(self, argv, *args, **kwargs):
+            commands.append(argv[3:5])
+            return real.Popen(argv, *args, **kwargs)
+
+    monkeypatch.setattr(gitrepo_module, "subprocess", Recording())
+    report, _ = run_analysis(str(repo_fixture.path), MinerConfig(),
+                             methods=("szz-vc", "textual"), with_timing=False)
+    assert len(report["fixing_commits"]) == 1
+    assert commands.count(["rev-parse", "--verify"]) == 1, commands
+
+
 def _history(repo, path, before, follow_renames=True):
     steps = history_steps(repo, path, before, follow_renames=follow_renames)
     return [(step.entry.commit_id, step.path_new) for step in steps]
@@ -258,6 +285,18 @@ def test_find_inducing_three_commit_fixture(repo_fixture):
     # ancestry oracle: the blamed commit is an ancestor of the fix
     assert repo_fixture.is_ancestor(candidate.inducing_commit, c3)
     assert candidate.inducing_commit != c3
+
+
+def test_hand_built_fix_reads_blob_ids_from_the_index(repo_fixture):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    c2 = repo_fixture.commit({"p.pd": PATCH_V2}, "c2", T[1])
+    c3 = repo_fixture.commit({"p.pd": PATCH_V3}, "c3 fix", T[2])
+    repo = _repo(repo_fixture)
+    fixing = FixingCommit(commit_id=c3, message="c3 fix",
+                          visual_files=(ChangedFile("modified", "p.pd"),))
+    for find in (find_inducing, textual_find_inducing):
+        result = find(repo, fixing, MinerConfig())
+        assert [c.inducing_commit for c in result.candidates] == [c2], find
 
 
 def test_depth1_addition_yields_no_candidates(repo_fixture):
@@ -429,6 +468,14 @@ def test_run_parses_each_blob_once(repo_fixture, monkeypatch):
         message = "fix #%d" % day if day in (2, 4, 6) else f"c{day}"
         repo_fixture.commit({"p.pd": text}, message, T[day])
     texts = _count_parses(monkeypatch)
+    steps = []
+    real = miner_module.diff_ir
+
+    def counting(old, new, old_version, new_version):
+        steps.append((old_version, new_version))
+        return real(old, new, old_version=old_version, new_version=new_version)
+
+    monkeypatch.setattr(miner_module, "diff_ir", counting)
     report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
                                         with_timing=False)
     assert not had_failures
@@ -437,6 +484,9 @@ def test_run_parses_each_blob_once(repo_fixture, monkeypatch):
     blobs = {repo_fixture._git("rev-parse", f"{tree}:p.pd").strip() for tree in blobs}
     assert len(blobs) == 5  # seven versions, two of them repeats
     assert len(texts) == len(set(texts)) == len(blobs)
+    # seven steps, the creation included; a fix is a step of every later
+    # fix, and one diff serves both
+    assert len(steps) == len(set(steps)) == 7
 
 
 def test_unparseable_version_warns_in_every_fix(repo_fixture):

@@ -3,7 +3,15 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from szzvc.diff import ChangeKind, diff_ir, is_prefix, paths_at_depth, truncate_path
+from szzvc.diff import (
+    MAX_DEPTH,
+    ChangeKind,
+    diff_ir,
+    is_prefix,
+    match_changes,
+    paths_at_depth,
+    truncate_path,
+)
 from szzvc.errors import PatchSyntaxError
 from szzvc.ir import canonicalize, dumps_ir
 from szzvc.maxparser import parse_maxpat
@@ -138,3 +146,17 @@ def test_depth1_nodes_same_before_or_after_dedup(pair):
     for path, _ in paths_at_depth(diff, 2):
         assert len(path) <= 2
         assert truncate_path(path, 1) in {(n,) for n in direct}
+
+
+@CASES
+@given(ir_pairs, st.sampled_from([MAX_DEPTH, 1, 2, 3]))
+def test_match_changes_projects_like_paths_at_depth(pair, mode):
+    step_diff = diff_ir(*pair)
+    # every prefix of every record path, so any projected path can match
+    prefixes = {r.path[:n] for r in step_diff.records
+                for n in range(1, len(r.path) + 1)}
+    projected = {path for path, _ in paths_at_depth(step_diff, mode)}
+    assert match_changes([(p, kind) for p in prefixes for kind in ChangeKind],
+                         step_diff, mode) == projected
+    assert match_changes([(p, ChangeKind.ADDED) for p in prefixes],
+                         step_diff, mode) == set()
