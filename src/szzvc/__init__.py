@@ -32,8 +32,6 @@ from .ir import (
     VisualIR,
     canonicalize,
     dumps_ir,
-    loads_ir,
-    subtree_at,
 )
 from .maxparser import PropertyFilter, default_property_filter, parse_maxpat
 from .miner import (
@@ -78,7 +76,6 @@ __all__ = [
     "filter_candidates",
     "find_inducing",
     "identify_fixing_commits",
-    "loads_ir",
     "match_changes",
     "nodes_touched",
     "parse_maxpat",
@@ -86,7 +83,6 @@ __all__ = [
     "paths_at_depth",
     "render_path",
     "score",
-    "subtree_at",
     "textual_find_inducing",
     "truncate_path",
 ]

@@ -72,10 +72,6 @@ class IRDiff:
     old_version: str = "old"
     new_version: str = "new"
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.records
-
     def paths(self) -> set[ChangePath]:
         return {r.path for r in self.records}
 

@@ -41,9 +41,15 @@ def load_verdicts(path: str) -> list[Verdict]:
                 continue
             try:
                 raw = json.loads(line)
+                fixing, inducing = raw["fixing_commit"], raw["inducing_commit"]
+                # the pair is a dict key: a list would fail there, a number
+                # would never match a report's commit id
+                if not (isinstance(fixing, str) and isinstance(inducing, str)):
+                    raise TypeError("commit ids must be strings, got "
+                                    f"{fixing!r} and {inducing!r}")
                 verdict = Verdict(
-                    fixing_commit=raw["fixing_commit"],
-                    inducing_commit=raw["inducing_commit"],
+                    fixing_commit=fixing,
+                    inducing_commit=inducing,
                     label=raw["label"],
                     note=raw.get("note"),
                     reviewer=raw.get("reviewer"),

@@ -12,9 +12,8 @@ after construction (frozen dataclasses; dicts are never mutated once built),
 so IRs can be shared freely, also between threads.
 
 Numbers keep their source spelling: ``Num`` stores the original token next to
-the parsed value. Serialization emits the token verbatim (so round-trips are
-exact) while the diff engine compares parsed values (so ``1.0`` vs ``1.00`` is
-not a change).
+the parsed value. Serialization emits the token verbatim while the diff
+engine compares parsed values (so ``1.0`` vs ``1.00`` is not a change).
 """
 
 from __future__ import annotations
@@ -38,6 +37,12 @@ class _Absent:
 
 
 ABSENT = _Absent()
+
+# How deep the parsers let subpatches and property values nest. ``diff_ir``,
+# ``==`` and ``dumps_ir`` recurse once or more per level, so an IR within the
+# limit stays far below Python's default recursion limit of 1000; a deeper
+# patch is a ``PatchSyntaxError``, like any other file the parsers refuse.
+MAX_NESTING = 64
 
 # JSON number grammar; tokens that do not match stay plain strings.
 NUMBER_RE = re.compile(r"^-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?$")
@@ -108,30 +113,6 @@ def empty_ir(language: Language, source_path: str = "") -> VisualIR:
     return VisualIR(subtrees={}, source_language=language, source_path=source_path)
 
 
-def validate(ir: VisualIR) -> None:
-    """Check IR invariants: every connection endpoint names an existing node,
-    recursively through nested subpatches. Raises ValueError on violation."""
-    ids = set(ir.subtrees)
-    for node_id, sub in ir.subtrees.items():
-        for conn in sub.connections:
-            if conn.dest_node not in ids:
-                raise ValueError(
-                    f"dangling connection endpoint {conn.dest_node!r} from {node_id!r}"
-                )
-        _validate_value(sub.serialized_contents)
-
-
-def _validate_value(value: object) -> None:
-    if isinstance(value, VisualIR):
-        validate(value)
-    elif isinstance(value, dict):
-        for v in value.values():
-            _validate_value(v)
-    elif isinstance(value, list):
-        for v in value:
-            _validate_value(v)
-
-
 def canonicalize(ir: VisualIR) -> VisualIR:
     """Return an equal-content IR with all maps lexicographically ordered and
     connection lists sorted. Idempotent; total on well-formed IRs."""
@@ -163,50 +144,6 @@ def _canonical_value(value):
     return value
 
 
-def subtree_at(ir: VisualIR, path) -> object:
-    """Resolve a change path against an IR.
-
-    Returns the located value, the whole ``NodeSubtree`` for a depth-1 path,
-    or ``ABSENT`` if any component is missing. Malformed paths (empty, or a
-    non-string first component) raise ValueError.
-    """
-    components = tuple(path)
-    if not components:
-        raise ValueError("path must have depth >= 1")
-    if not isinstance(components[0], str):
-        raise ValueError("first path component must be a node id")
-    current: object = ir
-    for comp in components:
-        current = _step(current, comp)
-        if current is ABSENT:
-            return ABSENT
-    return current
-
-
-def _step(current: object, comp: object) -> object:
-    if isinstance(current, VisualIR):
-        if isinstance(comp, str):
-            return current.subtrees.get(comp, ABSENT)
-        return ABSENT
-    if isinstance(current, NodeSubtree):
-        if comp == "connections":
-            return current.connections
-        if comp == "serialized_contents":
-            return current.serialized_contents
-        return ABSENT
-    if isinstance(current, dict):
-        if isinstance(comp, str) and comp in current:
-            return current[comp]
-        return ABSENT
-    if isinstance(current, (list, tuple)):
-        if isinstance(comp, Connection):
-            return comp if comp in current else ABSENT
-        if isinstance(comp, int) and 0 <= comp < len(current):
-            return current[comp]
-        return ABSENT
-    return ABSENT
-
-
 # ---------------------------------------------------------------------------
 # Canonical serialization
 #
@@ -220,8 +157,8 @@ FORMAT_TAG = "visual-ir/1"
 
 def dumps_ir(ir: VisualIR) -> str:
     """Canonical text form. Source metadata is stored once, at the root;
-    nested subpatch IRs (which parsers always stamp with the document's own
-    language and path) inherit it on load."""
+    parsers stamp nested subpatch IRs with the document's own language and
+    path."""
     out: list[str] = []
     _emit_object(
         [
@@ -321,41 +258,3 @@ def _emit_object(items, out: list[str], indent: int, escape_keys: bool = False) 
         _emit(value, out, indent + 1)
         out.append(",\n" if i < len(items) - 1 else "\n")
     out.append("  " * indent + "}")
-
-
-def loads_ir(text: str) -> VisualIR:
-    """Inverse of :func:`dumps_ir`; ``loads_ir(dumps_ir(ir)) == ir`` for
-    canonical IRs."""
-    doc = json.loads(text, parse_int=Num, parse_float=Num)
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
-        raise ValueError("not a serialized visual IR document")
-    language = Language(doc["language"])
-    source_path = doc.get("source_path", "")
-    return _decode_subtrees(doc["subtrees"], language, source_path)
-
-
-def _decode_subtrees(raw: dict, language: Language, source_path: str) -> VisualIR:
-    subtrees = {}
-    for node_id, sub in raw.items():
-        conns = tuple(
-            Connection(int(o.value), d, int(i.value)) for o, d, i in sub["connections"]
-        )
-        contents = {
-            (k[1:] if k.startswith("$$") else k): _decode_value(v, language, source_path)
-            for k, v in sub["contents"].items()
-        }
-        subtrees[node_id] = NodeSubtree(connections=conns, serialized_contents=contents)
-    return VisualIR(subtrees=subtrees, source_language=language, source_path=source_path)
-
-
-def _decode_value(value, language: Language, source_path: str):
-    if isinstance(value, dict):
-        if set(value) == {"$patch"}:
-            return _decode_subtrees(value["$patch"], language, source_path)
-        return {
-            (k[1:] if k.startswith("$$") else k): _decode_value(v, language, source_path)
-            for k, v in value.items()
-        }
-    if isinstance(value, list):
-        return [_decode_value(v, language, source_path) for v in value]
-    return value

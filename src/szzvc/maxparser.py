@@ -27,7 +27,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, PatchSyntaxError
-from .ir import Connection, Language, NodeSubtree, Num, VisualIR, canonicalize
+from .ir import (
+    MAX_NESTING,
+    Connection,
+    Language,
+    NodeSubtree,
+    Num,
+    VisualIR,
+    canonicalize,
+)
 
 GUARDED_KEYS = frozenset({"text", "maxclass", "patcher"})
 
@@ -111,17 +119,27 @@ def parse_maxpat(text: str, prop_filter: PropertyFilter | None = None,
         raise PatchSyntaxError(
             f"not a patcher document: {exc.msg}", (exc.lineno, exc.lineno)
         )
+    except RecursionError:
+        raise PatchSyntaxError("not a patcher document: nested too deeply")
     if not isinstance(doc, dict) or not isinstance(doc.get("patcher"), dict):
         raise PatchSyntaxError("document has no top-level patcher")
-    return canonicalize(_parse_patcher(doc["patcher"], prop_filter, source_path))
+    return canonicalize(_parse_patcher(doc["patcher"], prop_filter, source_path, 0))
 
 
 def _reject_constant(name: str):
     raise PatchSyntaxError(f"non-standard number constant {name!r}")
 
 
+def _too_deep() -> PatchSyntaxError:
+    return PatchSyntaxError(f"patch nests deeper than {MAX_NESTING} levels")
+
+
 def _parse_patcher(patcher: dict, prop_filter: PropertyFilter,
-                   source_path: str) -> VisualIR:
+                   source_path: str, depth: int) -> VisualIR:
+    """The IR of a patcher ``depth`` levels below the document's own; each
+    nested patcher and each object or array value is one level more."""
+    if depth > MAX_NESTING:
+        raise _too_deep()
     boxes = patcher.get("boxes", [])
     if not isinstance(boxes, list):
         raise PatchSyntaxError("patcher boxes must be an array")
@@ -135,7 +153,7 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter,
             raise PatchSyntaxError("box has no id")
         if box_id in contents_by_id:
             raise PatchSyntaxError(f"duplicate box id {box_id!r}")
-        contents_by_id[box_id] = _box_contents(box, prop_filter, source_path)
+        contents_by_id[box_id] = _box_contents(box, prop_filter, source_path, depth)
 
     connections: dict[str, list[Connection]] = {b: [] for b in contents_by_id}
     lines = patcher.get("lines", [])
@@ -184,7 +202,8 @@ def _endpoint(line: dict, key: str) -> tuple[str, int]:
     return value[0], port
 
 
-def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str) -> dict:
+def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str,
+                  depth: int) -> dict:
     contents = {}
     for key, value in box.items():
         if key == "id":
@@ -192,21 +211,26 @@ def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str) -> d
         if not prop_filter.keep(key):
             continue
         if key == "patcher" and isinstance(value, dict):
-            contents[key] = _parse_patcher(value, prop_filter, source_path)
+            contents[key] = _parse_patcher(value, prop_filter, source_path, depth + 1)
         else:
-            contents[key] = _filter_value(value, prop_filter)
+            contents[key] = _filter_value(value, prop_filter, depth + 1)
     return contents
 
 
-def _filter_value(value, prop_filter: PropertyFilter):
+def _filter_value(value, prop_filter: PropertyFilter, depth: int):
+    # the depth is checked on containers only: a leaf cannot nest
     if isinstance(value, dict):
+        if depth > MAX_NESTING:
+            raise _too_deep()
         return {
-            k: _filter_value(v, prop_filter)
+            k: _filter_value(v, prop_filter, depth + 1)
             for k, v in value.items()
             if prop_filter.keep(k)
         }
     if isinstance(value, list):
-        return [_filter_value(v, prop_filter) for v in value]
+        if depth > MAX_NESTING:
+            raise _too_deep()
+        return [_filter_value(v, prop_filter, depth + 1) for v in value]
     if isinstance(value, _Number):
         return Num(value.raw)
     return value

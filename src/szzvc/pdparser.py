@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from .errors import PatchSyntaxError
 from .ir import (
+    MAX_NESTING,
     NUMBER_RE,
     Connection,
     Language,
@@ -198,6 +199,11 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "") -> 
     for record in records[1:]:
         if record.chunk == "N":
             if record.element == "canvas":
+                if len(stack) > MAX_NESTING:
+                    raise PatchSyntaxError(
+                        f"subcanvases nest deeper than {MAX_NESTING} levels",
+                        record.source_span,
+                    )
                 stack.append(_Canvas(record.source_span))
             continue  # struct declarations etc. — outside the grammar subset
         if record.chunk == "A":
@@ -208,9 +214,7 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "") -> 
                 raise PatchSyntaxError("restore without open subcanvas",
                                        record.source_span)
             closed = stack.pop().close(source_path)
-            contents = pd_node_properties(
-                _restore_as_node(record), include_layout=include_layout
-            )
+            contents = pd_node_properties(record, include_layout=include_layout)
             contents["subpatch"] = closed
             stack[-1].contents.append(contents)
         elif record.element == "connect":
@@ -223,10 +227,6 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "") -> 
     if len(stack) != 1:
         raise PatchSyntaxError("unbalanced subcanvas", stack[-1].span)
     return canonicalize(stack[0].close(source_path))
-
-
-def _restore_as_node(record: PdRecord) -> PdRecord:
-    return PdRecord("X", "restore", record.atoms, record.source_span)
 
 
 def _attach_array_data(canvas: _Canvas, record: PdRecord) -> None:

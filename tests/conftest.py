@@ -14,6 +14,17 @@ HELLO_WORLD_PD = """#N canvas 0 0 450 300 12;
 HELLO_WORLD_PD_MUTATED = HELLO_WORLD_PD.replace("hello world", "world hello")
 
 
+def nested_pd(levels: int, text: str = "x") -> str:
+    """A patch whose one object sits ``levels`` subcanvases deep; every
+    canvas holds one node, so each level is ``obj-0``."""
+    return (
+        "#N canvas 0 0 450 300 12;\n"
+        + "#N canvas 0 0 200 140 sub 0;\n" * levels
+        + f"#X obj 10 10 {text};\n"
+        + "#X restore 10 10 pd sub;\n" * levels
+    )
+
+
 def maxpat_doc(boxes, lines=(), indent=2) -> str:
     """Serialize a minimal patcher document from raw box dicts and
     (src, outlet, dst, inlet) tuples."""

@@ -341,6 +341,24 @@ def test_score_unusable_report_exits_2(tmp_path, capsys, text):
     assert out == ""
 
 
+@pytest.mark.parametrize("verdict", [
+    {"fixing_commit": ["a"], "inducing_commit": "b", "label": "TP"},
+    {"fixing_commit": "c3", "inducing_commit": 2, "label": "TP"},
+], ids=["fixing-list", "inducing-number"])
+def test_score_verdict_with_non_string_id_exits_2(tmp_path, capsys, verdict):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": SCHEMA, "fixing_commits": [
+        {"commit": "c3", "language": "pure-data",
+         "methods": {"textual": _section("c2")}}]}))
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_text("\n" + json.dumps(verdict) + "\n")
+    code, out, err = run_cli(capsys, "score", str(report), str(verdicts),
+                             "--allow-partial")
+    assert code == 2
+    assert "malformed verdict at line 2" in err
+    assert out == ""
+
+
 # --- history ---------------------------------------------------------------
 
 

@@ -45,7 +45,7 @@ def test_hello_world_text_modification():
 
 def test_diff_with_itself_is_empty():
     ir = parse_pd(HELLO_WORLD_PD)
-    assert diff_ir(ir, ir).is_empty
+    assert diff_ir(ir, ir).records == ()
 
 
 def test_added_node_and_added_edge():
@@ -88,7 +88,7 @@ def test_numeric_spelling_is_not_a_change():
     old = _ir({"obj-0": NodeSubtree((), {"gain": Num("1.0")})})
     new = _ir({"obj-0": NodeSubtree((), {"gain": Num("1.00")})})
     assert old != new
-    assert diff_ir(old, new).is_empty
+    assert diff_ir(old, new).records == ()
     # beside a changed node, and inside a subpatch
     old = _ir({"obj-0": NodeSubtree((), {"p": old}), "obj-1": NodeSubtree((), {"t": "a"})})
     new = _ir({"obj-0": NodeSubtree((), {"p": new}), "obj-1": NodeSubtree((), {"t": "b"})})
@@ -207,7 +207,7 @@ def test_composition_soundness_on_fixture():
     )
     diff = diff_ir(old, new)
     patched = apply_diff(old, diff)
-    assert diff_ir(patched, new).is_empty
+    assert diff_ir(patched, new).records == ()
     assert flatten(patched) == flatten(new)
 
 

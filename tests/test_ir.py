@@ -1,7 +1,6 @@
 import pytest
 
 from szzvc.ir import (
-    ABSENT,
     Connection,
     Language,
     NodeSubtree,
@@ -9,13 +8,8 @@ from szzvc.ir import (
     VisualIR,
     canonicalize,
     dumps_ir,
-    loads_ir,
     leaf_equal,
-    subtree_at,
-    validate,
 )
-from conftest import HELLO_WORLD_PD
-from szzvc.pdparser import parse_pd
 
 
 def _ir(order):
@@ -77,43 +71,6 @@ def test_equality_iff_byte_equality_for_canonical_irs():
     assert a != c and dumps_ir(a) != dumps_ir(c)
 
 
-def test_validate_rejects_dangling_endpoint():
-    ir = VisualIR(
-        subtrees={
-            "obj-0": NodeSubtree(
-                connections=(Connection(0, "obj-9", 0),), serialized_contents={}
-            )
-        },
-        source_language=Language.PURE_DATA,
-    )
-    with pytest.raises(ValueError, match="dangling"):
-        validate(ir)
-
-
-def test_subtree_at_hello_world():
-    # oracle: hand-trace of the grammar on the fixture
-    ir = parse_pd(HELLO_WORLD_PD)
-    assert subtree_at(ir, ("obj-0", "serialized_contents", "text")) == "hello world"
-
-
-def test_subtree_at_missing_and_malformed():
-    ir = parse_pd(HELLO_WORLD_PD)
-    assert subtree_at(ir, ("nonexistent-id",)) is ABSENT
-    assert subtree_at(ir, ("obj-0", "serialized_contents", "nope")) is ABSENT
-    assert subtree_at(ir, ("obj-0", "bogus-section")) is ABSENT
-    with pytest.raises(ValueError):
-        subtree_at(ir, ())
-    with pytest.raises(ValueError):
-        subtree_at(ir, (3, "serialized_contents"))
-
-
-def test_subtree_at_connection_element():
-    ir = parse_pd(HELLO_WORLD_PD)
-    conn = Connection(0, "obj-1", 0)
-    assert subtree_at(ir, ("obj-0", "connections", conn)) == conn
-    assert subtree_at(ir, ("obj-0", "connections", Connection(1, "obj-1", 0))) is ABSENT
-
-
 def test_num_preserves_spelling_and_compares_by_value():
     one = Num("1.0")
     also_one = Num("1.00")
@@ -127,42 +84,68 @@ def test_num_preserves_spelling_and_compares_by_value():
         Num("+5")
 
 
-def test_serialization_roundtrip_with_nested_patch_and_nums():
-    nested = canonicalize(
-        VisualIR(
-            subtrees={"obj-0": NodeSubtree((), {"element": "obj", "text": "in"})},
-            source_language=Language.PURE_DATA,
-            source_path="deep.pd",
-        )
+def test_dumps_ir_golden_text_with_nested_patch_and_nums():
+    # oracle: the layout rules of ir.py, checked line by line. Keys and
+    # connections are given unsorted; a literal "$" key is escaped by
+    # doubling, at any depth, so only a nested IR carries the "$patch" tag.
+    nested = VisualIR(
+        subtrees={"obj-0": NodeSubtree((), {"element": "obj", "text": "in"})},
+        source_language=Language.PURE_DATA,
+        source_path="deep.pd",
     )
-    ir = canonicalize(
-        VisualIR(
-            subtrees={
-                "obj-0": NodeSubtree(
-                    connections=(Connection(0, "obj-0", 1),),
-                    serialized_contents={
-                        "element": "restore",
-                        "text": "pd sub",
-                        "subpatch": nested,
-                        "gain": Num("0.50"),
-                        "flags": [Num("1"), "x", True],
-                        "$weird": {"$patch": "literal"},
-                        "empty": {},
-                    },
-                )
-            },
-            source_language=Language.PURE_DATA,
-            source_path="deep.pd",
-        )
+    ir = VisualIR(
+        subtrees={
+            "obj-0": NodeSubtree(
+                connections=(Connection(1, "obj-0", 0), Connection(0, "obj-0", 1)),
+                serialized_contents={
+                    "element": "restore",
+                    "text": "pd sub",
+                    "subpatch": nested,
+                    "gain": Num("0.50"),
+                    "flags": [Num("1"), "x", True],
+                    "$weird": {"$patch": "literal"},
+                    "empty": {},
+                    "none": [],
+                },
+            )
+        },
+        source_language=Language.PURE_DATA,
+        source_path="deep.pd",
     )
-    text = dumps_ir(ir)
-    again = loads_ir(text)
-    assert again == ir
-    assert dumps_ir(again) == text
-    assert '"$$weird"' in text  # literal $-keys are escaped
-    assert "0.50" in text  # source spelling survives
-
-
-def test_loads_rejects_other_documents():
-    with pytest.raises(ValueError):
-        loads_ir('{"format": "something-else"}')
+    assert dumps_ir(ir) == """\
+{
+  "format": "visual-ir/1",
+  "language": "pure-data",
+  "source_path": "deep.pd",
+  "subtrees": {
+    "obj-0": {
+      "connections": [
+        [0, "obj-0", 1],
+        [1, "obj-0", 0]
+      ],
+      "contents": {
+        "$$weird": {
+          "$$patch": "literal"
+        },
+        "element": "restore",
+        "empty": {},
+        "flags": [1, "x", true],
+        "gain": 0.50,
+        "none": [],
+        "subpatch": {
+          "$patch": {
+            "obj-0": {
+              "connections": [],
+              "contents": {
+                "element": "obj",
+                "text": "in"
+              }
+            }
+          }
+        },
+        "text": "pd sub"
+      }
+    }
+  }
+}
+"""

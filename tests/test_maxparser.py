@@ -3,7 +3,8 @@ import json
 import pytest
 
 from szzvc.errors import ConfigError, PatchSyntaxError
-from szzvc.ir import Connection, Num, VisualIR, dumps_ir
+from szzvc.diff import diff_ir
+from szzvc.ir import MAX_NESTING, Connection, Num, VisualIR, dumps_ir
 from szzvc.maxparser import (
     DEFAULT_EXCLUDED_KEYS,
     FilterMode,
@@ -222,3 +223,44 @@ def test_utf8_bom_is_not_part_of_the_patch():
     text, warnings = decode_patch_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
     assert warnings == []
     assert parse_maxpat(text) == parse_maxpat(MINIMAL)
+
+
+def _nested_patchers(levels: int, text: str = "x") -> str:
+    patcher = {"boxes": [{"box": {"id": "obj-1", "maxclass": "newobj", "text": text}}]}
+    for _ in range(levels):
+        box = {"id": "obj-1", "maxclass": "newobj", "text": "p", "patcher": patcher}
+        patcher = {"boxes": [{"box": box}]}
+    return json.dumps({"patcher": patcher})
+
+
+def _nested_value(levels: int, text: str = "x") -> str:
+    value = text
+    for level in range(levels):
+        value = [value] if level % 2 else {"k": value}
+    return maxpat_doc(boxes=[{"id": "obj-1", "maxclass": "newobj", "text": "t",
+                              "value": value}])
+
+
+@pytest.mark.parametrize("nested", [_nested_patchers, _nested_value])
+def test_nesting_up_to_the_limit(nested):
+    # parse, diff, == and dumps_ir all recurse per level; at the limit they
+    # stay within Python's default recursion limit
+    old = parse_maxpat(nested(MAX_NESTING))
+    new = parse_maxpat(nested(MAX_NESTING, "y"))
+    (record,) = diff_ir(old, new).records
+    assert (record.old_value, record.new_value) == ("x", "y")
+    assert old == parse_maxpat(nested(MAX_NESTING))
+    assert dumps_ir(old).count('"x"') == 1
+
+
+@pytest.mark.parametrize("nested", [_nested_patchers, _nested_value])
+def test_nesting_past_the_limit_is_a_syntax_error(nested):
+    with pytest.raises(PatchSyntaxError, match=f"deeper than {MAX_NESTING}"):
+        parse_maxpat(nested(MAX_NESTING + 1))
+
+
+def test_json_too_deep_to_decode_is_a_syntax_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(PatchSyntaxError, match="nested too deeply"):
+        parse_maxpat('{"patcher": {"boxes": [{"box": {"id": "obj-1", "value": '
+                     + deep + "}}]}}")

@@ -24,7 +24,7 @@ from szzvc.ir import Language
 from szzvc import report as report_module
 from szzvc.report import run_analysis
 from szzvc.textual import textual_find_inducing
-from conftest import maxpat_doc
+from conftest import maxpat_doc, nested_pd
 
 T = [f"2021-05-{day:02d}T10:00:00+00:00" for day in range(1, 10)]
 
@@ -507,6 +507,29 @@ def test_unparseable_version_warns_in_every_fix(repo_fixture):
     for entry in entries:
         assert any(w.startswith(f"unparseable version {broken}:p.pd")
                    for w in entry["warnings"])
+
+
+def test_over_deep_version_is_unparseable_and_the_run_goes_on(repo_fixture):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    c2 = repo_fixture.commit({"p.pd": PATCH_V2}, "c2", T[1])
+    # deep enough to overflow the stack of a recursive parse or diff
+    deep = repo_fixture.commit({"p.pd": nested_pd(1000)}, "c3 nest", T[2])
+    c4 = repo_fixture.commit({"p.pd": PATCH_V3}, "c4", T[3])
+    repo_fixture.commit({"p.pd": PATCH_V3.replace("hello again", "back")},
+                        "c5 fix #1", T[4])
+    report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
+                                        methods=("szz-vc", "textual"),
+                                        with_timing=False)
+    assert had_failures
+    (entry,) = report["fixing_commits"]
+    # the deep version is one side of the diffs of c3 and c4
+    assert sorted(w.split(":")[0] for w in entry["warnings"]
+                  if "subcanvases nest deeper than" in w) == sorted(
+        f"unparseable version {commit}" for commit in (deep, c4)
+    )
+    candidates = entry["methods"]["szz-vc-max"]["candidates"]
+    assert [c["inducing_commit"] for c in candidates] == [c2]
+    assert entry["methods"]["textual"]["candidates"]
 
 
 def test_unchanged_blob_across_rename_is_parsed_once(repo_fixture, monkeypatch):

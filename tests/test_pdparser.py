@@ -2,7 +2,7 @@ import pytest
 
 from szzvc.diff import ChangeKind, diff_ir
 from szzvc.errors import PatchSyntaxError
-from szzvc.ir import ABSENT, Connection, Num, VisualIR, subtree_at
+from szzvc.ir import MAX_NESTING, Connection, Num, VisualIR, dumps_ir
 from szzvc.pdparser import (
     PdRecord,
     decode_patch_bytes,
@@ -10,7 +10,7 @@ from szzvc.pdparser import (
     pd_node_properties,
     split_records,
 )
-from conftest import HELLO_WORLD_PD
+from conftest import HELLO_WORLD_PD, nested_pd
 
 
 def test_parse_hello_world_fixture():
@@ -126,7 +126,7 @@ def test_text_that_is_not_a_width_suffix_stays(atoms):
 def test_resizing_a_box_is_a_layout_change_only():
     old = HELLO_WORLD_PD
     new = HELLO_WORLD_PD.replace("#X obj 50 120 print;", "#X obj 50 120 print, f 12;")
-    assert diff_ir(parse_pd(old), parse_pd(new)).is_empty
+    assert diff_ir(parse_pd(old), parse_pd(new)).records == ()
     diff = diff_ir(parse_pd(old, include_layout=True), parse_pd(new, include_layout=True))
     assert [(r.kind, r.path, r.new_value) for r in diff.records] == [
         (ChangeKind.ADDED, ("obj-1", "serialized_contents", "width"), Num("12")),
@@ -162,10 +162,6 @@ def test_subcanvas_becomes_nested_node():
     assert nested.subtrees["obj-0"].connections == (Connection(0, "obj-1", 0),)
     # the outer connect wires the loadbang to the subpatch node
     assert ir.subtrees["obj-0"].connections == (Connection(0, "obj-1", 0),)
-    assert subtree_at(
-        ir, ("obj-1", "serialized_contents", "subpatch", "obj-0",
-             "serialized_contents", "text")
-    ) == "inside"
 
 
 def test_array_data_attaches_to_array_node():
@@ -285,3 +281,23 @@ def test_utf8_bom_is_not_part_of_the_patch():
     text, warnings = decode_patch_bytes(b"\xef\xbb\xbf" + HELLO_WORLD_PD.encode())
     assert warnings == []
     assert parse_pd(text) == parse_pd(HELLO_WORLD_PD)
+
+
+def test_subcanvases_nest_up_to_the_limit():
+    # parse, diff, == and dumps_ir all recurse per level; at the limit they
+    # stay within Python's default recursion limit
+    old = parse_pd(nested_pd(MAX_NESTING))
+    new = parse_pd(nested_pd(MAX_NESTING, "y"))
+    assert [r.path for r in diff_ir(old, new).records] == [
+        ("obj-0", "serialized_contents", "subpatch") * MAX_NESTING
+        + ("obj-0", "serialized_contents", "text")
+    ]
+    assert old == parse_pd(nested_pd(MAX_NESTING))
+    assert dumps_ir(old).count('"$patch"') == MAX_NESTING
+
+
+def test_subcanvases_past_the_limit_are_a_syntax_error():
+    with pytest.raises(PatchSyntaxError, match=f"deeper than {MAX_NESTING}") as info:
+        parse_pd(nested_pd(MAX_NESTING + 1))
+    # the span of the first canvas past the limit
+    assert info.value.source_span == (MAX_NESTING + 2, MAX_NESTING + 2)
