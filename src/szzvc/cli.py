@@ -252,6 +252,11 @@ def _cmd_diff(args) -> int:
     except PatchSyntaxError as exc:
         print(f"szzvc: parse failure: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if old_ir.source_language is not new_ir.source_language:
+        raise ConfigError(
+            f"cannot diff a {old_ir.source_language.value} patch against a "
+            f"{new_ir.source_language.value} patch"
+        )
     diff = diff_ir(old_ir, new_ir, old_version=args.file_old,
                    new_version=args.file_new)
     projected = sorted(paths_at_depth(diff, mode),

@@ -6,10 +6,14 @@ serialized contents (a recursive property tree that may nest another
 ``VisualIR`` where the source format defines a subpatch).
 
 Canonical form: subtree keys and property-map keys iterate in lexicographic
-order and connection lists are sorted, so two canonicalized IRs are equal
-exactly when their serialized text is byte-equal. All values are immutable
-after construction (frozen dataclasses; dicts are never mutated once built),
-so IRs can be shared freely, also between threads.
+order and connection lists are sorted, so two canonical IRs are equal
+exactly when their serialized text is byte-equal. The Pd parser builds this
+form directly, and it shares unchanged nodes: parses that share a
+``PdNodeTable`` return one ``NodeSubtree`` object for equal nodes, which the
+diff skips by identity. :func:`canonicalize` remains for IRs built elsewhere:
+the Max parser's and hand-built ones. All values are immutable after
+construction (frozen dataclasses; dicts are never mutated once built), so
+IRs and their nodes can be shared freely, also between threads.
 
 Numbers keep their source spelling: ``Num`` stores the original token next to
 the parsed value. Serialization emits the token verbatim while the diff

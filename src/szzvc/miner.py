@@ -48,7 +48,7 @@ from .errors import ConfigError, GitError, PatchSyntaxError
 from .gitrepo import ChangedFile, LogEntry, Repository
 from .ir import Language, VisualIR, empty_ir
 from .maxparser import PropertyFilter, default_property_filter, parse_maxpat
-from .pdparser import decode_patch_bytes, parse_pd
+from .pdparser import PdNodeTable, decode_patch_bytes, parse_pd
 
 DEFAULT_EXTENSIONS: dict[Language, tuple[str, ...]] = {
     Language.PURE_DATA: (".pd",),
@@ -168,10 +168,12 @@ def language_for_path(path: str, extensions: dict[Language, tuple[str, ...]]
 
 
 def parse_patch_text(text: str, language: Language, config: MinerConfig,
-                     source_path: str = "") -> VisualIR:
+                     source_path: str = "",
+                     pd_table: PdNodeTable | None = None) -> VisualIR:
+    """``pd_table`` is the Pd node table to share (see ``parse_pd``)."""
     if language is Language.PURE_DATA:
         return parse_pd(text, include_layout=config.include_layout,
-                        source_path=source_path)
+                        source_path=source_path, table=pd_table)
     return parse_maxpat(text, prop_filter=config.property_filter,
                         source_path=source_path)
 
@@ -379,6 +381,11 @@ class MiningCache:
     an entry twice, with equal results. An unparseable version is kept as its
     ``PatchSyntaxError`` and raised again at each use, so every fix that
     meets it records the failure.
+
+    It also owns the run's :class:`~szzvc.pdparser.PdNodeTable`, which every
+    Pd parse of the run shares: each distinct record text of any file is
+    tokenized once, and a node unchanged between two versions is one
+    ``NodeSubtree`` object, which the diff skips by identity.
     """
 
     def __init__(self, repo: Repository, config: MinerConfig):
@@ -386,6 +393,7 @@ class MiningCache:
         self.config = config
         self._irs: dict[tuple[str, Language], VisualIR | PatchSyntaxError] = {}
         self._diffs: dict[tuple[str | None, str | None, Language], IRDiff] = {}
+        self._pd_table = PdNodeTable()
 
     def ir(self, language: Language, blob: str | None, rev: str | None,
            path: str | None) -> VisualIR:
@@ -408,7 +416,8 @@ class MiningCache:
             return empty_ir(language, path)
         text, _ = decode_patch_bytes(data)
         try:
-            return parse_patch_text(text, language, self.config, source_path=path)
+            return parse_patch_text(text, language, self.config, source_path=path,
+                                    pd_table=self._pd_table)
         except PatchSyntaxError as exc:
             return exc
 

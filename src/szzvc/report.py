@@ -137,24 +137,20 @@ def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
                 ],
             }
         entry["methods"][config.method_tag_vc] = _method_section(
-            result.candidates, fixing, warnings
+            result.candidates, fixing
         )
 
     if "textual" in methods:
         result = textual_find_inducing(repo, fixing, config)
-        entry["methods"]["textual"] = _method_section(
-            result.candidates, fixing, warnings
-        )
+        entry["methods"]["textual"] = _method_section(result.candidates, fixing)
 
+    if fixing.report_time is None:  # once, whatever the number of methods
+        warnings.append("time filter skipped: fixing commit has no linked report time")
     return entry, had_failures
 
 
-def _method_section(candidates, fixing: FixingCommit, warnings: list[str]) -> dict:
+def _method_section(candidates, fixing: FixingCommit) -> dict:
     outcome = filter_candidates(candidates, fixing)
-    if outcome.unfiltered:
-        warnings.append(
-            "time filter skipped: fixing commit has no linked report time"
-        )
     return {
         "candidates": [_candidate_dict(c) for c in outcome.kept],
         "dropped_by_time_filter": [_candidate_dict(c) for c in outcome.dropped],

@@ -5,7 +5,7 @@ import string
 
 import hypothesis.strategies as st
 
-from szzvc.ir import Connection, Language, NodeSubtree, Num, VisualIR, canonicalize
+from szzvc.ir import MAX_NESTING, Connection, Language, NodeSubtree, Num, VisualIR, canonicalize
 
 NODE_POOL = [f"obj-{i}" for i in range(6)]
 KEY_POOL = ["text", "element", "alpha", "beta", "gamma"]
@@ -144,3 +144,52 @@ _PD_SPLIT_PIECES = ["#N", "#X", "#A", ";", "\\;", "\\\n", "\\", "\r\n", "\n", " 
                     "\t", "\x0c", "\x1c", "\u00a0", "obj", "msg", "12", "a,"]
 
 pd_split_texts = st.lists(st.sampled_from(_PD_SPLIT_PIECES), max_size=20).map("".join)
+
+
+# Versions of one Pd patch: a valid first version, then edits of it, some of
+# which break it in a way that is found only after records of the first
+# version have been seen again. Every record is one list item, so an edit can
+# change a subpatch's nodes or drop an array's data.
+_PD_SUBPATCH = ["#N canvas 0 0 200 140 sub 0;", "#X obj 5 5 inlet;", "#X obj 5 40 outlet;",
+                "#X connect 0 0 1 0;", "#X restore 10 60 pd sub;"]
+_PD_ARRAY = ["#X array tab 3 float 0;", "#A 0 1 2.5 -3;"]
+_PD_BREAKERS = [
+    "#X connect 99 0 0 0;",  # connect index out of range
+    "#X restore 10 10 pd x;",  # restore without an open subcanvas
+    "#N canvas 0 0 200 140 open 0;",  # unbalanced subcanvas
+    "#X obj 10 10 print",  # unterminated record
+]
+
+
+@st.composite
+def pd_version_sequences(draw):
+    records = draw(st.lists(pd_node_records(), min_size=1, max_size=6))
+    blocks = draw(st.lists(st.sampled_from([_PD_SUBPATCH, _PD_ARRAY]), max_size=2))
+    count = len(records) + len(blocks)  # each block is one node on the canvas
+    for block in blocks:
+        records += block
+    wires = draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, 2),
+                                    st.integers(0, count - 1), st.integers(0, 2)),
+                          max_size=4))
+    records += [f"#X connect {s} {o} {d} {i};" for s, o, d, i in wires]
+    versions = [records]
+    for _ in range(draw(st.integers(1, 4))):
+        version = list(records)
+        edit = draw(st.sampled_from(["same", "drop", "insert", "break", "nest", "data"]))
+        at = draw(st.integers(0, len(version) - 1))
+        if edit == "drop":
+            del version[at]
+        elif edit == "data":  # other array values, or none
+            values = draw(st.lists(st.integers(-9, 9), max_size=3))
+            version = [f"#A 0 {' '.join(map(str, values))};" if r.startswith("#A") else r
+                       for r in version if values or not r.startswith("#A")]
+        elif edit == "insert":
+            version.insert(at, draw(pd_node_records()))
+        elif edit == "break":
+            version.append(draw(st.sampled_from(_PD_BREAKERS)))
+        elif edit == "nest":  # within the limit, or one canvas past it
+            levels = draw(st.sampled_from([1, MAX_NESTING + 1]))
+            version = (["#N canvas 0 0 200 140 sub 0;"] * levels + version
+                       + ["#X restore 10 10 pd sub;"] * levels)
+        versions.append(version)
+    return ["#N canvas 0 0 450 300 12;\n" + "\n".join(v) + "\n" for v in versions]

@@ -1,10 +1,12 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from szzvc.cli import main
 from szzvc.report import SCHEMA, loads_report
-from conftest import HELLO_WORLD_PD
+from conftest import HELLO_WORLD_PD, maxpat_doc
 from test_miner import PATCH_V1, PATCH_V2, PATCH_V3, T
 
 
@@ -69,7 +71,55 @@ def test_diff_bad_depth_is_config_error(hello_world_pair, capsys):
     assert "depth" in err
 
 
+def test_diff_across_languages_is_config_error(hello_world_pair, tmp_path, capsys):
+    old, _ = hello_world_pair
+    other = tmp_path / "b.maxpat"
+    other.write_text(maxpat_doc([{"id": "obj-1", "maxclass": "newobj", "text": "print"}]))
+    code, _, err = run_cli(capsys, "diff", str(old), str(other))
+    assert code == 2
+    assert "pure-data" in err and "max-msp" in err
+
+
+# Golden outputs: ``--show-values`` prints the ``repr`` of node values, so the
+# order of contents keys and of connection tuples shows in these bytes; a
+# changed golden file is a changed CLI output.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_run(capsys, tmp_path, monkeypatch, files: dict, *argv) -> str:
+    for name, golden in files.items():
+        shutil.copy(GOLDEN / golden, tmp_path / name)
+    monkeypatch.chdir(tmp_path)  # relative paths: source_path shows in reprs
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ((), "diff_show_values.txt"),
+    (("--include-layout",), "diff_show_values_layout.txt"),
+])
+def test_diff_show_values_golden(capsys, tmp_path, monkeypatch, flags, golden):
+    # a node added and one deleted (in a subpatch), connections rewired, a
+    # text changed, and an added subpatch that holds array data
+    out = _golden_run(capsys, tmp_path, monkeypatch,
+                      {"old.pd": "diff_old.pd", "new.pd": "diff_new.pd"},
+                      "diff", "old.pd", "new.pd", "--show-values", *flags)
+    assert out == (GOLDEN / golden).read_text()
+
+
 # --- parse ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ((), "parse.json"),
+    (("--include-layout",), "parse_layout.json"),
+])
+def test_parse_golden(capsys, tmp_path, monkeypatch, flags, golden):
+    # 14 nodes (obj-10 sorts before obj-2), a subpatch, an array with #A data
+    out = _golden_run(capsys, tmp_path, monkeypatch, {"parse.pd": "parse.pd"},
+                      "parse", "parse.pd", *flags)
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_parse_dumps_canonical_ir(hello_world_pair, capsys):
@@ -234,6 +284,19 @@ def test_analyze_flags_override_config(repo_fixture, tmp_path, capsys):
     report = loads_report(out)
     assert report["config"]["depth"] == "max"
     assert report["config"]["follow_renames"] is False
+
+
+def test_both_methods_warn_once_per_fix_without_report_time(repo_fixture, capsys):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1 wiring", T[1])
+    code, out, _ = run_cli(capsys, "analyze", "--repo", str(repo_fixture.path),
+                           "--method", "both", "--no-timing")
+    assert code == 0
+    (entry,) = loads_report(out)["fixing_commits"]
+    assert entry["methods"]["textual"]["unfiltered"]
+    assert entry["warnings"] == [
+        "time filter skipped: fixing commit has no linked report time"
+    ]
 
 
 def test_report_schema_roundtrip(repo_fixture, tmp_path, capsys):

@@ -3,7 +3,9 @@ import pytest
 from szzvc.diff import ChangeKind, diff_ir
 from szzvc.errors import PatchSyntaxError
 from szzvc.ir import MAX_NESTING, Connection, Num, VisualIR, dumps_ir
+from szzvc import pdparser
 from szzvc.pdparser import (
+    PdNodeTable,
     PdRecord,
     decode_patch_bytes,
     parse_pd,
@@ -301,3 +303,50 @@ def test_subcanvases_past_the_limit_are_a_syntax_error():
         parse_pd(nested_pd(MAX_NESTING + 1))
     # the span of the first canvas past the limit
     assert info.value.source_span == (MAX_NESTING + 2, MAX_NESTING + 2)
+
+
+def _hundred_nodes(changed: str = "f 50") -> str:
+    nodes = [f"#X obj {k} 10 f {k};" for k in range(100)]
+    nodes[50] = f"#X obj 50 10 {changed};"
+    wires = [f"#X connect {k} 0 {k + 1} 0;" for k in range(99)]
+    return "#N canvas 0 0 450 300 12;\n" + "\n".join(nodes + wires) + "\n"
+
+
+def test_shared_table_builds_only_the_changed_node(monkeypatch):
+    table = PdNodeTable()
+    first = parse_pd(_hundred_nodes(), table=table)
+    built = []
+    real = pdparser.pd_node_properties
+
+    def counting(record, *args, **kwargs):
+        built.append(record.atoms)
+        return real(record, *args, **kwargs)
+
+    monkeypatch.setattr(pdparser, "pd_node_properties", counting)
+    second = parse_pd(_hundred_nodes("f fifty"), table=table)
+    assert built == [("50", "10", "f", "fifty")]
+    shared = [node_id for node_id, node in second.subtrees.items()
+              if node is first.subtrees[node_id]]
+    assert len(shared) == 99 and "obj-50" not in shared
+    assert second == parse_pd(_hundred_nodes("f fifty"))
+
+
+def test_contents_written_after_their_record_are_not_shared():
+    # an array's #A data and a subcanvas's restore are written into the node
+    # after its record was read, so a shared table must not hand them on
+    table = PdNodeTable()
+    head = "#N canvas 0 0 100 100 10;\n"
+    array, sub = "#X array a 2 float 0;\n", "#N canvas 0 0 50 50 s 0;\n"
+    with_data = parse_pd(head + array + "#A 0 1 2;\n", table=table)
+    bare = parse_pd(head + array, table=table)
+    other = parse_pd(head + array + "#A 0 7;\n", table=table)
+    assert with_data.subtrees["obj-0"].serialized_contents["data"] == [Num("1"), Num("2")]
+    assert "data" not in bare.subtrees["obj-0"].serialized_contents
+    assert other.subtrees["obj-0"].serialized_contents["data"] == [Num("7")]
+    restore = "#X restore 1 1 pd s;\n"
+    one = parse_pd(head + sub + "#X obj 1 1 one;\n" + restore, table=table)
+    two = parse_pd(head + sub + "#X obj 1 1 two;\n" + restore, table=table)
+    inner = [ir.subtrees["obj-0"].serialized_contents["subpatch"] for ir in (one, two)]
+    assert [sub.subtrees["obj-0"].serialized_contents["text"] for sub in inner] == \
+        ["one", "two"]
+    assert list(two.subtrees["obj-0"].serialized_contents) == ["element", "subpatch", "text"]

@@ -15,7 +15,7 @@ from szzvc.diff import (
 from szzvc.errors import PatchSyntaxError
 from szzvc.ir import canonicalize, dumps_ir
 from szzvc.maxparser import parse_maxpat
-from szzvc.pdparser import parse_pd, split_records
+from szzvc.pdparser import PdNodeTable, parse_pd, split_records
 from oracle import apply_diff, assert_matches_bruteforce, flatten, split_records_reference
 from strategies import (
     ir_pairs,
@@ -23,6 +23,7 @@ from strategies import (
     pd_node_records,
     pd_patches,
     pd_split_texts,
+    pd_version_sequences,
     visual_irs,
 )
 
@@ -120,6 +121,28 @@ def _records_or_error(split, text):
 def test_split_records_matches_character_scan(text):
     assert _records_or_error(split_records, text) == \
         _records_or_error(split_records_reference, text)
+
+
+def _parse_or_error(text, include_layout, table):
+    try:
+        return parse_pd(text, include_layout=include_layout, table=table)
+    except PatchSyntaxError as exc:
+        return str(exc), exc.source_span
+
+
+def _pd_outcome(result):
+    return result if isinstance(result, tuple) else (result, dumps_ir(result), repr(result))
+
+
+@CASES
+@given(pd_version_sequences(), st.booleans())
+def test_shared_pd_table_parses_like_a_fresh_one(texts, include_layout):
+    table = PdNodeTable()
+    shared = [_parse_or_error(text, include_layout, table) for text in texts]
+    # compared once all are parsed: a later parse must not change an earlier IR
+    for text, result in zip(texts, shared):
+        assert _pd_outcome(result) == \
+            _pd_outcome(_parse_or_error(text, include_layout, None))
 
 
 # Supporting invariants of the diff engine, same randomized regime.
