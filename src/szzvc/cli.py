@@ -147,13 +147,7 @@ def _load_config(args) -> MinerConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     raw = {}
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        raw = _read_json(path, "config")
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
     if "fixing_detection" not in raw:

@@ -14,10 +14,9 @@ cannot yield a record, while ``1.0`` against ``1.00`` is unequal and still
 reaches ``leaf_equal``, which reports no change.
 
 Change-depth: a path's depth is its component count. ``paths_at_depth``
-renders a diff either at full depth or truncated to a fixed depth, merging
-kinds where truncation collapses several records onto one path (any real
-truncation means "this subtree changed", i.e. Modified, unless the node
-itself was wholly added or deleted).
+renders a diff either at full depth or truncated to a fixed depth; a real
+truncation means "this subtree changed", i.e. Modified, and a record that
+truncation leaves whole (a wholly added or deleted node, say) keeps its kind.
 
 Paths render in bracket notation for humans:
 ``root[obj-0]['serialized_contents']['text']``.
@@ -202,33 +201,20 @@ def paths_at_depth(diff: IRDiff, mode: DepthMode) -> set[tuple[ChangePath, Chang
     """Project a diff to (path, kind) pairs at the requested change-depth.
 
     Max mode returns every record as-is. At Depth(k), paths are truncated and
-    deduplicated; a truncated group reports Modified unless it is the node's
-    own whole-subtree Added/Deleted record.
+    deduplicated; a truncated path reports Modified. A record no longer than
+    k keeps its kind: record paths are distinct and prefix-free, so no other
+    record truncates onto its path (a wholly added or deleted node's own
+    record is alone in its group).
     """
     if mode == MAX_DEPTH:
         return {(r.path, r.kind) for r in diff.records}
     depth = int(mode)
     if depth < 1:
         raise ValueError("change-depth must be >= 1")
-    groups: dict[ChangePath, list[ChangeRecord]] = {}
-    for record in diff.records:
-        groups.setdefault(truncate_path(record.path, depth), []).append(record)
-    node_level = {
-        (r.path[0], r.kind) for r in diff.records if len(r.path) == 1
-    }
     out: set[tuple[ChangePath, ChangeKind]] = set()
-    for tpath, group in groups.items():
-        if len(group) == 1 and group[0].path == tpath:
-            kind = group[0].kind
-        elif all(r.kind is ChangeKind.ADDED for r in group) and (
-            tpath[0], ChangeKind.ADDED) in node_level:
-            kind = ChangeKind.ADDED
-        elif all(r.kind is ChangeKind.DELETED for r in group) and (
-            tpath[0], ChangeKind.DELETED) in node_level:
-            kind = ChangeKind.DELETED
-        else:
-            kind = ChangeKind.MODIFIED
-        out.add((tpath, kind))
+    for record in diff.records:
+        tpath = truncate_path(record.path, depth)
+        out.add((tpath, record.kind if tpath == record.path else ChangeKind.MODIFIED))
     return out
 
 

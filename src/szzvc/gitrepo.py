@@ -270,21 +270,23 @@ class Repository:
                 "--find-renames", "--raw", "--no-abbrev",
                 f"--format={_HDR}%H{_SEP}%ct{_SEP}%P{_SEP}%B", head_id,
             ).decode("utf-8", "replace")
-            entries: dict[str, LogEntry] = {}
-            messages: dict[str, str] = {}
-            for chunk in out.split(_HDR)[1:]:
-                # header NUL, then a newline and the raw entries when any
-                header, _, raw = chunk.partition("\x00")
-                commit_id, epoch, parents, message = header.split(_SEP, 3)
-                fields = iter(raw.lstrip("\n").split("\x00"))
-                changes = []
-                for meta in fields:
-                    if not meta:
-                        continue  # the terminator of the last path
+            # a message or a path holds any byte but NUL: read NUL-separated
+            # fields, where a header opens a commit and a raw entry (after a
+            # newline when it is the commit's first) takes its path fields
+            commits: list[tuple[str, list[ChangedFile]]] = []
+            fields = iter(out.split("\x00"))
+            for text in fields:
+                if text.startswith(_HDR):
+                    commits.append((text[1:], []))
+                elif meta := text.lstrip("\n"):
                     n_paths = 2 if meta.rsplit(" ", 1)[1][0] in "RC" else 1
                     change = _change(meta, [next(fields) for _ in range(n_paths)])
                     if change is not None:
-                        changes.append(change)
+                        commits[-1][1].append(change)
+            entries: dict[str, LogEntry] = {}
+            messages: dict[str, str] = {}
+            for header, changes in commits:
+                commit_id, epoch, parents, message = header.split(_SEP, 3)
                 messages[commit_id] = message
                 entries[commit_id] = LogEntry(
                     commit_id=commit_id,

@@ -7,11 +7,11 @@ serialized contents (a recursive property tree that may nest another
 
 Canonical form: subtree keys and property-map keys iterate in lexicographic
 order and connection lists are sorted, so two canonical IRs are equal
-exactly when their serialized text is byte-equal. The Pd parser builds this
-form directly, and it shares unchanged nodes: parses that share a
-``PdNodeTable`` return one ``NodeSubtree`` object for equal nodes, which the
-diff skips by identity. :func:`canonicalize` remains for IRs built elsewhere:
-the Max parser's and hand-built ones. All values are immutable after
+exactly when their serialized text is byte-equal. Both parsers build this
+form in their one pass, and the Pd parser shares unchanged nodes: parses that
+share a ``PdNodeTable`` return one ``NodeSubtree`` object for equal nodes,
+which the diff skips by identity. :func:`canonicalize` is for IRs built by
+hand. All values are immutable after
 construction (frozen dataclasses; dicts are never mutated once built), so
 IRs and their nodes can be shared freely, also between threads.
 

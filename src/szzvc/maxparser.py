@@ -18,6 +18,10 @@ kept marker into ``Num(raw)`` and the patchline reader reads a port with
 ``int(raw)``, so the numbers under excluded keys (geometry, mostly) are never
 converted. The decoder has already checked their grammar. A marker is no
 ``str``, so a numeric box id or patchline endpoint is still rejected.
+
+The one pass builds the canonical IR (see :mod:`szzvc.ir`): subtrees in
+sorted id order, each connection tuple sorted by ``Connection.sort_key``,
+every property map in sorted key order; lists keep the document's order.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .ir import (
     NodeSubtree,
     Num,
     VisualIR,
-    canonicalize,
+    canonicalize,  # noqa: F401  unused; perfbench traces maxparser.canonicalize by name
 )
 
 GUARDED_KEYS = frozenset({"text", "maxclass", "patcher"})
@@ -123,7 +127,7 @@ def parse_maxpat(text: str, prop_filter: PropertyFilter | None = None,
         raise PatchSyntaxError("not a patcher document: nested too deeply")
     if not isinstance(doc, dict) or not isinstance(doc.get("patcher"), dict):
         raise PatchSyntaxError("document has no top-level patcher")
-    return canonicalize(_parse_patcher(doc["patcher"], prop_filter, source_path, 0))
+    return _parse_patcher(doc["patcher"], prop_filter, source_path, 0)
 
 
 def _reject_constant(name: str):
@@ -175,10 +179,10 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter,
 
     subtrees = {
         box_id: NodeSubtree(
-            connections=tuple(connections[box_id]),
-            serialized_contents=contents,
+            connections=tuple(sorted(connections[box_id], key=Connection.sort_key)),
+            serialized_contents=contents_by_id[box_id],
         )
-        for box_id, contents in contents_by_id.items()
+        for box_id in sorted(contents_by_id)
     }
     return VisualIR(subtrees=subtrees, source_language=Language.MAX_MSP,
                     source_path=source_path)
@@ -205,7 +209,7 @@ def _endpoint(line: dict, key: str) -> tuple[str, int]:
 def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str,
                   depth: int) -> dict:
     contents = {}
-    for key, value in box.items():
+    for key, value in sorted(box.items()):  # keys are distinct: values never compare
         if key == "id":
             continue  # the id is the subtree key, not a content property
         if not prop_filter.keep(key):
@@ -224,7 +228,7 @@ def _filter_value(value, prop_filter: PropertyFilter, depth: int):
             raise _too_deep()
         return {
             k: _filter_value(v, prop_filter, depth + 1)
-            for k, v in value.items()
+            for k, v in sorted(value.items())
             if prop_filter.keep(k)
         }
     if isinstance(value, list):

@@ -496,19 +496,11 @@ def _mine_file(
         return  # the fixing side skips the file
     fix_diffs[fix.path_new] = fix_diff
     fix_paths = paths_at_depth(fix_diff, config.depth_mode)
-    md_pairs = sorted(
-        (
-            (path, kind)
-            for path, kind in fix_paths
-            if kind in (ChangeKind.MODIFIED, ChangeKind.DELETED)
-        ),
-        key=lambda pk: path_sort_key(pk[0]),
-    )
-    added_paths = sorted(
-        (path for path, kind in fix_paths
-         if kind is ChangeKind.ADDED and len(path) > 1),
-        key=path_sort_key,
-    )
+    # no order here: candidates gather in sets, which find_inducing sorts
+    md_pairs = [(path, kind) for path, kind in fix_paths
+                if kind in (ChangeKind.MODIFIED, ChangeKind.DELETED)]
+    added_paths = [path for path, kind in fix_paths
+                   if kind is ChangeKind.ADDED and len(path) > 1]
     if not md_pairs and not added_paths:
         return
     if fix.path_old is None:
@@ -528,12 +520,12 @@ def _mine_file(
         info["via"] = info["via"] or via
 
     # Modified/Deleted fix paths: most recent prior matching commit per path.
-    active = list(md_pairs)
+    active = md_pairs
     for step, step_diff in zip(steps, step_diffs):
         if step_diff is None or not active:
             continue
         matched = match_changes(active, step_diff, config.depth_mode)
-        for path in sorted(matched, key=path_sort_key):
+        for path in matched:
             emit(step, path, len(path), via=False)
         if not config.all_matches:
             active = [(p, k) for p, k in active if p not in matched]

@@ -7,13 +7,12 @@ whitespace and newlines included, so ``\\;`` does not terminate and a lone
 backslash at the end of the text leaves its record unterminated. A text
 without a backslash splits into records with ``str.split(";")``; one with a
 backslash is cut one match of a compiled pattern at a time (plain characters
-and escapes up to an unescaped ``;``). A record body without a backslash
-splits into atoms with ``str.split()``, one with a backslash through an atom
-pattern in which a backslash keeps the next character. The format has no
-node ids, so pseudo-ids ``obj-<k>`` are assigned by the 0-based ordinal
-position of node-defining records on their canvas — meaning an insertion
-shifts every later id, which is exactly the instability the Max format
-avoids with persistent ids.
+and escapes up to an unescaped ``;``). A record body splits into atoms
+through one atom pattern, in which a backslash keeps the next character. The
+format has no node ids, so pseudo-ids ``obj-<k>`` are assigned by the 0-based
+ordinal position of node-defining records on their canvas — meaning an
+insertion shifts every later id, which is exactly the instability the Max
+format avoids with persistent ids.
 
 Grammar subset: node-defining elements are obj, msg, text (comments appear as
 nodes in the editor), floatatom, symbolatom, number, and array (so ``#A``
@@ -75,9 +74,8 @@ class PdRecord:
 # quantifiers).
 _RECORD = re.compile(r"([^;\\]*(?:\\[\s\S][^;\\]*)*);")
 _NON_SPACE = re.compile(r"\S")
-# An atom in a record body with escapes: a backslash takes the next character,
-# whitespace included. A body without escapes splits with ``str.split()``,
-# which is faster.
+# An atom in a record body: a backslash takes the next character, whitespace
+# included.
 _ESCAPED_ATOM = re.compile(r"(?=\S)[^\s\\]*(?:\\[\s\S][^\s\\]*)*")
 
 
@@ -131,7 +129,7 @@ def split_records(text: str) -> list[PdRecord]:
 
 
 def _make_record(body: str, span: tuple[int, int] | None) -> PdRecord:
-    tokens = _ESCAPED_ATOM.findall(body) if "\\" in body else body.split()
+    tokens = _ESCAPED_ATOM.findall(body)
     if not tokens:
         raise PatchSyntaxError("empty record", span)
     marker = tokens[0]

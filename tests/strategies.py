@@ -68,9 +68,19 @@ ir_pairs = st.tuples(visual_irs(), visual_irs())
 _word = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 
 
+_max_scalars = st.integers(-9, 9) | st.sampled_from([0.5, 1.0]) | _word
+_MAX_KEYS = ["alpha", "beta", "gamma", "delta"]
+# a kept property whose value is an object: its keys are ordered by the parser
+_max_property_maps = st.dictionaries(
+    st.sampled_from(_MAX_KEYS),
+    _max_scalars | st.lists(_max_scalars, max_size=3)
+    | st.dictionaries(st.sampled_from(_MAX_KEYS), _max_scalars, max_size=3),
+    min_size=2, max_size=4,
+)
+
+
 @st.composite
-def maxpat_documents(draw):
-    """(document json, box permutation of the same document) pairs."""
+def _max_patchers(draw, nest=True):
     n = draw(st.integers(1, 5))
     ids = [f"obj-{i + 1}" for i in range(n)]
     boxes = []
@@ -86,7 +96,11 @@ def maxpat_documents(draw):
         }
         if draw(st.booleans()):
             box["varname"] = draw(_word)
-        boxes.append(box)
+        if draw(st.booleans()):
+            box["saved_object_attributes"] = draw(_max_property_maps)
+        boxes.append({"box": box})
+    if nest and draw(st.booleans()):
+        boxes[draw(st.integers(0, n - 1))]["box"]["patcher"] = draw(_max_patchers(nest=False))
     lines = draw(
         st.lists(
             st.tuples(
@@ -94,27 +108,35 @@ def maxpat_documents(draw):
                 st.sampled_from(ids), st.integers(0, 2),
             ),
             unique=True,
-            max_size=4,
+            max_size=6,
         )
     )
-    shuffled_boxes = draw(st.permutations(boxes))
-    shuffled_lines = draw(st.permutations(lines))
+    return {
+        "boxes": boxes,
+        "lines": [{"patchline": {"source": [s, o], "destination": [d, i]}}
+                  for s, o, d, i in lines],
+    }
 
-    def doc(box_list, line_list):
-        return json.dumps(
-            {
-                "patcher": {
-                    "boxes": [{"box": b} for b in box_list],
-                    "lines": [
-                        {"patchline": {"source": [s, o], "destination": [d, i]}}
-                        for s, o, d, i in line_list
-                    ],
-                }
-            },
-            indent=2,
-        )
 
-    return doc(boxes, lines), doc(shuffled_boxes, shuffled_lines)
+def _render(draw, value):
+    """``value`` with the keys of every object in a drawn order, and the boxes
+    and patchlines of every patcher too; other arrays keep their order."""
+    if isinstance(value, dict):
+        if "boxes" in value:
+            value = {**value, "boxes": draw(st.permutations(value["boxes"])),
+                     "lines": draw(st.permutations(value["lines"]))}
+        return {k: _render(draw, value[k]) for k in draw(st.permutations(list(value)))}
+    if isinstance(value, list):
+        return [_render(draw, v) for v in value]
+    return value
+
+
+@st.composite
+def maxpat_documents(draw):
+    """Two renderings of one patcher document (a patcher nested in a box
+    at times), each with its own order of boxes, patchlines and object keys."""
+    document = {"patcher": draw(_max_patchers())}
+    return tuple(json.dumps(_render(draw, document), indent=2) for _ in range(2))
 
 
 # --- Pure Data patch texts ---------------------------------------------------

@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import szzvc
 from szzvc.cli import main
 from szzvc.report import SCHEMA, loads_report
 from conftest import HELLO_WORLD_PD, maxpat_doc
@@ -108,6 +112,18 @@ def test_diff_show_values_golden(capsys, tmp_path, monkeypatch, flags, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+# a box added (its two patchlines out of order) and one deleted, a patchline
+# rewired, a text changed and a nested patcher changed; in both files the
+# boxes, the patchlines and the keys of objects are out of order
+MAX_PAIR = {"diff_old.maxpat": "diff_old.maxpat", "diff_new.maxpat": "diff_new.maxpat"}
+
+
+def test_max_diff_show_values_golden(capsys, tmp_path, monkeypatch):
+    out = _golden_run(capsys, tmp_path, monkeypatch, MAX_PAIR,
+                      "diff", "diff_old.maxpat", "diff_new.maxpat", "--show-values")
+    assert out == (GOLDEN / "diff_show_values_max.txt").read_text()
+
+
 # --- parse ---------------------------------------------------------------
 
 
@@ -120,6 +136,11 @@ def test_parse_golden(capsys, tmp_path, monkeypatch, flags, golden):
     out = _golden_run(capsys, tmp_path, monkeypatch, {"parse.pd": "parse.pd"},
                       "parse", "parse.pd", *flags)
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_max_parse_golden(capsys, tmp_path, monkeypatch):
+    out = _golden_run(capsys, tmp_path, monkeypatch, MAX_PAIR, "parse", "diff_new.maxpat")
+    assert out == (GOLDEN / "parse_max.json").read_text()
 
 
 def test_parse_dumps_canonical_ir(hello_world_pair, capsys):
@@ -226,6 +247,32 @@ def test_analyze_is_deterministic(repo_fixture, tmp_path, capsys):
     code2, second, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert first == second
+
+
+def _cli_output(hash_seed: int, cwd: Path, *argv) -> bytes:
+    """stdout of ``szzvc`` run in a fresh interpreter with one hash seed."""
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": str(Path(szzvc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from szzvc.cli import entrypoint; entrypoint()", *argv],
+        cwd=cwd, env=env, capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_output_does_not_depend_on_the_hash_seed(repo_fixture):
+    # sets of strings iterate in an order that the hash seed chooses
+    old_max, new_max = ((GOLDEN / name).read_text() for name in MAX_PAIR)
+    repo_fixture.commit({"p.pd": PATCH_V1, "m.maxpat": old_max}, "c1", T[0])
+    repo_fixture.commit({"p.pd": PATCH_V2, "m.maxpat": new_max}, "c2", T[1])
+    repo_fixture.commit({"p.pd": PATCH_V3, "m.maxpat": old_max}, "fix #1", T[2])
+    for cwd, argv in (
+        (GOLDEN, ("diff", "diff_old.maxpat", "diff_new.maxpat", "--show-values")),
+        (repo_fixture.path, ("analyze", "--repo", ".", "--no-timing", "--method", "both")),
+    ):
+        first, second = (_cli_output(seed, cwd, *argv) for seed in (0, 1))
+        assert first and first == second, argv
 
 
 def test_analyze_reports_partial_failures(repo_fixture, tmp_path, capsys):

@@ -223,6 +223,29 @@ def test_run_resolves_head_once(repo_fixture, monkeypatch):
     assert commands.count(["rev-parse", "--verify"]) == 1, commands
 
 
+@pytest.mark.parametrize("path, fix_message", [
+    ("p.pd", "fix \x01 bug \x02 #1"),
+    ("p\x01q.pd", "fix bug #1"),
+])
+def test_header_byte_in_a_message_or_a_path(repo_fixture, path, fix_message):
+    # the history walk opens each commit with \x01, which a message or a
+    # path may hold too
+    repo_fixture.commit({path: PATCH_V1}, "c1", T[0])
+    c2 = repo_fixture.commit({path: PATCH_V2}, "c2", T[1])
+    fix = repo_fixture.commit({path: PATCH_V3}, fix_message, T[2])
+    report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
+                                        methods=("szz-vc", "textual"),
+                                        with_timing=False)
+    assert not had_failures
+    (entry,) = report["fixing_commits"]
+    assert entry["commit"] == fix
+    for method in ("szz-vc-max", "textual"):
+        candidates = entry["methods"][method]["candidates"]
+        assert [(c["inducing_commit"], c["file_path"]) for c in candidates] == \
+            [(c2, path)], method
+    assert _repo(repo_fixture).commit_message(fix) == fix_message + "\n"
+
+
 def _history(repo, path, before, follow_renames=True):
     steps = history_steps(repo, path, before, follow_renames=follow_renames)
     return [(step.entry.commit_id, step.path_new) for step in steps]

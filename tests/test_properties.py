@@ -89,6 +89,29 @@ def test_max_box_order_shuffle_invariance(docs):
     assert dumps_ir(parse_maxpat(original)) == dumps_ir(parse_maxpat(shuffled))
 
 
+# Both parsers build the canonical form in their one pass. ``repr`` shows the
+# order of dicts and tuples, which ``==`` does not.
+
+
+@CASES
+@given(maxpat_documents())
+def test_max_parse_is_canonical(docs):
+    for doc in docs:
+        ir = parse_maxpat(doc)
+        assert repr(ir) == repr(canonicalize(ir))
+
+
+@CASES
+@given(pd_version_sequences(), st.booleans())
+def test_pd_parse_is_canonical(texts, include_layout):
+    for text in texts:
+        try:
+            ir = parse_pd(text, include_layout=include_layout)
+        except PatchSyntaxError:
+            continue
+        assert repr(ir) == repr(canonicalize(ir))
+
+
 @CASES
 @given(pd_patches(), st.data())
 def test_pd_ordinal_shift_on_insertion(patch, data):
