@@ -358,8 +358,12 @@ def _cmd_history(args) -> int:
                               follow_renames=True if follow is None else follow)
         if not steps and not _existed_around(repo, args.path, args.before):
             raise GitError(f"path never existed before {args.before}: {args.path}")
+    # a path git holds in bytes that are not UTF-8 is written as those bytes
+    sys.stdout.flush()
     for step in steps:
-        print(f"{step.entry.commit_id} {step.path_new}")
+        sys.stdout.buffer.write(f"{step.entry.commit_id} ".encode()
+                                + os.fsencode(step.path_new) + b"\n")
+    sys.stdout.buffer.flush()
     return EXIT_OK
 
 

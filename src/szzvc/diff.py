@@ -114,7 +114,7 @@ def _diff_subtrees(old: VisualIR, new: VisualIR, prefix: ChangePath,
             records.append(ChangeRecord(ChangeKind.DELETED, path, o, ABSENT))
         elif o is None:
             records.append(ChangeRecord(ChangeKind.ADDED, path, ABSENT, n))
-        elif o is not n and o != n:  # the Pd parser shares unchanged nodes
+        elif o is not n and o != n:  # both parsers share unchanged nodes
             _diff_one_node(o, n, path, records)
 
 

@@ -269,18 +269,22 @@ class Repository:
                 "log", "-z", "--root", "--diff-merges=first-parent",
                 "--find-renames", "--raw", "--no-abbrev",
                 f"--format={_HDR}%H{_SEP}%ct{_SEP}%P{_SEP}%B", head_id,
-            ).decode("utf-8", "replace")
+            )
             # a message or a path holds any byte but NUL: read NUL-separated
             # fields, where a header opens a commit and a raw entry (after a
-            # newline when it is the commit's first) takes its path fields
+            # newline when it is the commit's first) takes its path fields.
+            # A path keeps its bytes (os.fsdecode, which read_file undoes);
+            # a message that is not UTF-8 is read with replacement characters.
             commits: list[tuple[str, list[ChangedFile]]] = []
-            fields = iter(out.split("\x00"))
-            for text in fields:
-                if text.startswith(_HDR):
-                    commits.append((text[1:], []))
-                elif meta := text.lstrip("\n"):
+            opening = _HDR.encode()
+            fields = iter(out.split(b"\x00"))
+            for chunk in fields:
+                if chunk.startswith(opening):
+                    commits.append((chunk[1:].decode("utf-8", "replace"), []))
+                elif meta := chunk.lstrip(b"\n").decode("ascii"):
                     n_paths = 2 if meta.rsplit(" ", 1)[1][0] in "RC" else 1
-                    change = _change(meta, [next(fields) for _ in range(n_paths)])
+                    change = _change(meta, [os.fsdecode(next(fields))
+                                            for _ in range(n_paths)])
                     if change is not None:
                         commits[-1][1].append(change)
             entries: dict[str, LogEntry] = {}

@@ -13,15 +13,29 @@ churn (geometry, fonts, inlet/outlet counts, app metadata); ``text``,
 ``maxclass`` and ``patcher`` identify a node and can never be excluded.
 
 Numbers become ``Num`` only where the filter keeps them. The JSON decoder
-hands each number's source text to a ``_Number`` marker; the filter turns a
-kept marker into ``Num(raw)`` and the patchline reader reads a port with
-``int(raw)``, so the numbers under excluded keys (geometry, mostly) are never
-converted. The decoder has already checked their grammar. A marker is no
-``str``, so a numeric box id or patchline endpoint is still rejected.
+hands each number's source text over as ``bytes`` (``str.encode``), a type
+no other JSON value decodes to; the filter turns kept bytes into
+``Num(raw)`` and the patchline reader reads a port with ``int(raw)``, so the
+numbers under excluded keys (geometry, mostly) are never converted. The
+decoder has already checked their grammar. Bytes are no ``str``, so a
+numeric box id or patchline endpoint is still rejected.
 
 The one pass builds the canonical IR (see :mod:`szzvc.ir`): subtrees in
 sorted id order, each connection tuple sorted by ``Connection.sort_key``,
 every property map in sorted key order; lists keep the document's order.
+
+Versions of one file share almost all of their boxes and patchlines, so the
+parser keeps what it builds in a :class:`MaxNodeTable`, keyed by each
+element's exact source text: an element seen before is not filtered again,
+nor decoded again where the layout lets its end be found without decoding,
+and a box node equal to one built before (same text, same sorted
+connections) is that same ``NodeSubtree`` object, which is hash-consing
+(Filliâtre and Conchon, ML 2006). The connections are checked against the
+box ids of the version at hand, in document order, as before. The document
+and patcher objects are read by the standard library's own JSON object
+reader, and an array the parser's own loop does not accept is read again by
+the standard library's array reader, so every syntax error reads as
+``json.loads`` words it, line included.
 """
 
 from __future__ import annotations
@@ -102,32 +116,144 @@ def default_property_filter() -> PropertyFilter:
     return PropertyFilter(mode=FilterMode.EXCLUDE_LIST, keys=DEFAULT_EXCLUDED_KEYS)
 
 
-class _Number:
-    """A JSON number's source text, not yet known to be kept."""
+class MaxNodeTable:
+    """What :func:`parse_maxpat` built, for the parses that come after.
 
-    __slots__ = ("raw",)
+    - Each element text of an array in a top-level patcher (``boxes``,
+      ``lines`` or any other) that was once decoded as a complete object.
+    - Each box element's entry, one map per property filter: its id, its
+      filtered contents and, for each distinct sorted connection tuple, the
+      one ``NodeSubtree`` built from them (hash-consing), so an unchanged box
+      is the same object in every version that holds it. A box whose
+      contents nest a patcher is keyed with its file's path too, since the
+      nested IR carries the path.
+    - Each patchline element's endpoints.
 
-    def __init__(self, raw: str):
-        self.raw = raw
+    A known text met again skips decoding only where the layout closes each
+    element on a line of its own, at the indent the element opened with:
+    the end of the text is then one ``str.find`` away. ``json.dumps`` with
+    an indent and Max's own layout do so. Elsewhere, in a minified document
+    for one, each element is decoded by the C scanner to find its end, and
+    only the filtering and the node are taken from the table.
+
+    The reader is built from parts of ``json.decoder`` that are not public:
+    ``JSONObject`` called with its positional arguments, ``JSONArray``,
+    ``WHITESPACE``, and ``raw_decode`` calling the decoder's ``scan_once``
+    attribute, which the reader replaces. ``tests/test_maxparser.py`` parses
+    a valid and an invalid document through them, so a Python that changes
+    them fails there.
+
+    Nothing in it is changed once built; it only grows. A
+    :class:`~szzvc.miner.MiningCache` owns one for its run, and
+    ``parse_maxpat`` makes a fresh one for a caller that passes none.
+    """
+
+    def __init__(self):
+        self._boxes: dict[PropertyFilter, dict] = {}
+        self._lines: dict[str, tuple[str, int, str, int]] = {}
+        texts: set[str] = set()
+        decoder = json.JSONDecoder(parse_int=str.encode, parse_float=str.encode,
+                                   parse_constant=_reject_constant)
+        scan = self._scan = decoder.scan_once  # the C scanner where there is one
+        skip = json.decoder.WHITESPACE.match
+        # Every value is scanned whole except the document and its patcher
+        # objects, which the standard library's object reader reads around
+        # these scanners, and a patcher's arrays, whose object elements
+        # ``array`` looks up first. At the first thing ``array`` does not
+        # expect, which only invalid JSON holds, the standard library's array
+        # reader reads the array again and raises the error json.loads gives.
+
+        def array(s: str, idx: int):
+            # every object element as (its text, its value or None if seen before)
+            items = []
+            append, find, startswith = items.append, s.find, s.startswith
+            pos = skip(s, idx + 1).end()
+            if startswith("]", pos):
+                return items, pos + 1
+            # An element of the pretty-printed layouts ends in a newline, the
+            # indent it starts at and "}". The indent is that of a new line,
+            # or the tabs of Max's own "[ \t\t\t{" and ", \t\t\t{".
+            closing, pad, start = "", s[pos - 1], pos - 1
+            if pad == " " or pad == "\t":
+                while s[start - 1] == pad:
+                    start -= 1
+                if s[start - 1] in "\n ":
+                    closing = "\n" + s[start:pos] + "}"
+            closes = len(closing)
+            while True:
+                if startswith("{", pos):
+                    # a text seen before is a complete object: it ends where it did
+                    close = find(closing, pos) + closes
+                    text = s[pos:close]
+                    if text in texts:
+                        end = close
+                        append((text, None))
+                    else:
+                        value, end = scan(s, pos)
+                        text = s[pos:end]
+                        texts.add(text)
+                        append((text, value))
+                else:
+                    try:
+                        value, end = scan(s, pos)
+                    except StopIteration:
+                        return json.decoder.JSONArray((s, idx + 1), scan)
+                    append(value)
+                pos = skip(s, end).end()
+                if startswith("]", pos):
+                    return items, pos + 1
+                if not startswith(",", pos):
+                    return json.decoder.JSONArray((s, idx + 1), scan)
+                pos = skip(s, pos + 1).end()
+
+        def patcher_value(s: str, idx: int):
+            if s.startswith("[", idx):
+                return array(s, idx)
+            return scan(s, idx)
+
+        def document_value(s: str, idx: int):
+            if s.startswith("{", idx):
+                return json.decoder.JSONObject((s, idx + 1), True, patcher_value,
+                                               None, None)
+            return scan(s, idx)
+
+        def document(s: str, idx: int):
+            if s.startswith("{", idx):
+                return json.decoder.JSONObject((s, idx + 1), True, document_value,
+                                               None, None)
+            return scan(s, idx)
+
+        decoder.scan_once = document
+        self._read = decoder.decode
 
 
 def parse_maxpat(text: str, prop_filter: PropertyFilter | None = None,
-                 source_path: str = "") -> VisualIR:
-    """Parse a patcher document into a canonical IR."""
+                 source_path: str = "", table: MaxNodeTable | None = None) -> VisualIR:
+    """Parse a patcher document into a canonical IR.
+
+    ``table`` holds what earlier parses built (see :class:`MaxNodeTable`): a
+    box or patchline text it holds is neither decoded nor filtered again,
+    and a box node equal to one in it is returned as that same object. A
+    ``MiningCache`` passes the table of its run; without one the parse makes
+    a fresh table, which is the same code path with nothing to reuse.
+    """
     if prop_filter is None:
         prop_filter = default_property_filter()
+    table = MaxNodeTable() if table is None else table
     try:
-        doc = json.loads(text, parse_int=_Number, parse_float=_Number,
-                         parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):  # json.loads refuses it in these words
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       text, 0)
+        doc = table._read(text)
+        if not isinstance(doc, dict) or not isinstance(doc.get("patcher"), dict):
+            raise PatchSyntaxError("document has no top-level patcher")
+        return _parse_patcher(doc["patcher"], prop_filter, source_path, 0, table)
     except json.JSONDecodeError as exc:
         raise PatchSyntaxError(
             f"not a patcher document: {exc.msg}", (exc.lineno, exc.lineno)
         )
     except RecursionError:
         raise PatchSyntaxError("not a patcher document: nested too deeply")
-    if not isinstance(doc, dict) or not isinstance(doc.get("patcher"), dict):
-        raise PatchSyntaxError("document has no top-level patcher")
-    return _parse_patcher(doc["patcher"], prop_filter, source_path, 0)
 
 
 def _reject_constant(name: str):
@@ -138,52 +264,87 @@ def _too_deep() -> PatchSyntaxError:
     return PatchSyntaxError(f"patch nests deeper than {MAX_NESTING} levels")
 
 
-def _parse_patcher(patcher: dict, prop_filter: PropertyFilter,
-                   source_path: str, depth: int) -> VisualIR:
+def _parse_patcher(patcher: dict, prop_filter: PropertyFilter, source_path: str,
+                   depth: int, table: MaxNodeTable) -> VisualIR:
     """The IR of a patcher ``depth`` levels below the document's own; each
-    nested patcher and each object or array value is one level more."""
+    nested patcher and each object or array value is one level more. The
+    object elements of a top-level patcher's arrays come as (text, value)
+    pairs (see :class:`MaxNodeTable`), those of a nested one as values."""
     if depth > MAX_NESTING:
         raise _too_deep()
     boxes = patcher.get("boxes", [])
     if not isinstance(boxes, list):
         raise PatchSyntaxError("patcher boxes must be an array")
-    contents_by_id: dict[str, dict] = {}
-    for entry in boxes:
-        box = entry.get("box") if isinstance(entry, dict) else None
-        if not isinstance(box, dict):
-            raise PatchSyntaxError("box entry is not an object")
-        box_id = box.get("id")
-        if not isinstance(box_id, str) or not box_id:
-            raise PatchSyntaxError("box has no id")
-        if box_id in contents_by_id:
+    known = table._boxes.setdefault(prop_filter, {})
+    # box id -> (id, contents, NodeSubtrees by connections; None if not shared)
+    entries: dict[str, tuple] = {}
+    for item in boxes:
+        text = entry = None
+        if type(item) is tuple:  # an element of a top-level patcher
+            text, item = item
+            entry = known.get(text) or known.get((source_path, text))
+            if entry is None and item is None:  # seen, but not as such a box
+                item = table._scan(text, 0)[0]
+        if entry is None:
+            box = item.get("box") if isinstance(item, dict) else None
+            if not isinstance(box, dict):
+                raise PatchSyntaxError("box entry is not an object")
+            box_id = box.get("id")
+            if not isinstance(box_id, str) or not box_id:
+                raise PatchSyntaxError("box has no id")
+        else:
+            box_id = entry[0]
+        if box_id in entries:
             raise PatchSyntaxError(f"duplicate box id {box_id!r}")
-        contents_by_id[box_id] = _box_contents(box, prop_filter, source_path, depth)
+        if entry is None:
+            contents = _box_contents(box, prop_filter, source_path, depth, table)
+            entry = (box_id, contents, None if text is None else {})
+            if text is not None:
+                nested = isinstance(contents.get("patcher"), VisualIR)
+                known[(source_path, text) if nested else text] = entry
+        entries[box_id] = entry
 
-    connections: dict[str, list[Connection]] = {b: [] for b in contents_by_id}
     lines = patcher.get("lines", [])
     if not isinstance(lines, list):
         raise PatchSyntaxError("patcher lines must be an array")
-    for entry in lines:
-        line = entry.get("patchline") if isinstance(entry, dict) else None
-        if not isinstance(line, dict):
-            raise PatchSyntaxError("patchline entry is not an object")
-        src_id, outlet = _endpoint(line, "source")
-        dst_id, inlet = _endpoint(line, "destination")
-        if src_id not in contents_by_id:
+    wires: dict[str, list[tuple[str, int, int]]] = {}
+    for item in lines:
+        text = wire = None
+        if type(item) is tuple:
+            text, item = item
+            wire = table._lines.get(text)
+            if wire is None and item is None:
+                item = table._scan(text, 0)[0]
+        if wire is None:
+            line = item.get("patchline") if isinstance(item, dict) else None
+            if not isinstance(line, dict):
+                raise PatchSyntaxError("patchline entry is not an object")
+            wire = _endpoint(line, "source") + _endpoint(line, "destination")
+            if text is not None:
+                table._lines[text] = wire
+        src_id, outlet, dst_id, inlet = wire
+        if src_id not in entries:
             raise PatchSyntaxError(f"patchline source references unknown box {src_id!r}")
-        if dst_id not in contents_by_id:
+        if dst_id not in entries:
             raise PatchSyntaxError(
                 f"patchline destination references unknown box {dst_id!r}"
             )
-        connections[src_id].append(Connection(outlet, dst_id, inlet))
+        wires.setdefault(src_id, []).append((dst_id, outlet, inlet))
 
-    subtrees = {
-        box_id: NodeSubtree(
-            connections=tuple(sorted(connections[box_id], key=Connection.sort_key)),
-            serialized_contents=contents_by_id[box_id],
-        )
-        for box_id in sorted(contents_by_id)
-    }
+    subtrees = {}
+    for box_id in sorted(entries):
+        _, contents, shared = entries[box_id]
+        # (dest id, outlet, inlet) tuples sort in Connection.sort_key order
+        conns = tuple(sorted(wires[box_id])) if box_id in wires else ()
+        subtree = shared.get(conns) if shared is not None else None
+        if subtree is None:
+            subtree = NodeSubtree(
+                tuple(Connection(outlet, dest, inlet) for dest, outlet, inlet in conns),
+                contents,
+            )
+            if shared is not None:
+                shared[conns] = subtree
+        subtrees[box_id] = subtree
     return VisualIR(subtrees=subtrees, source_language=Language.MAX_MSP,
                     source_path=source_path)
 
@@ -194,11 +355,11 @@ def _endpoint(line: dict, key: str) -> tuple[str, int]:
         not isinstance(value, list)
         or len(value) != 2
         or not isinstance(value[0], str)
-        or not isinstance(value[1], _Number)
+        or not isinstance(value[1], bytes)
     ):
         raise PatchSyntaxError(f"patchline {key} must be [box-id, port]")
     try:  # int() rejects a fraction, an exponent and too many digits
-        port = int(value[1].raw)
+        port = int(value[1])
     except ValueError:
         port = -1
     if port < 0:
@@ -207,7 +368,7 @@ def _endpoint(line: dict, key: str) -> tuple[str, int]:
 
 
 def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str,
-                  depth: int) -> dict:
+                  depth: int, table: MaxNodeTable) -> dict:
     contents = {}
     for key, value in sorted(box.items()):  # keys are distinct: values never compare
         if key == "id":
@@ -215,7 +376,8 @@ def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str,
         if not prop_filter.keep(key):
             continue
         if key == "patcher" and isinstance(value, dict):
-            contents[key] = _parse_patcher(value, prop_filter, source_path, depth + 1)
+            contents[key] = _parse_patcher(value, prop_filter, source_path, depth + 1,
+                                           table)
         else:
             contents[key] = _filter_value(value, prop_filter, depth + 1)
     return contents
@@ -235,6 +397,6 @@ def _filter_value(value, prop_filter: PropertyFilter, depth: int):
         if depth > MAX_NESTING:
             raise _too_deep()
         return [_filter_value(v, prop_filter, depth + 1) for v in value]
-    if isinstance(value, _Number):
-        return Num(value.raw)
+    if isinstance(value, bytes):
+        return Num(value.decode())
     return value

@@ -47,7 +47,7 @@ from .diff import (
 from .errors import ConfigError, GitError, PatchSyntaxError
 from .gitrepo import ChangedFile, LogEntry, Repository
 from .ir import Language, VisualIR, empty_ir
-from .maxparser import PropertyFilter, default_property_filter, parse_maxpat
+from .maxparser import MaxNodeTable, PropertyFilter, default_property_filter, parse_maxpat
 from .pdparser import PdNodeTable, decode_patch_bytes, parse_pd
 
 DEFAULT_EXTENSIONS: dict[Language, tuple[str, ...]] = {
@@ -169,13 +169,14 @@ def language_for_path(path: str, extensions: dict[Language, tuple[str, ...]]
 
 def parse_patch_text(text: str, language: Language, config: MinerConfig,
                      source_path: str = "",
-                     pd_table: PdNodeTable | None = None) -> VisualIR:
-    """``pd_table`` is the Pd node table to share (see ``parse_pd``)."""
+                     table: PdNodeTable | MaxNodeTable | None = None) -> VisualIR:
+    """``table`` is the node table of ``language`` to share (see ``parse_pd``
+    and ``parse_maxpat``)."""
     if language is Language.PURE_DATA:
         return parse_pd(text, include_layout=config.include_layout,
-                        source_path=source_path, table=pd_table)
+                        source_path=source_path, table=table)
     return parse_maxpat(text, prop_filter=config.property_filter,
-                        source_path=source_path)
+                        source_path=source_path, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +383,13 @@ class MiningCache:
     ``PatchSyntaxError`` and raised again at each use, so every fix that
     meets it records the failure.
 
-    It also owns the run's :class:`~szzvc.pdparser.PdNodeTable`, which every
-    Pd parse of the run shares: each distinct record text of any file is
-    tokenized once, and a node unchanged between two versions is one
-    ``NodeSubtree`` object, which the diff skips by identity.
+    It also owns the run's node tables, a
+    :class:`~szzvc.pdparser.PdNodeTable` and a
+    :class:`~szzvc.maxparser.MaxNodeTable`, which every parse of the run in
+    that language shares: each distinct Pd record text, Max box text and Max
+    patchline text of any file is tokenized or filtered once, and a node
+    unchanged between two versions is one ``NodeSubtree`` object, which the
+    diff skips by identity.
     """
 
     def __init__(self, repo: Repository, config: MinerConfig):
@@ -393,7 +397,8 @@ class MiningCache:
         self.config = config
         self._irs: dict[tuple[str, Language], VisualIR | PatchSyntaxError] = {}
         self._diffs: dict[tuple[str | None, str | None, Language], IRDiff] = {}
-        self._pd_table = PdNodeTable()
+        self._tables = {Language.PURE_DATA: PdNodeTable(),
+                        Language.MAX_MSP: MaxNodeTable()}
 
     def ir(self, language: Language, blob: str | None, rev: str | None,
            path: str | None) -> VisualIR:
@@ -417,7 +422,7 @@ class MiningCache:
         text, _ = decode_patch_bytes(data)
         try:
             return parse_patch_text(text, language, self.config, source_path=path,
-                                    pd_table=self._pd_table)
+                                    table=self._tables[language])
         except PatchSyntaxError as exc:
             return exc
 

@@ -44,6 +44,35 @@ def maxpat_doc(boxes, lines=(), indent=2) -> str:
     )
 
 
+def native_maxpat(document: dict) -> str:
+    """``document`` in the layout Max itself writes, as in
+    ``tests/golden/diff_old.maxpat``: ``"key" : value``, an object value
+    opened after tabs on its key's line and its comma on a line of its own,
+    and the objects of an array each on lines of their own, joined by
+    ``, \\t\\t\\t{``."""
+
+    def value(v, indent: int) -> str:
+        tabs = "\t" * (indent + 1)
+        if isinstance(v, dict) and v:
+            members = [f"{tabs}{json.dumps(k)} : {member(w, indent + 1)}"
+                       for k, w in v.items()]
+            body = "".join(m + ("\n," if m.endswith("}") else ",") + "\n"
+                           for m in members[:-1]) + members[-1]
+            return "{\n" + body + "\n" + "\t" * indent + "}"
+        if isinstance(v, list) and v and all(isinstance(w, dict) and w for w in v):
+            return "[ " + "\n, ".join(tabs + value(w, indent + 1) for w in v) + "\n ]"
+        if isinstance(v, list):
+            return "[ " + ", ".join(value(w, indent + 1) for w in v) + " ]"
+        return json.dumps(v)
+
+    def member(v, indent: int) -> str:
+        opened = isinstance(v, dict) and v
+        return ("\t" * indent if opened else "") + value(v, indent)
+
+    text = value(document, 0)
+    return text[:-1] + "\n}\n"  # Max leaves an empty line before the last brace
+
+
 class RepoFixture:
     """Builds small deterministic git repositories for mining tests."""
 

@@ -5,6 +5,7 @@ import string
 
 import hypothesis.strategies as st
 
+from conftest import native_maxpat
 from szzvc.ir import MAX_NESTING, Connection, Language, NodeSubtree, Num, VisualIR, canonicalize
 
 NODE_POOL = [f"obj-{i}" for i in range(6)]
@@ -137,6 +138,86 @@ def maxpat_documents(draw):
     at times), each with its own order of boxes, patchlines and object keys."""
     document = {"patcher": draw(_max_patchers())}
     return tuple(json.dumps(_render(draw, document), indent=2) for _ in range(2))
+
+
+# Versions of one Max document: a valid first version, then edits of it
+# (retext, add or remove a box, rewire, nest a patcher), each rendered in
+# three layouts: indented by json.dumps, minified, and Max's own. Broken
+# versions follow, each made from an earlier one, so that a shared table has
+# seen most of their elements before it meets the error.
+
+
+def _max_edit(draw, patcher: dict) -> dict:
+    patcher = json.loads(json.dumps(patcher))
+    boxes, lines = patcher["boxes"], patcher["lines"]
+    ids = [entry["box"]["id"] for entry in boxes]
+    edit = draw(st.sampled_from(["retext", "add", "remove", "rewire", "nest"]))
+    if edit == "retext":
+        draw(st.sampled_from(boxes))["box"]["text"] = draw(_word)
+    elif edit == "add":
+        box = {"id": f"obj-{len(ids) + 10}", "maxclass": "newobj", "text": draw(_word)}
+        boxes.insert(draw(st.integers(0, len(boxes))), {"box": box})
+    elif edit == "remove" and len(boxes) > 1:
+        gone = boxes.pop(draw(st.integers(0, len(boxes) - 1)))["box"]["id"]
+        patcher["lines"] = [entry for entry in lines
+                            if gone not in (entry["patchline"]["source"][0],
+                                            entry["patchline"]["destination"][0])]
+    elif edit == "rewire":
+        if lines and draw(st.booleans()):
+            lines.pop(draw(st.integers(0, len(lines) - 1)))
+        else:
+            lines.append({"patchline": {"source": [draw(st.sampled_from(ids)), 0],
+                                        "destination": [draw(st.sampled_from(ids)), 1]}})
+    elif edit == "nest":
+        draw(st.sampled_from(boxes))["box"]["patcher"] = draw(_max_patchers(nest=False))
+    return patcher
+
+
+def _max_break(draw, patcher: dict) -> dict:
+    patcher = json.loads(json.dumps(patcher))
+    boxes = patcher["boxes"]
+    kind = draw(st.sampled_from(["dangling", "duplicate", "no-id", "deep", "not-object"]))
+    if kind == "dangling":
+        patcher["lines"].append({"patchline": {"source": [boxes[0]["box"]["id"], 0],
+                                               "destination": ["obj-99", 0]}})
+    elif kind == "duplicate":  # the copy is an element text the table knows
+        boxes.append(json.loads(json.dumps(draw(st.sampled_from(boxes)))))
+    elif kind == "no-id":
+        boxes.append({"box": {"maxclass": "newobj", "text": "x"}})
+    elif kind == "deep":
+        value = "x"
+        for _ in range(MAX_NESTING + 1):
+            value = [value]
+        boxes.append({"box": {"id": "obj-98", "text": "x", "value": value}})
+    else:
+        boxes.append(7)
+    return patcher
+
+
+_TEXT_BREAKERS = ["", ",", "NaN", "]", "}", ":", '"', "{", "\ufeff"]
+
+
+@st.composite
+def maxpat_version_sequences(draw):
+    versions = [draw(_max_patchers())]
+    for _ in range(draw(st.integers(1, 3))):
+        versions.append(_max_edit(draw, versions[-1]))
+    for _ in range(draw(st.integers(0, 2))):
+        versions.append(_max_break(draw, draw(st.sampled_from(versions))))
+    texts = []
+    for patcher in versions:
+        document = {"patcher": patcher}
+        texts += [json.dumps(document, indent=draw(st.sampled_from([2, "\t"]))),
+                  json.dumps(document, separators=(",", ":")),
+                  native_maxpat(document)]
+    for _ in range(draw(st.integers(0, 3))):  # a text cut, or a character replaced
+        text = draw(st.sampled_from(texts))
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            texts.append(text[:at])
+        else:
+            texts.append(text[:at] + draw(st.sampled_from(_TEXT_BREAKERS)) + text[at + 1:])
+    return texts
 
 
 # --- Pure Data patch texts ---------------------------------------------------

@@ -487,6 +487,17 @@ def test_history_command(repo_fixture, capsys):
     assert out.splitlines() == [f"{c2} b.pd"]
 
 
+def test_history_writes_a_path_that_is_not_utf8_as_its_bytes(repo_fixture, capsysbinary):
+    path = os.fsdecode(b"p\xe9.pd")
+    c1 = repo_fixture.commit({path: PATCH_V1}, "c1", T[0])
+    c2 = repo_fixture.commit({path: PATCH_V2}, "c2", T[1])
+    repo_fixture.commit({path: PATCH_V3}, "c3", T[2])
+    assert main(["history", path, "--repo", str(repo_fixture.path)]) == 0
+    out = capsysbinary.readouterr().out
+    assert out.splitlines() == [f"{c2} ".encode() + b"p\xe9.pd",
+                                f"{c1} ".encode() + b"p\xe9.pd"]
+
+
 def test_history_never_existed(repo_fixture, capsys):
     repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
     code, out, err = run_cli(capsys, "history", "ghost.pd",

@@ -1,19 +1,23 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from szzvc import maxparser
 from szzvc.errors import ConfigError, PatchSyntaxError
 from szzvc.diff import diff_ir
 from szzvc.ir import MAX_NESTING, Connection, Num, VisualIR, dumps_ir
 from szzvc.maxparser import (
     DEFAULT_EXCLUDED_KEYS,
     FilterMode,
+    MaxNodeTable,
     PropertyFilter,
     default_property_filter,
     parse_maxpat,
 )
 from szzvc.pdparser import decode_patch_bytes
-from conftest import maxpat_doc
+from conftest import maxpat_doc, native_maxpat
 
 MINIMAL = maxpat_doc(
     boxes=[
@@ -264,3 +268,151 @@ def test_json_too_deep_to_decode_is_a_syntax_error():
     with pytest.raises(PatchSyntaxError, match="nested too deeply"):
         parse_maxpat('{"patcher": {"boxes": [{"box": {"id": "obj-1", "value": '
                      + deep + "}}]}}")
+
+
+def test_native_layout_helper_writes_max_s_own_layout():
+    golden = (Path(__file__).parent / "golden" / "diff_old.maxpat").read_text()
+    assert native_maxpat(json.loads(golden)) == golden
+
+
+# A warm table has read every element of BASE before the broken text, so
+# the parse meets elements it knows before it meets the error. The error
+# texts are those of the json.loads-based parser that came before the table.
+BASE = maxpat_doc(boxes=[{"id": "obj-1", "text": "a"}, {"id": "obj-2", "text": "b"}],
+                  lines=[("obj-1", 0, "obj-2", 0)])
+
+
+def _nested_list(levels: int):
+    value = "x"
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+if sys.version_info >= (3, 13):
+    _TRAILING_COMMA = ("Illegal trailing comma before end of array", 16)
+else:
+    _TRAILING_COMMA = ("Expecting value", 17)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    pytest.param(BASE[:BASE.index('"lines"')],
+                 "Expecting property name enclosed in double quotes", 18,
+                 id="truncated"),
+    pytest.param(BASE.replace('"b"\n        }\n      }\n    ]',
+                              '"b"\n        }\n      },\n    ]'),
+                 *_TRAILING_COMMA, id="trailing-comma-in-boxes"),
+    pytest.param(BASE.replace('"text": "b"', '"text" "b"'),
+                 "Expecting ':' delimiter", 14, id="missing-colon"),
+    pytest.param(BASE + "\n{}\n", "Extra data", 34, id="extra-data"),
+    pytest.param("\ufeff" + BASE, "Unexpected UTF-8 BOM (decode using utf-8-sig)", 1,
+                 id="byte-order-mark"),
+])
+def test_json_errors_read_as_json_loads_words_them(text, message, line):
+    table = MaxNodeTable()
+    parse_maxpat(BASE, table=table)
+    with pytest.raises(PatchSyntaxError) as info:
+        parse_maxpat(text, table=table)
+    assert str(info.value) == f"not a patcher document: {message} (lines {line}-{line})"
+    assert info.value.source_span == (line, line)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(BASE.replace('"text": "b"', '"text": "b", "gain": NaN'),
+                 "non-standard number constant 'NaN'", id="nan"),
+    pytest.param(maxpat_doc(boxes=[{"id": "obj-1", "text": "a"},
+                                   {"id": "obj-2", "text": "b",
+                                    "value": _nested_list(MAX_NESTING + 1)}]),
+                 f"patch nests deeper than {MAX_NESTING} levels", id="nested-too-deep"),
+])
+def test_errors_without_a_span_on_a_warm_table(text, message):
+    table = MaxNodeTable()
+    parse_maxpat(BASE, table=table)
+    with pytest.raises(PatchSyntaxError) as info:
+        parse_maxpat(text, table=table)
+    assert str(info.value) == message
+    assert info.value.source_span is None
+
+
+def test_duplicate_keys_take_the_last_value():
+    # valid JSON: the first patcher and the first boxes are read and dropped
+    base = json.loads(BASE)["patcher"]
+    inner = json.dumps({"boxes": [{"box": {"text": "no id"}}], **base}, indent=2)
+    inner = inner.replace('"boxes": [', '"boxes": [7],\n  "boxes": [', 1)
+    text = '{"patcher": {"boxes": 1}, "patcher": ' + inner + "}"
+    assert text.count('"boxes"') == 3 and text.count('"patcher"') == 2
+    table = MaxNodeTable()
+    parse_maxpat(BASE, table=table)
+    ir = parse_maxpat(text, table=table)
+    assert repr(ir) == repr(parse_maxpat(BASE)) == repr(parse_maxpat(text))
+
+
+def _hundred_boxes(changed: str = "f 50", layout: str = "indented") -> str:
+    boxes = [{"id": f"obj-{k}", "maxclass": "newobj", "text": f"f {k}",
+              "patching_rect": [k * 1.0, 10.0, 40.0, 22.0]} for k in range(100)]
+    boxes[50]["text"] = changed
+    wires = [(f"obj-{k}", 0, f"obj-{k + 1}", 0) for k in range(99)]
+    text = maxpat_doc(boxes, wires, indent="\t")
+    if layout == "native":
+        return native_maxpat(json.loads(text))
+    if layout == "minified":
+        return json.dumps(json.loads(text), separators=(",", ":"))
+    return text
+
+
+@pytest.mark.parametrize("layout", ["indented", "native", "minified"])
+def test_shared_table_builds_only_the_changed_box(monkeypatch, layout):
+    # a minified element is decoded to find its end, but is not built again
+    table = MaxNodeTable()
+    first = parse_maxpat(_hundred_boxes(layout=layout), table=table)
+    built = []
+    real = maxparser._box_contents
+
+    def counting(box, *args):
+        built.append(box["id"])
+        return real(box, *args)
+
+    monkeypatch.setattr(maxparser, "_box_contents", counting)
+    second = parse_maxpat(_hundred_boxes("f fifty", layout), table=table)
+    assert built == ["obj-50"]
+    shared = [box_id for box_id, node in second.subtrees.items()
+              if node is first.subtrees[box_id]]
+    assert len(shared) == 99 and "obj-50" not in shared
+    assert repr(second) == repr(parse_maxpat(_hundred_boxes("f fifty", layout)))
+
+
+def test_the_json_decoder_parts_the_reader_uses():
+    # MaxNodeTable reads through json.decoder parts that are not public API
+    # (see its docstring); a Python that renames or reshapes them fails here
+    assert callable(json.decoder.JSONObject) and callable(json.decoder.JSONArray)
+    assert json.decoder.WHITESPACE.match(" \t\n x").end() == 4
+    table = MaxNodeTable()
+    ir = parse_maxpat(BASE, table=table)
+    assert sorted(ir.subtrees) == ["obj-1", "obj-2"]
+    assert ir.subtrees["obj-1"].connections == (Connection(0, "obj-2", 0),)
+    broken = BASE.replace('"lines": [', '"lines": [7 7,')
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(broken)
+    with pytest.raises(PatchSyntaxError) as info:
+        parse_maxpat(broken, table=table)
+    span = (expected.value.lineno, expected.value.lineno)
+    assert str(info.value) == (f"not a patcher document: {expected.value.msg} "
+                               f"(lines {span[0]}-{span[1]})")
+    assert info.value.source_span == span
+
+
+def test_a_box_with_a_nested_patcher_is_keyed_with_its_path():
+    # the nested IR carries its file's path, so the same box text in another
+    # file is another node; a box without one is shared between files
+    inner = json.loads(maxpat_doc([{"id": "obj-7", "text": "metro 5"}]))["patcher"]
+    text = maxpat_doc([{"id": "obj-1", "text": "p sub", "patcher": inner},
+                       {"id": "obj-2", "text": "print"}])
+    table = MaxNodeTable()
+    a = parse_maxpat(text, source_path="a.maxpat", table=table)
+    b = parse_maxpat(text, source_path="b.maxpat", table=table)
+    assert b.subtrees["obj-1"].serialized_contents["patcher"].source_path == "b.maxpat"
+    assert b.subtrees["obj-1"] is not a.subtrees["obj-1"]
+    assert b.subtrees["obj-2"] is a.subtrees["obj-2"]
+    again = parse_maxpat(text, source_path="a.maxpat", table=table)
+    assert again.subtrees["obj-1"] is a.subtrees["obj-1"]
+    assert repr(b) == repr(parse_maxpat(text, source_path="b.maxpat"))

@@ -1,4 +1,5 @@
 import json
+import os
 from datetime import datetime, timezone
 
 import pytest
@@ -230,6 +231,17 @@ def test_run_resolves_head_once(repo_fixture, monkeypatch):
 def test_header_byte_in_a_message_or_a_path(repo_fixture, path, fix_message):
     # the history walk opens each commit with \x01, which a message or a
     # path may hold too
+    _assert_both_methods_find_c2(repo_fixture, path, fix_message)
+
+
+def test_path_that_is_not_utf8(repo_fixture):
+    # a Latin-1 file name must reach read_file as the bytes git holds: read
+    # as U+FFFD it names no file
+    path = os.fsdecode(b"p\xe9.pd")
+    _assert_both_methods_find_c2(repo_fixture, path, "fix bug #1")
+
+
+def _assert_both_methods_find_c2(repo_fixture, path, fix_message):
     repo_fixture.commit({path: PATCH_V1}, "c1", T[0])
     c2 = repo_fixture.commit({path: PATCH_V2}, "c2", T[1])
     fix = repo_fixture.commit({path: PATCH_V3}, fix_message, T[2])

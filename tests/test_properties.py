@@ -14,12 +14,19 @@ from szzvc.diff import (
 )
 from szzvc.errors import PatchSyntaxError
 from szzvc.ir import canonicalize, dumps_ir
-from szzvc.maxparser import parse_maxpat
+from szzvc.maxparser import (
+    FilterMode,
+    MaxNodeTable,
+    PropertyFilter,
+    default_property_filter,
+    parse_maxpat,
+)
 from szzvc.pdparser import PdNodeTable, parse_pd, split_records
 from oracle import apply_diff, assert_matches_bruteforce, flatten, split_records_reference
 from strategies import (
     ir_pairs,
     maxpat_documents,
+    maxpat_version_sequences,
     pd_node_records,
     pd_patches,
     pd_split_texts,
@@ -153,7 +160,7 @@ def _parse_or_error(text, include_layout, table):
         return str(exc), exc.source_span
 
 
-def _pd_outcome(result):
+def _outcome(result):
     return result if isinstance(result, tuple) else (result, dumps_ir(result), repr(result))
 
 
@@ -164,8 +171,35 @@ def test_shared_pd_table_parses_like_a_fresh_one(texts, include_layout):
     shared = [_parse_or_error(text, include_layout, table) for text in texts]
     # compared once all are parsed: a later parse must not change an earlier IR
     for text, result in zip(texts, shared):
-        assert _pd_outcome(result) == \
-            _pd_outcome(_parse_or_error(text, include_layout, None))
+        assert _outcome(result) == \
+            _outcome(_parse_or_error(text, include_layout, None))
+
+
+def _max_parse_or_error(text, prop_filter, source_path, table):
+    try:
+        return parse_maxpat(text, prop_filter, source_path, table=table)
+    except PatchSyntaxError as exc:
+        return str(exc), exc.source_span
+
+
+_FILTERS = [
+    default_property_filter(),
+    PropertyFilter(FilterMode.EXCLUDE_LIST, frozenset()),
+    PropertyFilter(FilterMode.INCLUDE_LIST, frozenset({"text", "patcher"})),
+]
+
+
+@CASES
+@given(maxpat_version_sequences(), st.data())
+def test_shared_max_table_parses_like_a_fresh_one(texts, data):
+    table = MaxNodeTable()
+    options = [(data.draw(st.sampled_from(_FILTERS)),
+                data.draw(st.sampled_from(["a.maxpat", "b.maxhelp"]))) for _ in texts]
+    shared = [_max_parse_or_error(text, *option, table)
+              for text, option in zip(texts, options)]
+    # compared once all are parsed: a later parse must not change an earlier IR
+    for text, option, result in zip(texts, options, shared):
+        assert _outcome(result) == _outcome(_max_parse_or_error(text, *option, None))
 
 
 # Supporting invariants of the diff engine, same randomized regime.
