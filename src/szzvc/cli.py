@@ -22,7 +22,7 @@ import sys
 from . import __version__
 from .diff import MAX_DEPTH, diff_ir, path_sort_key, paths_at_depth, render_path
 from .errors import ConfigError, GitError, PatchSyntaxError
-from .evaluate import ScoreGroup, format_table, load_verdicts, score
+from .evaluate import ScoreGroup, format_table, load_verdicts, score_methods
 from .gitrepo import Repository
 from .ir import Language, dumps_ir
 from .maxparser import PropertyFilter
@@ -276,13 +276,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    methods = _score_groups(_load_report(args.report))
-    verdicts = load_verdicts(args.verdicts)
-    results = {}
-    for method, groups in sorted(methods.items()):
-        evaluation = score(groups, verdicts, method=method,
-                           allow_partial=args.allow_partial)
-        results[method] = evaluation
+    results = score_methods(_score_groups(_load_report(args.report)),
+                            load_verdicts(args.verdicts), args.allow_partial)
+    for evaluation in results.values():
         print(format_table(evaluation))
     if args.out:
         structured = {

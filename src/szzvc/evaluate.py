@@ -109,11 +109,6 @@ def score(groups, verdicts, method: str = "", allow_partial: bool = False) -> Ev
     Verdict order never matters.
     """
     by_pair = {(v.fixing_commit, v.inducing_commit): v for v in verdicts}
-    known_pairs = {
-        (group.fixing_commit, inducing)
-        for group in groups
-        for inducing in group.candidates
-    }
     rows = []
     missing: list[tuple[str, str]] = []
     used = set()
@@ -136,12 +131,7 @@ def score(groups, verdicts, method: str = "", allow_partial: bool = False) -> Ev
                 u=counts["U"],
             )
         )
-    stray = sorted(pair for pair in by_pair if pair not in known_pairs)
-    if stray:
-        raise ConfigError(
-            "verdicts for unknown candidates: "
-            + ", ".join(f"{f}/{i}" for f, i in stray)
-        )
+    _check_known(by_pair, _pairs(groups))
     if missing and not allow_partial:
         raise ConfigError(
             "candidates without a verdict: "
@@ -153,6 +143,33 @@ def score(groups, verdicts, method: str = "", allow_partial: bool = False) -> Ev
         averages=_averages(rows),
         unjudged=tuple(sorted(missing)),
     )
+
+
+def score_methods(methods: dict[str, list[ScoreGroup]], verdicts,
+                  allow_partial: bool) -> dict[str, EvalReport]:
+    """Score each method's groups, in method order. Reviewers label each
+    distinct pair once, whichever methods found it: every verdict must name
+    a candidate of some method, and each method is scored on the verdicts
+    of its own candidates."""
+    pairs = {method: _pairs(groups) for method, groups in methods.items()}
+    _check_known([(v.fixing_commit, v.inducing_commit) for v in verdicts],
+                 set().union(*pairs.values()))
+    results = {}
+    for method, groups in sorted(methods.items()):
+        own = [v for v in verdicts if (v.fixing_commit, v.inducing_commit) in pairs[method]]
+        results[method] = score(groups, own, method, allow_partial)
+    return results
+
+
+def _pairs(groups) -> set[tuple[str, str]]:
+    return {(group.fixing_commit, c) for group in groups for c in group.candidates}
+
+
+def _check_known(verdict_pairs, known_pairs) -> None:
+    stray = sorted(pair for pair in verdict_pairs if pair not in known_pairs)
+    if stray:
+        raise ConfigError("verdicts for unknown candidates: "
+                          + ", ".join(f"{f}/{i}" for f, i in stray))
 
 
 def _averages(rows) -> dict[str, float]:

@@ -7,14 +7,12 @@ serialized contents (a recursive property tree that may nest another
 
 Canonical form: subtree keys and property-map keys iterate in lexicographic
 order and connection lists are sorted, so two canonical IRs are equal
-exactly when their serialized text is byte-equal. Both parsers build this
-form in their one pass, and both share unchanged nodes: parses that share a
-``PdNodeTable`` or a ``MaxNodeTable`` return one ``NodeSubtree`` object for
-a node whose source text and connections are unchanged, which the diff skips
-by identity. :func:`canonicalize` is for IRs built by hand. All values are
-immutable after construction (frozen dataclasses; dicts are never mutated
-once built), so IRs and their nodes can be shared freely, also between
-threads.
+exactly when their serialized text is byte-equal. :func:`intern_ir` is the
+one place an IR and its nodes are built: both parsers say what each node is
+and pass it there, and :func:`canonicalize`, for IRs built by hand, does the
+same. All values are immutable after construction (frozen dataclasses; dicts
+are never mutated once built), so IRs and their nodes can be shared freely,
+also between threads.
 
 Numbers keep their source spelling: ``Num`` stores the original token next to
 the parsed value. Serialization emits the token verbatim while the diff
@@ -118,25 +116,45 @@ def empty_ir(language: Language, source_path: str = "") -> VisualIR:
     return VisualIR(subtrees={}, source_language=language, source_path=source_path)
 
 
+def intern_ir(language: Language, source_path: str,
+              nodes: dict[str, tuple[object, dict]],
+              wires: dict[str, list[tuple[str, int, int]]],
+              shared: dict) -> VisualIR:
+    """The canonical IR of one patch level, and the one place nodes are built.
+
+    ``nodes`` maps each node id to ``(key, contents)``, its contents already
+    canonical; ``wires`` maps a source node id to its ``(dest id, outlet,
+    inlet)`` tuples, which sort in ``Connection.sort_key`` order. A keyed node
+    is hash-consed (Filliâtre and Conchon, "Type-safe modular hash-consing",
+    ML 2006): built only if ``shared`` has no node under its key and sorted
+    wires, so parses passing one ``shared`` map return one ``NodeSubtree``
+    for a node unchanged between versions, which the diff skips by identity.
+    A key must thus fix its contents within one map. A node keyed ``None``
+    has contents of its own and is built anew.
+    """
+    subtrees = {}
+    for node_id in sorted(nodes):
+        key, contents = nodes[node_id]
+        conns = tuple(sorted(wires[node_id])) if node_id in wires else ()
+        subtree = None if key is None else shared.get((key, conns))
+        if subtree is None:
+            subtree = NodeSubtree(
+                tuple(Connection(outlet, dest, inlet) for dest, outlet, inlet in conns),
+                contents,
+            )
+            if key is not None:
+                shared[key, conns] = subtree
+        subtrees[node_id] = subtree
+    return VisualIR(subtrees=subtrees, source_language=language, source_path=source_path)
+
+
 def canonicalize(ir: VisualIR) -> VisualIR:
     """Return an equal-content IR with all maps lexicographically ordered and
     connection lists sorted. Idempotent; total on well-formed IRs."""
-    subtrees = {
-        node_id: NodeSubtree(
-            connections=tuple(
-                sorted(ir.subtrees[node_id].connections, key=Connection.sort_key)
-            ),
-            serialized_contents=_canonical_value(
-                ir.subtrees[node_id].serialized_contents
-            ),
-        )
-        for node_id in sorted(ir.subtrees)
-    }
-    return VisualIR(
-        subtrees=subtrees,
-        source_language=ir.source_language,
-        source_path=ir.source_path,
-    )
+    subs = ir.subtrees.items()
+    return intern_ir(ir.source_language, ir.source_path,
+                     {i: (None, _canonical_value(sub.serialized_contents)) for i, sub in subs},
+                     {i: [c.sort_key() for c in sub.connections] for i, sub in subs}, {})
 
 
 def _canonical_value(value):
@@ -165,46 +183,33 @@ def dumps_ir(ir: VisualIR) -> str:
     parsers stamp nested subpatch IRs with the document's own language and
     path."""
     out: list[str] = []
-    _emit_object(
-        [
-            ("format", FORMAT_TAG),
-            ("language", ir.source_language.value),
-            ("source_path", ir.source_path),
-            ("subtrees", _SubtreesProxy(ir)),
-        ],
-        out,
-        0,
-    )
+    _emit(_Members([("format", FORMAT_TAG), ("language", ir.source_language.value),
+                    ("source_path", ir.source_path), ("subtrees", _subtrees(ir))]), out, 0)
     out.append("\n")
     return "".join(out)
 
 
-class _SubtreesProxy:
-    def __init__(self, ir: VisualIR):
-        self.ir = ir
+class _Members(tuple):
+    """The members of an object whose keys belong to the format, so they are
+    not escaped."""
+
+
+def _subtrees(ir: VisualIR) -> _Members:
+    return _Members(
+        (node_id, _Members([
+            ("connections", [[c.source_outlet, c.dest_node, c.dest_inlet]
+                             for c in sorted(sub.connections, key=Connection.sort_key)]),
+            ("contents", sub.serialized_contents),
+        ]))
+        for node_id, sub in sorted(ir.subtrees.items())
+    )
 
 
 def _emit(value, out: list[str], indent: int) -> None:
-    if isinstance(value, _SubtreesProxy):
-        items = [
-            (node_id, _SubtreeProxy(sub))
-            for node_id, sub in sorted(value.ir.subtrees.items())
-        ]
-        _emit_object(items, out, indent, escape_keys=False)
-    elif isinstance(value, _SubtreeProxy):
-        sub = value.subtree
-        conns = [
-            [c.source_outlet, c.dest_node, c.dest_inlet]
-            for c in sorted(sub.connections, key=Connection.sort_key)
-        ]
-        _emit_object(
-            [("connections", conns), ("contents", sub.serialized_contents)],
-            out,
-            indent,
-            escape_keys=False,
-        )
+    if isinstance(value, _Members):
+        _emit_object(value, out, indent, escape_keys=False)
     elif isinstance(value, VisualIR):
-        _emit_object([("$patch", _SubtreesProxy(value))], out, indent, escape_keys=False)
+        _emit_object([("$patch", _subtrees(value))], out, indent, escape_keys=False)
     elif isinstance(value, Num):
         out.append(value.raw)
     elif value is True:
@@ -244,13 +249,7 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (str, bool, int, Num))
 
 
-class _SubtreeProxy:
-    def __init__(self, subtree: NodeSubtree):
-        self.subtree = subtree
-
-
-def _emit_object(items, out: list[str], indent: int, escape_keys: bool = False) -> None:
-    items = list(items)
+def _emit_object(items, out: list[str], indent: int, escape_keys: bool) -> None:
     if not items:
         out.append("{}")
         return

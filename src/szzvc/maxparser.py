@@ -20,22 +20,21 @@ numbers under excluded keys (geometry, mostly) are never converted. The
 decoder has already checked their grammar. Bytes are no ``str``, so a
 numeric box id or patchline endpoint is still rejected.
 
-The one pass builds the canonical IR (see :mod:`szzvc.ir`): subtrees in
-sorted id order, each connection tuple sorted by ``Connection.sort_key``,
-every property map in sorted key order; lists keep the document's order.
+The one pass puts every property map in sorted key order, and
+:func:`szzvc.ir.intern_ir` builds each patcher's canonical IR from the boxes
+and wires; lists keep the document's order.
 
 Versions of one file share almost all of their boxes and patchlines, so the
 parser keeps what it builds in a :class:`MaxNodeTable`, keyed by each
 element's exact source text: an element seen before is not filtered again,
 nor decoded again where the layout lets its end be found without decoding,
-and a box node equal to one built before (same text, same sorted
-connections) is that same ``NodeSubtree`` object, which is hash-consing
-(Filliâtre and Conchon, ML 2006). The connections are checked against the
-box ids of the version at hand, in document order, as before. The document
-and patcher objects are read by the standard library's own JSON object
-reader, and an array the parser's own loop does not accept is read again by
-the standard library's array reader, so every syntax error reads as
-``json.loads`` words it, line included.
+and a box's text is its key for ``intern_ir``, which shares a node unchanged
+since an earlier parse. The connections are checked against the box ids of
+the version at hand, in document order. The document and patcher objects
+are read by the standard library's own JSON object reader, and an array the
+parser's own loop does not accept is read again by the standard library's
+array reader, so every syntax error reads as ``json.loads`` words it, line
+included.
 """
 
 from __future__ import annotations
@@ -47,12 +46,11 @@ from enum import Enum
 from .errors import ConfigError, PatchSyntaxError
 from .ir import (
     MAX_NESTING,
-    Connection,
     Language,
-    NodeSubtree,
     Num,
     VisualIR,
     canonicalize,  # noqa: F401  unused; perfbench traces maxparser.canonicalize by name
+    intern_ir,
 )
 
 GUARDED_KEYS = frozenset({"text", "maxclass", "patcher"})
@@ -122,11 +120,10 @@ class MaxNodeTable:
     - Each element text of an array in a top-level patcher (``boxes``,
       ``lines`` or any other) that was once decoded as a complete object.
     - Each box element's entry, one map per property filter: its id, its
-      filtered contents and, for each distinct sorted connection tuple, the
-      one ``NodeSubtree`` built from them (hash-consing), so an unchanged box
-      is the same object in every version that holds it. A box whose
-      contents nest a patcher is keyed with its file's path too, since the
-      nested IR carries the path.
+      key for :func:`~szzvc.ir.intern_ir` and its filtered contents. The key
+      is the box's text, and the text with its file's path for a box whose
+      contents nest a patcher, since the nested IR carries the path.
+    - The ``shared`` node map of ``intern_ir``, one per property filter.
     - Each patchline element's endpoints.
 
     A known text met again skips decoding only where the layout closes each
@@ -149,7 +146,7 @@ class MaxNodeTable:
     """
 
     def __init__(self):
-        self._boxes: dict[PropertyFilter, dict] = {}
+        self._boxes: dict[PropertyFilter, tuple[dict, dict]] = {}
         self._lines: dict[str, tuple[str, int, str, int]] = {}
         texts: set[str] = set()
         decoder = json.JSONDecoder(parse_int=str.encode, parse_float=str.encode,
@@ -275,9 +272,8 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter, source_path: str,
     boxes = patcher.get("boxes", [])
     if not isinstance(boxes, list):
         raise PatchSyntaxError("patcher boxes must be an array")
-    known = table._boxes.setdefault(prop_filter, {})
-    # box id -> (id, contents, NodeSubtrees by connections; None if not shared)
-    entries: dict[str, tuple] = {}
+    known, shared = table._boxes.setdefault(prop_filter, ({}, {}))
+    nodes: dict[str, tuple] = {}  # box id -> (key, contents); a key of None is not shared
     for item in boxes:
         text = entry = None
         if type(item) is tuple:  # an element of a top-level patcher
@@ -294,15 +290,17 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter, source_path: str,
                 raise PatchSyntaxError("box has no id")
         else:
             box_id = entry[0]
-        if box_id in entries:
+        if box_id in nodes:
             raise PatchSyntaxError(f"duplicate box id {box_id!r}")
         if entry is None:
             contents = _box_contents(box, prop_filter, source_path, depth, table)
-            entry = (box_id, contents, None if text is None else {})
-            if text is not None:
-                nested = isinstance(contents.get("patcher"), VisualIR)
-                known[(source_path, text) if nested else text] = entry
-        entries[box_id] = entry
+            key = text
+            if text is not None and isinstance(contents.get("patcher"), VisualIR):
+                key = (source_path, text)
+            entry = (box_id, key, contents)
+            if key is not None:
+                known[key] = entry
+        nodes[box_id] = entry[1:]
 
     lines = patcher.get("lines", [])
     if not isinstance(lines, list):
@@ -323,30 +321,15 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter, source_path: str,
             if text is not None:
                 table._lines[text] = wire
         src_id, outlet, dst_id, inlet = wire
-        if src_id not in entries:
+        if src_id not in nodes:
             raise PatchSyntaxError(f"patchline source references unknown box {src_id!r}")
-        if dst_id not in entries:
+        if dst_id not in nodes:
             raise PatchSyntaxError(
                 f"patchline destination references unknown box {dst_id!r}"
             )
         wires.setdefault(src_id, []).append((dst_id, outlet, inlet))
 
-    subtrees = {}
-    for box_id in sorted(entries):
-        _, contents, shared = entries[box_id]
-        # (dest id, outlet, inlet) tuples sort in Connection.sort_key order
-        conns = tuple(sorted(wires[box_id])) if box_id in wires else ()
-        subtree = shared.get(conns) if shared is not None else None
-        if subtree is None:
-            subtree = NodeSubtree(
-                tuple(Connection(outlet, dest, inlet) for dest, outlet, inlet in conns),
-                contents,
-            )
-            if shared is not None:
-                shared[conns] = subtree
-        subtrees[box_id] = subtree
-    return VisualIR(subtrees=subtrees, source_language=Language.MAX_MSP,
-                    source_path=source_path)
+    return intern_ir(Language.MAX_MSP, source_path, nodes, wires, shared)
 
 
 def _endpoint(line: dict, key: str) -> tuple[str, int]:

@@ -387,9 +387,8 @@ class MiningCache:
     :class:`~szzvc.pdparser.PdNodeTable` and a
     :class:`~szzvc.maxparser.MaxNodeTable`, which every parse of the run in
     that language shares: each distinct Pd record text, Max box text and Max
-    patchline text of any file is tokenized or filtered once, and a node
-    unchanged between two versions is one ``NodeSubtree`` object, which the
-    diff skips by identity.
+    patchline text of any file is tokenized or filtered once, and the nodes
+    are shared between versions as :func:`~szzvc.ir.intern_ir` says.
     """
 
     def __init__(self, repo: Repository, config: MinerConfig):

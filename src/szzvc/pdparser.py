@@ -25,10 +25,9 @@ appends to a box's atoms as an unescaped ``, f <int>``.
 
 Versions of one file share almost all of their records, so the parser keeps
 what it builds in a :class:`PdNodeTable`: a record text seen before is not
-tokenized again, and a node equal to one built before (contents and sorted
-connections) is that same ``NodeSubtree`` object, which is hash-consing
-(Filliâtre and Conchon, ML 2006). The IR comes out in canonical form
-directly. A record's line span is counted only when an error names it.
+tokenized again, and each canvas is built by :func:`szzvc.ir.intern_ir`,
+which shares a node unchanged since an earlier parse. A record's line span
+is counted only when an error names it.
 """
 
 from __future__ import annotations
@@ -41,12 +40,11 @@ from .errors import PatchSyntaxError
 from .ir import (
     MAX_NESTING,
     NUMBER_RE,
-    Connection,
     Language,
-    NodeSubtree,
     Num,
     VisualIR,
     canonicalize,  # noqa: F401  unused; perfbench traces pdparser.canonicalize by name
+    intern_ir,
 )
 
 NODE_ELEMENTS = {"obj", "msg", "text", "floatatom", "symbolatom", "number", "array"}
@@ -196,11 +194,9 @@ class PdNodeTable:
       contents, connect indices, array values), one map per
       ``include_layout``.
     - Each distinct node contents map, once, with an integer tag.
-    - Each distinct node, keyed by its contents tag and its sorted
-      connections, as one ``NodeSubtree`` (hash-consing): an unchanged node
-      is the same object in every version that holds it.
-    - The ``obj-<k>`` ids and their lexicographic order for each node count,
-      built as parses first need them.
+    - The ``shared`` node map of :func:`~szzvc.ir.intern_ir`, in which a
+      node's key is its contents tag.
+    - The ``obj-<k>`` ids, built as parses first need them.
 
     Nothing in it is changed once built; it only grows. A
     :class:`~szzvc.miner.MiningCache` owns one for its run, and ``parse_pd``
@@ -210,9 +206,8 @@ class PdNodeTable:
     def __init__(self):
         self._forms: tuple[dict[str, tuple], dict[str, tuple]] = ({}, {})
         self._contents: dict[tuple, tuple[int, dict]] = {}
-        self._subtrees: dict[object, NodeSubtree] = {}
+        self._subtrees: dict = {}
         self._ids: list[str] = []
-        self._orders: dict[int, list[int]] = {}
 
     def _form(self, record: PdRecord, include_layout: bool) -> tuple:
         if record.chunk == "A":
@@ -253,10 +248,7 @@ class PdNodeTable:
         ids = self._ids
         if len(ids) < count:
             ids.extend(f"obj-{k}" for k in range(len(ids), count))
-        order = self._orders.get(count)
-        if order is None:  # ordinals in lexicographic id order: obj-10 before obj-2
-            order = self._orders[count] = sorted(range(count), key=ids.__getitem__)
-        wires: dict[int, list[tuple[str, int, int]]] = {}
+        wires: dict[str, list[tuple[str, int, int]]] = {}
         for i in connects:
             _, indices, message = forms[i]
             if message is not None:
@@ -266,25 +258,9 @@ class PdNodeTable:
                 raise error(i, "connect index out of range")
             if outlet < 0 or inlet < 0:
                 raise error(i, "connect ports must be >= 0")
-            wires.setdefault(src, []).append((ids[dst], outlet, inlet))
-        shared = self._subtrees
-        subtrees = {}
-        for k in order:
-            tag, contents = nodes[k]
-            # (dest id, outlet, inlet) tuples sort in Connection.sort_key order
-            conns = tuple(sorted(wires[k])) if k in wires else ()
-            key = (tag, conns) if conns else tag
-            subtree = shared.get(key) if tag is not None else None
-            if subtree is None:
-                subtree = NodeSubtree(
-                    tuple(Connection(outlet, dest, inlet) for dest, outlet, inlet in conns),
-                    contents,
-                )
-                if tag is not None:
-                    shared[key] = subtree
-            subtrees[ids[k]] = subtree
-        return VisualIR(subtrees=subtrees, source_language=Language.PURE_DATA,
-                        source_path=source_path)
+            wires.setdefault(ids[src], []).append((ids[dst], outlet, inlet))
+        return intern_ir(Language.PURE_DATA, source_path, dict(zip(ids, nodes)), wires,
+                         self._subtrees)
 
 
 def parse_pd(text: str, include_layout: bool = False, source_path: str = "",

@@ -172,6 +172,13 @@ def _candidate_dict(candidate: InducingCandidate) -> dict:
 
 
 def dumps_report(report: dict) -> str:
+    """The report as JSON text, keys sorted, strings ASCII-escaped. A path
+    that is not UTF-8 is written as ``os.fsdecode`` reads it, one lone
+    surrogate ``\\udcXX`` per undecodable byte (``p\\xe9.pd`` is
+    ``"p\\udce9.pd"``). Valid UTF-8 never yields U+DC80 to U+DCFF, so
+    ``os.fsencode`` of the loaded string gives the bytes back exactly; but a
+    lone surrogate is not valid Unicode, and a strict I-JSON (RFC 7493)
+    reader may refuse the report."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

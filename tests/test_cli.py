@@ -421,6 +421,39 @@ def _section(*candidates):
     return {"candidates": [{"inducing_commit": c} for c in candidates]}
 
 
+def test_score_methods_with_different_candidates(tmp_path, capsys):
+    # reviewers label each distinct pair once: a verdict for a candidate
+    # that only one method found scores that method alone
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": SCHEMA, "fixing_commits": [
+        {"commit": "f", "language": "pure-data",
+         "methods": {"szz-vc-max": _section("a"), "textual": _section("a", "b")}}]}))
+    verdicts = tmp_path / "verdicts.jsonl"
+
+    def write_verdicts(*labelled):
+        verdicts.write_text("".join(
+            json.dumps({"fixing_commit": "f", "inducing_commit": c, "label": label}) + "\n"
+            for c, label in labelled))
+
+    write_verdicts(("a", "TP"), ("b", "FP"))
+    eval_path = tmp_path / "eval.json"
+    code, _, err = run_cli(capsys, "score", str(report), str(verdicts),
+                           "--out", str(eval_path))
+    assert code == 0, err
+    data = json.loads(eval_path.read_text())
+    assert [(r["tp"], r["fp"], r["precision"]) for r in data["szz-vc-max"]["rows"]] == \
+        [(1, 0, 1.0)]
+    assert [(r["tp"], r["fp"], r["precision"]) for r in data["textual"]["rows"]] == \
+        [(1, 1, 0.5)]
+    # a verdict that no method's candidates hold is still refused
+    write_verdicts(("a", "TP"), ("b", "FP"), ("c", "TP"))
+    code, out, err = run_cli(capsys, "score", str(report), str(verdicts),
+                             "--allow-partial")
+    assert code == 2
+    assert "verdicts for unknown candidates: f/c" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("text", [
     "{not json",
     json.dumps({"schema": SCHEMA, "fixing_commits": {"c3": {}}}),

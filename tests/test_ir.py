@@ -8,6 +8,7 @@ from szzvc.ir import (
     VisualIR,
     canonicalize,
     dumps_ir,
+    intern_ir,
     leaf_equal,
 )
 
@@ -25,6 +26,27 @@ def _ir(order):
 def test_canonicalize_orders_subtrees():
     ir = canonicalize(_ir(["obj-1", "obj-0"]))
     assert list(ir.subtrees) == ["obj-0", "obj-1"]
+
+
+def test_intern_ir_shares_a_keyed_node_with_the_same_wires():
+    shared = {}
+
+    def build(wires, key="k"):
+        nodes = {"obj-1": (None, {"text": "b"}), "obj-0": (key, {"text": "a"})}
+        return intern_ir(Language.PURE_DATA, "x.pd", nodes, wires, shared)
+
+    first = build({"obj-0": [("obj-1", 1, 0), ("obj-1", 0, 0)]})
+    assert list(first.subtrees) == ["obj-0", "obj-1"]
+    assert first.subtrees["obj-0"].connections == (Connection(0, "obj-1", 0),
+                                                   Connection(1, "obj-1", 0))
+    again = build({"obj-0": [("obj-1", 0, 0), ("obj-1", 1, 0)]})
+    assert again.subtrees["obj-0"] is first.subtrees["obj-0"]
+    assert again.subtrees["obj-1"] is not first.subtrees["obj-1"]  # keyed None
+    rewired = build({"obj-0": [("obj-1", 0, 0)]})
+    assert rewired.subtrees["obj-0"] is not first.subtrees["obj-0"]
+    unkeyed = build({"obj-0": [("obj-1", 0, 0), ("obj-1", 1, 0)]}, key=None)
+    assert unkeyed.subtrees["obj-0"] is not first.subtrees["obj-0"]
+    assert unkeyed == first
 
 
 def test_canonicalize_idempotent():
