@@ -11,12 +11,11 @@ commit id costs a ``rev-parse``, and a commit outside the index one more walk,
 over its own ancestors.
 
 Two long-lived git processes answer the reads, each started by its first
-request and spoken to one request/reply pair at a time under its own lock,
-so threads may share one instance. ``close()``, or leaving a ``with`` block,
-ends both; a ``weakref.finalize`` ends each when the instance is garbage
-collected or the interpreter exits; a reply read only in part (an exception
-or an interrupt mid-read) ends its process too, and the next request starts
-a new one.
+request and spoken to one request/reply pair at a time. ``close()``, or
+leaving a ``with`` block, ends both; a ``weakref.finalize`` ends each when
+the instance is garbage collected or the interpreter exits; a reply read
+only in part (an exception or an interrupt mid-read) ends its process too,
+and the next request starts a new one.
 
 - File contents come from ``git cat-file --batch``. The batch protocol reads
   one name per line and drops a carriage return before the newline, so a
@@ -43,7 +42,6 @@ from __future__ import annotations
 import os
 import re
 import subprocess
-import threading
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -88,6 +86,7 @@ class LogEntry:
     commit_time: datetime
     parents: tuple[str, ...]
     changes: tuple[ChangedFile, ...]
+    message: str
 
 
 def _blob(oid: str) -> str | None:
@@ -141,31 +140,25 @@ class _Reader:
         self._argv = argv
         self.proc: subprocess.Popen | None = None
         self._end: weakref.finalize | None = None
-        self._lock = threading.Lock()
 
     def ask(self, request: bytes,
             read_reply: Callable[[BinaryIO], _Reply]) -> _Reply:
-        with self._lock:
-            try:
-                if self.proc is None:
-                    self.proc = subprocess.Popen(
-                        self._argv, stdin=subprocess.PIPE,
-                        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                        env=_git_env(),
-                    )
-                    self._end = weakref.finalize(self, _end_process, self.proc)
-                self.proc.stdin.write(request)
-                self.proc.stdin.flush()
-                return read_reply(self.proc.stdout)
-            except BaseException:
-                self._close()  # a half-read reply would desync the next
-                raise
+        try:
+            if self.proc is None:
+                self.proc = subprocess.Popen(
+                    self._argv, stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                    env=_git_env(),
+                )
+                self._end = weakref.finalize(self, _end_process, self.proc)
+            self.proc.stdin.write(request)
+            self.proc.stdin.flush()
+            return read_reply(self.proc.stdout)
+        except BaseException:
+            self.close()  # a half-read reply would desync the next
+            raise
 
     def close(self) -> None:
-        with self._lock:
-            self._close()
-
-    def _close(self) -> None:
         if self._end is not None:
             self._end()
         self.proc = self._end = None
@@ -211,9 +204,7 @@ class Repository:
     def __init__(self, path: str):
         self.path = str(path)
         self._entries: dict[str, LogEntry] = {}
-        self._messages: dict[str, str] = {}
         self._walks: dict[str, tuple[str, ...]] = {}  # walked head -> log order
-        self._walk_lock = threading.Lock()
         self._blobs = _Reader(["git", "-C", self.path, "cat-file", "--batch"])
         self._diffs = _Reader([
             "git", "-C", self.path, "diff-tree", "--stdin", "--no-commit-id",
@@ -262,56 +253,53 @@ class Repository:
 
     def _walk(self, head_id: str) -> None:
         """Index ``head_id`` and every ancestor from one ``git log --raw``."""
-        with self._walk_lock:
-            if head_id in self._walks:
-                return
-            out = self._run(
-                "log", "-z", "--root", "--diff-merges=first-parent",
-                "--find-renames", "--raw", "--no-abbrev",
-                f"--format={_HDR}%H{_SEP}%ct{_SEP}%P{_SEP}%B", head_id,
+        if head_id in self._walks:
+            return
+        out = self._run(
+            "log", "-z", "--root", "--diff-merges=first-parent",
+            "--find-renames", "--raw", "--no-abbrev",
+            f"--format={_HDR}%H{_SEP}%ct{_SEP}%P{_SEP}%B", head_id,
+        )
+        # a message or a path holds any byte but NUL: read NUL-separated
+        # fields, where a header opens a commit and a raw entry (after a
+        # newline when it is the commit's first) takes its path fields.
+        # A path keeps its bytes (os.fsdecode, which read_file undoes);
+        # a message that is not UTF-8 is read with replacement characters.
+        commits: list[tuple[str, list[ChangedFile]]] = []
+        opening = _HDR.encode()
+        fields = iter(out.split(b"\x00"))
+        for chunk in fields:
+            if chunk.startswith(opening):
+                commits.append((chunk[1:].decode("utf-8", "replace"), []))
+            elif meta := chunk.lstrip(b"\n").decode("ascii"):
+                n_paths = 2 if meta.rsplit(" ", 1)[1][0] in "RC" else 1
+                change = _change(meta, [os.fsdecode(next(fields))
+                                        for _ in range(n_paths)])
+                if change is not None:
+                    commits[-1][1].append(change)
+        entries: dict[str, LogEntry] = {}
+        for header, changes in commits:
+            commit_id, epoch, parents, message = header.split(_SEP, 3)
+            entries[commit_id] = LogEntry(
+                commit_id=commit_id,
+                commit_time=datetime.fromtimestamp(int(epoch), tz=timezone.utc),
+                parents=tuple(parents.split()),
+                changes=tuple(changes),
+                message=message,
             )
-            # a message or a path holds any byte but NUL: read NUL-separated
-            # fields, where a header opens a commit and a raw entry (after a
-            # newline when it is the commit's first) takes its path fields.
-            # A path keeps its bytes (os.fsdecode, which read_file undoes);
-            # a message that is not UTF-8 is read with replacement characters.
-            commits: list[tuple[str, list[ChangedFile]]] = []
-            opening = _HDR.encode()
-            fields = iter(out.split(b"\x00"))
-            for chunk in fields:
-                if chunk.startswith(opening):
-                    commits.append((chunk[1:].decode("utf-8", "replace"), []))
-                elif meta := chunk.lstrip(b"\n").decode("ascii"):
-                    n_paths = 2 if meta.rsplit(" ", 1)[1][0] in "RC" else 1
-                    change = _change(meta, [os.fsdecode(next(fields))
-                                            for _ in range(n_paths)])
-                    if change is not None:
-                        commits[-1][1].append(change)
-            entries: dict[str, LogEntry] = {}
-            messages: dict[str, str] = {}
-            for header, changes in commits:
-                commit_id, epoch, parents, message = header.split(_SEP, 3)
-                messages[commit_id] = message
-                entries[commit_id] = LogEntry(
-                    commit_id=commit_id,
-                    commit_time=datetime.fromtimestamp(int(epoch), tz=timezone.utc),
-                    parents=tuple(parents.split()),
-                    changes=tuple(changes),
-                )
-            # readers take no lock: an id becomes visible with its ancestors
-            self._messages.update(messages)
-            self._entries.update(entries)
-            self._walks[head_id] = tuple(entries)
+        self._entries.update(entries)
+        self._walks[head_id] = tuple(entries)
 
     def log_entry(self, rev: str) -> LogEntry:
-        """The indexed entry of one commit: time, parents and changes."""
+        """The indexed entry of one commit: time, parents, changes and
+        message."""
         return self._entries[self._indexed(rev)]
 
     def commit_time(self, rev: str) -> datetime:
         return self.log_entry(rev).commit_time
 
     def commit_message(self, rev: str) -> str:
-        return self._messages[self._indexed(rev)]
+        return self.log_entry(rev).message
 
     def read_file(self, rev: str, path: str) -> bytes | None:
         """File content at a revision, or None when absent there or not a
@@ -361,10 +349,8 @@ class Repository:
         newest first. Used for fixing-commit identification."""
         head_id = self._indexed(head)
         self._walk(head_id)  # a no-op once ``head_id`` headed a walk
-        return tuple(
-            (commit_id, self._entries[commit_id].commit_time, self._messages[commit_id])
-            for commit_id in self._walks[head_id]
-        )
+        entries = (self._entries[commit_id] for commit_id in self._walks[head_id])
+        return tuple((e.commit_id, e.commit_time, e.message) for e in entries)
 
     def changed_files(self, rev: str) -> tuple[ChangedFile, ...]:
         """Changes of one commit vs its first parent (full tree for a root)."""

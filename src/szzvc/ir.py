@@ -11,8 +11,7 @@ exactly when their serialized text is byte-equal. :func:`intern_ir` is the
 one place an IR and its nodes are built: both parsers say what each node is
 and pass it there, and :func:`canonicalize`, for IRs built by hand, does the
 same. All values are immutable after construction (frozen dataclasses; dicts
-are never mutated once built), so IRs and their nodes can be shared freely,
-also between threads.
+are never mutated once built), so IRs and their nodes can be shared freely.
 
 Numbers keep their source spelling: ``Num`` stores the original token next to
 the parsed value. Serialization emits the token verbatim while the diff

@@ -14,10 +14,10 @@ Pipeline per fixing commit and visual file:
    matching retries at successively shallower depths until some commit
    touched the enclosing subtree; node-level additions yield nothing.
 
-Unparseable file versions (hand-edited patches) are recorded as per-file
-failures: the fixing side skips the file, a historical side skips that
-commit and the walk continues. The time filter afterwards drops candidates
-committed after the linked bug report.
+Unparseable file versions (hand-edited patches) are recorded as failures,
+each version (commit and path) once per fix: a failing fix step skips the
+file, a failing historical step is skipped and the walk continues. The time
+filter afterwards drops candidates committed after the linked bug report.
 
 Fixing commits on one file share most of their history, so a run keeps one
 :class:`MiningCache`: each file version is read and parsed once, keyed by its
@@ -378,10 +378,9 @@ class MiningCache:
     """One run's parsed file versions and history-step diffs, keyed by blob id.
 
     Built for one repository and config and shared by every fixing commit
-    of the run. It takes no lock: threads sharing one instance may compute
-    an entry twice, with equal results. An unparseable version is kept as its
-    ``PatchSyntaxError`` and raised again at each use, so every fix that
-    meets it records the failure.
+    of the run. An unparseable version is kept as its ``PatchSyntaxError``
+    and raised again at each use, so every fix that meets it records the
+    failure.
 
     It also owns the run's node tables, a
     :class:`~szzvc.pdparser.PdNodeTable` and a
@@ -476,12 +475,21 @@ def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
 
 def _diff_or_failure(cache: MiningCache, language: Language, step: HistoryStep,
                      failures: list[AnalysisFailure]) -> IRDiff | None:
-    """The step's diff; None, with the failure recorded, when unparseable."""
+    """The step's diff; None when a side is unparseable, with each version
+    that failed recorded once per fix."""
     try:
         return cache.step_diff(language, step)
-    except PatchSyntaxError as exc:
-        failures.append(AnalysisFailure(step.entry.commit_id, step.path_new, str(exc)))
-        return None
+    except PatchSyntaxError:
+        pass
+    for blob, rev, path in ((step.old_blob, step.parent, step.path_old),
+                            (step.new_blob, step.entry.commit_id, step.path_new)):
+        try:
+            cache.ir(language, blob, rev, path)
+        except PatchSyntaxError as exc:
+            failure = AnalysisFailure(rev, path, str(exc))
+            if failure not in failures:
+                failures.append(failure)
+    return None
 
 
 def _mine_file(

@@ -1,10 +1,7 @@
 import gc
 import os
-import random
 import re
 import subprocess
-import sys
-import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -200,44 +197,15 @@ def test_newline_path_reads_without_the_batch_reader(repo_fixture):
     assert repo._blobs.proc is None
 
 
-def test_concurrent_reads_share_one_reader(repo_fixture):
-    files = {f"f{k}.pd": f"{k}\n" * (k * 700 + 1) for k in range(6)}
-    c1 = repo_fixture.commit(files, "c1", T1)
-    repo = Repository(str(repo_fixture.path))
-    mismatches = []
-
-    def reader(offset: int) -> None:
-        paths = sorted(files)
-        for n in range(60):
-            path = paths[(n + offset) % len(paths)]
-            if repo.read_file(c1, path) != files[path].encode():
-                mismatches.append(path)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert mismatches == []
-    process = repo._blobs.proc
-    repo.close()
-    assert process.returncode is not None and repo._blobs.proc is None
-    assert repo.read_file(c1, "f1.pd") == files["f1.pd"].encode()  # restarts
-    repo.close()
-
-
 def test_context_manager_ends_the_reader(repo_fixture):
     c1 = repo_fixture.commit({"a.pd": "a\n"}, "c1", T1)
     with Repository(str(repo_fixture.path)) as repo:
         assert repo.read_file(c1, "a.pd") == b"a\n"
         process = repo._blobs.proc
-    assert process.returncode is not None
+    assert process.returncode is not None and repo._blobs.proc is None
+    assert repo.read_file(c1, "a.pd") == b"a\n"  # a new reader starts
+    assert repo._blobs.proc not in (None, process)
+    repo.close()
 
 
 _STATUS = {"M": "modified", "A": "added", "D": "deleted", "R": "renamed-from"}
@@ -360,11 +328,10 @@ def _requests(monkeypatch, repo) -> list[bytes]:
 def test_one_diff_reader_serves_every_step(repo_fixture, monkeypatch):
     # a.pd flips between two versions, so its blob pair comes back
     flip = ("x\ny\n", "x\nY\n")
-    commits = [
-        repo_fixture.commit({"a.pd": flip[k % 2], "b.pd": f"b\n{k}\n" * 3,
-                             "c.pd": "c\n" * k + "end\n"}, f"c{k}", T1)
-        for k in range(6)
-    ]
+    versions = [{"a.pd": flip[k % 2], "b.pd": f"b\n{k}\n" * 3,
+                 "c.pd": "c\n" * k + "end\n"} for k in range(6)]
+    commits = [repo_fixture.commit(files, f"c{k}", T1)
+               for k, files in enumerate(versions)]
     repo = Repository(str(repo_fixture.path))
     steps = _steps(repo)
     assert len(steps) == 15  # three files in each of five steps
@@ -386,6 +353,18 @@ def test_one_diff_reader_serves_every_step(repo_fixture, monkeypatch):
 
     got = within(60, run)
     assert got == {step: _one_shot_hunks(repo_fixture, *step[2:]) for step in steps}
+
+    def again():
+        # the reader is asked again, with blob reads between its replies
+        repo._hunks.clear()
+        for n, step in enumerate(steps):
+            assert repo.line_hunks(*step) == got[step]
+            commit, files = commits[n % 6], versions[n % 6]
+            for path, text in files.items():
+                assert repo.read_file(commit, path) == text.encode()
+        assert len(sent) == 10
+
+    within(60, again)
     repo.close()
     # memoized by blob pair: no further git call of any kind
     monkeypatch.setattr(repo, "_diffs", None)
@@ -511,47 +490,3 @@ def test_diff_reader_lifetime(repo_fixture, monkeypatch):
         assert process.returncode is not None
 
     within(60, run)
-
-
-def test_concurrent_line_hunks_and_reads(repo_fixture, monkeypatch):
-    rng = random.Random(5)
-    lines = {path: [f"{path} {n}" for n in range(300)] for path in ("g.pd", "h.pd")}
-    contents = []
-    for k in range(16):
-        for path in lines:
-            for _ in range(4):
-                lines[path][rng.randrange(300)] = f"{path} {k} {rng.random()}"
-        files = {path: "\n".join(body) + "\n" for path, body in lines.items()}
-        contents.append((repo_fixture.commit(files, f"c{k}", T1), files))
-    repo = Repository(str(repo_fixture.path))
-    steps = _steps(repo)
-    assert len(steps) == 30
-    expected = {step: _one_shot_hunks(repo_fixture, *step[2:]) for step in steps}
-    _no_one_shot(monkeypatch, repo)
-    mismatches = []
-
-    def worker(offset: int) -> None:
-        for n in range(len(steps)):
-            step = steps[(n * 7 + offset) % len(steps)]
-            if repo.line_hunks(*step) != expected[step]:
-                mismatches.append(step)
-            commit, files = contents[(n + offset) % len(contents)]
-            for path, text in files.items():
-                if repo.read_file(commit, path) != text.encode():
-                    mismatches.append((commit, path))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):  # each round asks the reader again
-            repo._hunks.clear()
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert mismatches == []
-    repo.close()
