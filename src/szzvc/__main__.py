@@ -1,0 +1,6 @@
+"""``python -m szzvc``: the ``szzvc`` command."""
+
+from .cli import entrypoint
+
+if __name__ == "__main__":
+    entrypoint()

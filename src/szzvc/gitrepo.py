@@ -1,5 +1,5 @@
-"""Read-only access to a local git clone: one indexed history walk, one blob
-reader, one diff reader.
+"""Read-only access to a local git clone: one indexed history walk, one
+object reader, one diff reader.
 
 History comes from one ``git log -z --raw`` walk over every ancestor of the
 queried head, with merges diffed against their first parent, renames
@@ -7,20 +7,24 @@ detected and full blob ids kept. It is parsed once into a commit index (id to
 parents, committer time, message and changed files). ``log_entry``,
 ``all_commits``, ``first_parent_log``, ``changed_files``, ``commit_time`` and
 ``commit_message`` answer from the index. A name that is not an indexed
-commit id costs a ``rev-parse``, and a commit outside the index one more walk,
-over its own ancestors.
+commit id is resolved by the object reader, and a commit outside the index
+costs one more walk, over its own ancestors.
 
-Two long-lived git processes answer the reads, each started by its first
-request and spoken to one request/reply pair at a time. ``close()``, or
-leaving a ``with`` block, ends both; a ``weakref.finalize`` ends each when
-the instance is garbage collected or the interpreter exits; a reply read
-only in part (an exception or an interrupt mid-read) ends its process too,
-and the next request starts a new one.
+Beside the walk, two long-lived git processes answer requests, one
+request/reply pair at a time. The object reader starts with the ``Repository``: its reply
+to a first request is what shows the repository readable. The diff reader
+starts with its first request. ``close()``, or leaving a ``with`` block, ends
+both; a ``weakref.finalize`` ends each when the instance is garbage collected
+or the interpreter exits; a reply read only in part (an exception or an
+interrupt mid-read) ends its process too, and the next request starts a new
+one.
 
-- File contents come from ``git cat-file --batch``. The batch protocol reads
-  one name per line and drops a carriage return before the newline, so a
-  spec containing ``\\n`` or ending in ``\\r`` is read with a one-shot
-  ``cat-file blob``.
+- ``git cat-file --batch`` answers ``read_file`` with file contents and
+  ``rev_parse`` with the commit a ``<rev>^{commit}`` name peels to. The batch
+  protocol reads one name per line, drops a carriage return before the
+  newline and ends a name at a NUL. So a name holding a NUL names no object,
+  and a name holding ``\\n`` or ending in ``\\r`` is first resolved to an
+  object id by a one-shot ``rev-parse --verify``.
 - ``line_hunks`` reads the hunk headers of ``git diff-tree --stdin -p -U0``
   between two commits, with every flag that affects the line alignment
   pinned so that user or repository config cannot change it; every git
@@ -164,18 +168,34 @@ class _Reader:
         self.proc = self._end = None
 
 
-def _read_blob(out: BinaryIO) -> bytes | None:
-    """One ``cat-file --batch`` reply: the blob, or None for anything else."""
-    header = out.readline().split()
+def _batch_carries(name: str) -> bool:
+    """Whether ``cat-file --batch`` reads ``name`` as sent: it reads one name
+    per line, drops a carriage return before the newline and ends a name at
+    a NUL."""
+    return not ("\n" in name or "\x00" in name or name.endswith("\r"))
+
+
+# (type, object id, content) of one ``cat-file --batch`` reply; the type is
+# b"missing" or b"ambiguous", with an empty id and content, when the name
+# names no single object
+_Object = tuple[bytes, bytes, bytes]
+_NO_OBJECT: _Object = (b"missing", b"", b"")
+
+
+def _read_object(out: BinaryIO) -> _Object:
+    """One ``cat-file --batch`` reply, read whole (a commit's or a tree's
+    content too) so that the next reply starts on its header."""
+    header = out.readline()
     if not header:
         raise GitError("git cat-file --batch ended unexpectedly")
-    if header[-1] in (b"missing", b"ambiguous"):
-        return None
-    _, kind, size = header
+    status = header.rsplit(None, 1)[-1]  # ``<name> missing``: a name may hold spaces
+    if status in (b"missing", b"ambiguous"):
+        return status, b"", b""
+    oid, kind, size = header.split()
     data = out.read(int(size) + 1)[:-1]  # content, then LF
     if len(data) != int(size):
         raise GitError("git cat-file --batch ended unexpectedly")
-    return data if kind == b"blob" else None
+    return kind, oid, data
 
 
 def _read_patch(out: BinaryIO) -> dict[tuple[str, str], tuple[Hunk, ...]]:
@@ -205,15 +225,17 @@ class Repository:
         self.path = str(path)
         self._entries: dict[str, LogEntry] = {}
         self._walks: dict[str, tuple[str, ...]] = {}  # walked head -> log order
-        self._blobs = _Reader(["git", "-C", self.path, "cat-file", "--batch"])
+        self._objects = _Reader(["git", "-C", self.path, "cat-file", "--batch"])
         self._diffs = _Reader([
             "git", "-C", self.path, "diff-tree", "--stdin", "--no-commit-id",
             "-r", "-M", "-p", "--full-index", *_DIFF_FLAGS,
         ])
         self._hunks: dict[tuple[str, str], tuple[Hunk, ...]] = {}
         try:
-            self._run("rev-parse", "--git-dir")
-        except GitError as exc:
+            # any reply, ``missing`` for an unborn HEAD too, shows the
+            # repository readable; outside one, git exits before reading
+            self._object("HEAD")
+        except (GitError, BrokenPipeError) as exc:
             raise GitError(f"not a readable git repository: {self.path}") from exc
 
     def __enter__(self) -> "Repository":
@@ -223,8 +245,8 @@ class Repository:
         self.close()
 
     def close(self) -> None:
-        """End the blob and diff readers; a later request starts a new one."""
-        self._blobs.close()
+        """End the object and diff readers; a later request starts a new one."""
+        self._objects.close()
         self._diffs.close()
 
     def _run(self, *args: str) -> bytes:
@@ -239,8 +261,40 @@ class Repository:
             )
         return proc.stdout
 
+    def _object(self, name: str) -> _Object:
+        """The object reader's reply for ``name``. A name the batch protocol
+        cannot carry is first resolved to an id by a one-shot ``rev-parse``,
+        unless it holds a NUL: no object name does, nor can an argument."""
+        if not _batch_carries(name):
+            if "\x00" in name:
+                return _NO_OBJECT
+            proc = subprocess.run(
+                ["git", "-C", self.path, "rev-parse", "--verify", "--quiet",
+                 "--end-of-options", name],
+                capture_output=True, env=_git_env(),
+            )
+            if proc.returncode != 0:
+                return _NO_OBJECT
+            name = proc.stdout.decode().strip()
+        return self._objects.ask(os.fsencode(name) + b"\n", _read_object)
+
     def rev_parse(self, rev: str) -> str:
-        return self._run("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+        """Full id of the commit that ``rev^{commit}`` names, as ``git
+        rev-parse --verify rev^{commit}`` gives it: a tag is peeled to its
+        commit, and a name of no object, of several, or of an object that
+        does not peel to a commit raises a GitError that names ``rev``. The
+        object reader answers; a name holding a newline, or ending in a
+        carriage return, costs a one-shot ``rev-parse``, and a name holding
+        a NUL names nothing."""
+        kind, oid, _ = self._object(f"{rev}^{{commit}}")
+        if kind == b"commit":
+            return oid.decode()
+        kind = self._object(rev)[0]  # only to say why
+        if kind in (b"tree", b"blob", b"tag"):
+            raise GitError(f"not a commit: {rev!r} names a {kind.decode()}")
+        if kind == b"ambiguous":
+            raise GitError(f"ambiguous revision {rev!r}")
+        raise GitError(f"unknown revision {rev!r}")
 
     def _indexed(self, rev: str) -> str:
         """Commit id of ``rev``; the commit and its ancestors are indexed."""
@@ -304,14 +358,8 @@ class Repository:
     def read_file(self, rev: str, path: str) -> bytes | None:
         """File content at a revision, or None when absent there or not a
         file (a tree or a gitlink)."""
-        spec = f"{rev}:{path}"
-        if "\n" in spec or spec.endswith("\r"):
-            proc = subprocess.run(
-                ["git", "-C", self.path, "cat-file", "blob", spec],
-                capture_output=True, env=_git_env(),
-            )
-            return proc.stdout if proc.returncode == 0 else None
-        return self._blobs.ask(os.fsencode(spec) + b"\n", _read_blob)
+        kind, _, content = self._object(f"{rev}:{path}")
+        return content if kind == b"blob" else None
 
     def line_hunks(self, old_commit: str, new_commit: str, old_blob: str,
                    new_blob: str) -> tuple[Hunk, ...]:

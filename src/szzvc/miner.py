@@ -266,7 +266,7 @@ def identify_fixing_commits(
                     commit_id = repo.rev_parse(rev)
                 except GitError as exc:
                     raise ConfigError(
-                        f"issue {issue.issue_key} names unknown commit {rev}: {exc}"
+                        f"issue {issue.issue_key} names unknown commit {rev!r}: {exc}"
                     )
                 # explicit links win: they carry the report time
                 selected[commit_id] = FixingCommit(

@@ -197,6 +197,31 @@ def within(seconds: float, work):
 
 
 @pytest.fixture
+def git_processes(monkeypatch):
+    """The git processes ``szzvc.gitrepo`` starts from now on, each as its
+    two arguments after ``git -C <path>``."""
+    from szzvc import gitrepo
+
+    real = gitrepo.subprocess
+    started = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def run(self, argv, *args, **kwargs):
+            started.append(argv[3:5])
+            return real.run(argv, *args, **kwargs)
+
+        def Popen(self, argv, *args, **kwargs):
+            started.append(argv[3:5])
+            return real.Popen(argv, *args, **kwargs)
+
+    monkeypatch.setattr(gitrepo, "subprocess", Recording())
+    return started
+
+
+@pytest.fixture
 def repo_fixture(tmp_path):
     return RepoFixture(tmp_path / "repo")
 

@@ -3,9 +3,11 @@
 Flattens both IRs to (path -> leaf marker) maps, set-compares them, and
 checks the engine's records against the resulting changed-path set without
 reusing any engine traversal code. Also provides a test-only patch operation
-for the composition-soundness property, and a character-at-a-time reference
-for the Pd record splitter.
+for the composition-soundness property, a character-at-a-time reference
+for the Pd record splitter, and git's own resolution of a commit name.
 """
+
+import subprocess
 
 from szzvc.diff import ChangeKind, IRDiff, diff_ir, is_prefix
 from szzvc.errors import PatchSyntaxError
@@ -265,3 +267,13 @@ def _reference_record(tokens: list[str], span: tuple[int, int]) -> PdRecord:
     if marker == "#A":
         return PdRecord("A", "", tuple(tokens[1:]), span)
     raise PatchSyntaxError(f"unknown chunk {marker!r}", span)
+
+
+def rev_parse_commit(repo_path, name: str) -> str | None:
+    """The commit id ``git rev-parse --verify name^{commit}`` prints, or None
+    when it fails."""
+    proc = subprocess.run(
+        ["git", "-C", str(repo_path), "rev-parse", "--verify", f"{name}^{{commit}}"],
+        capture_output=True, text=True,
+    )
+    return proc.stdout.strip() if proc.returncode == 0 else None

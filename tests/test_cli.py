@@ -226,6 +226,30 @@ def test_analyze_nonexistent_repo_exits_3(tmp_path, capsys):
     assert "repository" in err
 
 
+def test_analyze_unknown_head_names_it_and_exits_3(repo_fixture, tmp_path, capsys):
+    _seed_repo(repo_fixture, tmp_path)
+    tree = repo_fixture._git("rev-parse", "HEAD^{tree}").strip()
+    for head, reason in (("nope", "unknown revision 'nope'"),
+                         (tree, f"not a commit: '{tree}' names a tree")):
+        code, out, err = run_cli(capsys, "analyze", "--repo", str(repo_fixture.path),
+                                 "--head", head, "--no-timing")
+        assert code == 3
+        assert out == ""
+        assert err == f"szzvc: repository error: {reason}\n"
+
+
+def test_analyze_issue_link_holding_a_nul_exits_2(repo_fixture, tmp_path, capsys):
+    _seed_repo(repo_fixture, tmp_path)
+    issues = tmp_path / "nul.jsonl"
+    issues.write_text(json.dumps({"issue_key": "GH-7",
+                                  "fixing_commit_ids": ["HEAD\u0000junk"]}) + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--repo", str(repo_fixture.path),
+                             "--issues", str(issues), "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("szzvc: config error: issue GH-7 names unknown commit ")
+
+
 def test_analyze_invalid_config_exits_2(repo_fixture, tmp_path, capsys):
     config = tmp_path / "config.json"
     for text in ('{"depth": -2}', '{"parallelism": 2}', '{"message_regex": 5}'):
@@ -259,6 +283,13 @@ def _cli_output(hash_seed: int, cwd: Path, *argv) -> bytes:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(szzvc.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "szzvc", "--version"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, f"szzvc {szzvc.__version__}\n")
 
 
 def test_output_does_not_depend_on_the_hash_seed(repo_fixture):

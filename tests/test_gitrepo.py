@@ -6,7 +6,8 @@ from datetime import datetime, timezone
 
 import pytest
 
-from conftest import within
+from conftest import RepoFixture, within
+from oracle import rev_parse_commit
 from szzvc import gitrepo
 from szzvc.errors import GitError
 from szzvc.gitrepo import Repository
@@ -20,6 +21,12 @@ T4 = "2021-01-04T10:00:00+00:00"
 def test_unreadable_repository(tmp_path):
     with pytest.raises(GitError, match="not a readable git repository"):
         Repository(str(tmp_path / "nope"))
+
+
+def test_repository_with_an_unborn_head_is_readable(repo_fixture):
+    with Repository(str(repo_fixture.path)) as repo:
+        with pytest.raises(GitError, match="unknown revision 'HEAD'"):
+            repo.rev_parse("HEAD")
 
 
 def test_log_statuses_and_rename(repo_fixture):
@@ -190,21 +197,89 @@ def test_read_file_through_the_batch_reader(repo_fixture):
     assert repo.read_file(c1, "nul.pd") == b"a\x00b\n"  # the reader is in sync
 
 
-def test_newline_path_reads_without_the_batch_reader(repo_fixture):
-    c1 = repo_fixture.commit({"line\nbreak.pd": "x\n"}, "c1", T1)
+def test_a_name_holding_a_nul_names_no_object(repo_fixture):
+    # git reads a batch name only up to its NUL: ``HEAD\0junk`` is not HEAD
+    c1 = repo_fixture.commit({"a.pd": "a\n"}, "c1", T1)
+    with Repository(str(repo_fixture.path)) as repo:
+        assert repo.read_file(c1, "a.pd\x00junk") is None
+        with pytest.raises(GitError, match=re.escape("unknown revision 'HEAD\\x00junk'")):
+            repo.rev_parse("HEAD\x00junk")
+        assert repo.read_file(c1, "a.pd") == b"a\n"
+
+
+@pytest.fixture(scope="module")
+def named_repo(tmp_path_factory):
+    """A merge at HEAD, a branch ``side`` and an annotated tag ``v1``, with
+    the ids of the first commit, of HEAD's tree and of a blob."""
+    fixture = RepoFixture(tmp_path_factory.mktemp("named"))
+    fixture.commit({"a.pd": "a\n"}, "c1", T1)
+    fixture._git("tag", "-a", "v1", "-m", "release")
+    fixture.checkout("side", create=True)
+    fixture.commit({"s.pd": "s\n"}, "side work", T2)
+    fixture.checkout("main")
+    fixture.commit({"a.pd": "a\nb\n"}, "c3", T3)
+    fixture.merge("side", "merge side", T4)
+    ids = {key: fixture._git("rev-parse", spec).strip()
+           for key, spec in (("c1", "v1^{commit}"), ("tree", "HEAD^{tree}"),
+                             ("blob", "HEAD:a.pd"))}
+    return fixture, ids
+
+
+# a name, with ids filled in by str.format, and whether git resolves it
+# to a commit
+@pytest.mark.parametrize("template, resolves", [
+    ("{c1}", True),
+    ("{c1:.8}", True),
+    ("side", True),
+    ("v1", True),
+    ("HEAD~1", True),
+    ("@", True),
+    ("HEAD^2", True),
+    ("{tree}", False),
+    ("{blob}", False),
+    ("HEAD~1..HEAD", False),
+    ("--all", False),
+    ("", False),
+    (" HEAD", False),
+    ("HEAD ", False),
+    ("nope", False),
+    ("HEAD\r", False),
+    ("HEAD\nHEAD", False),
+])
+def test_rev_parse_resolves_names_as_git_does(named_repo, template, resolves):
+    fixture, ids = named_repo
+    name = template.format(**ids)
+    expected = rev_parse_commit(fixture.path, name)
+    assert (expected is not None) == resolves
+    with Repository(str(fixture.path)) as repo:
+        if resolves:
+            assert repo.rev_parse(name) == expected
+        else:
+            with pytest.raises(GitError, match=re.escape(repr(name))):
+                repo.rev_parse(name)
+        assert repo.read_file("HEAD", "a.pd") == b"a\nb\n"  # the reader is in sync
+
+
+def test_newline_path_is_resolved_by_a_one_shot_rev_parse(repo_fixture, git_processes):
+    # the batch protocol cannot carry the name; it can carry the blob's id
+    c1 = repo_fixture.commit({"line\nbreak.pd": "x\n", "a.pd": "a\n"}, "c1", T1)
     repo = Repository(str(repo_fixture.path))
+    reader = repo._objects.proc
     assert repo.read_file(c1, "line\nbreak.pd") == b"x\n"
-    assert repo._blobs.proc is None
+    assert git_processes == [["cat-file", "--batch"], ["rev-parse", "--verify"]]
+    assert repo.read_file(c1, "a.pd") == b"a\n"  # the same reader, in sync
+    assert repo._objects.proc is reader
+    repo.close()
 
 
 def test_context_manager_ends_the_reader(repo_fixture):
     c1 = repo_fixture.commit({"a.pd": "a\n"}, "c1", T1)
     with Repository(str(repo_fixture.path)) as repo:
         assert repo.read_file(c1, "a.pd") == b"a\n"
-        process = repo._blobs.proc
-    assert process.returncode is not None and repo._blobs.proc is None
+        process = repo._objects.proc
+    assert process.returncode is not None and repo._objects.proc is None
     assert repo.read_file(c1, "a.pd") == b"a\n"  # a new reader starts
-    assert repo._blobs.proc not in (None, process)
+    assert repo._objects.proc not in (None, process)
     repo.close()
 
 
@@ -463,7 +538,7 @@ def test_diff_reader_lifetime(repo_fixture, monkeypatch):
         with Repository(str(repo_fixture.path)) as repo:
             assert repo.line_hunks(*step) == ((1, 1, 1, 1),)
             assert repo.read_file(c1, "f.pd") == b"a\n"
-            processes = (repo._diffs.proc, repo._blobs.proc)
+            processes = (repo._diffs.proc, repo._objects.proc)
         assert all(p.returncode is not None for p in processes)
 
         repo = Repository(str(repo_fixture.path))

@@ -4,7 +4,6 @@ from datetime import datetime, timezone
 
 import pytest
 
-from szzvc import gitrepo as gitrepo_module
 from szzvc import miner as miner_module
 from szzvc.diff import MAX_DEPTH, ChangeKind
 from szzvc.errors import ConfigError
@@ -199,29 +198,27 @@ def test_report_head_is_the_commit_that_was_mined(repo_fixture, monkeypatch):
     assert [entry["commit"] for entry in report["fixing_commits"]] == [mined]
 
 
-def test_run_resolves_head_once(repo_fixture, monkeypatch):
+def test_run_resolves_head_once(repo_fixture, git_processes):
+    # the object reader opens the repository and resolves HEAD and every
+    # issue link; no ``rev-parse`` is started
     repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
-    repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1", T[1])
-    real = gitrepo_module.subprocess
-    commands = []  # each git process's arguments after ``git -C <path>``
-
-    class Recording:
-        def __getattr__(self, name):
-            return getattr(real, name)
-
-        def run(self, argv, *args, **kwargs):
-            commands.append(argv[3:5])
-            return real.run(argv, *args, **kwargs)
-
-        def Popen(self, argv, *args, **kwargs):
-            commands.append(argv[3:5])
-            return real.Popen(argv, *args, **kwargs)
-
-    monkeypatch.setattr(gitrepo_module, "subprocess", Recording())
-    report, _ = run_analysis(str(repo_fixture.path), MinerConfig(),
-                             methods=("szz-vc", "textual"), with_timing=False)
-    assert len(report["fixing_commits"]) == 1
-    assert commands.count(["rev-parse", "--verify"]) == 1, commands
+    fix = repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1", T[1])
+    repo_fixture._git("tag", "-a", "v1", "-m", "release")
+    links = [IssueRecord("GH-1", (fix,)), IssueRecord("GH-2", (fix[:8],)),
+             IssueRecord("GH-3", ("v1",))]
+    for methods, config, issue_links, started in (
+        (("szz-vc",), MinerConfig(), None,
+         [["cat-file", "--batch"], ["log", "-z"]]),
+        (("szz-vc", "textual"), MinerConfig(), None,
+         [["cat-file", "--batch"], ["log", "-z"], ["diff-tree", "--stdin"]]),
+        (("szz-vc",), MinerConfig(fixing_detection="explicit-list"), links,
+         [["cat-file", "--batch"], ["log", "-z"]]),
+    ):
+        git_processes.clear()
+        report, _ = run_analysis(str(repo_fixture.path), config, issue_links=issue_links,
+                                 methods=methods, with_timing=False)
+        assert [entry["commit"] for entry in report["fixing_commits"]] == [fix]
+        assert git_processes == started, methods
 
 
 @pytest.mark.parametrize("path, fix_message", [
