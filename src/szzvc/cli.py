@@ -9,7 +9,8 @@ Subcommands mirror the pipeline stages so each is independently inspectable:
   history   debug a file's backtracking history
 
 Exit codes: 0 ok; 1 partial results / strict abort; 2 invalid config or
-verdicts; 3 unreadable repository; 4 patch parse failure.
+verdicts, or an input file that cannot be read or is not UTF-8; 3 unreadable
+repository; 4 patch parse failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 from . import __version__
 from .diff import MAX_DEPTH, diff_ir, path_sort_key, paths_at_depth, render_path
-from .errors import ConfigError, GitError, PatchSyntaxError
+from .errors import ConfigError, GitError, PatchSyntaxError, read_input
 from .evaluate import ScoreGroup, format_table, load_verdicts, score_methods
 from .gitrepo import Repository
 from .ir import Language, dumps_ir
@@ -35,7 +36,7 @@ from .miner import (
     parse_patch_text,
 )
 from .pdparser import decode_patch_bytes
-from .report import StrictAnalysisError, dumps_report, loads_report, run_analysis
+from .report import dumps_report, loads_report, run_analysis
 
 CONFIG_ENV_VAR = "SZZVC_CONFIG"
 
@@ -169,10 +170,7 @@ def _load_config(args) -> MinerConfig:
 
 def _read_json(path: str, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}")
+        return json.loads(read_input(path, what))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
 
@@ -189,18 +187,12 @@ def _cmd_analyze(args) -> int:
     config = _load_config(args)
     issue_links = load_issue_links(args.issues) if args.issues else None
     methods = ("szz-vc", "textual") if args.method == "both" else (args.method,)
-    try:
-        report, had_failures = run_analysis(
-            args.repo,
-            config,
-            issue_links=issue_links,
-            methods=methods,
-            head=args.head,
-            strict=args.strict,
-            with_timing=not args.no_timing,
-        )
-    except StrictAnalysisError as exc:
-        print(f"szzvc: {exc}", file=sys.stderr)
+    report, had_failures = run_analysis(
+        args.repo, config, issue_links=issue_links, methods=methods,
+        head=args.head, with_timing=not args.no_timing,
+    )
+    if args.strict and had_failures:
+        print("szzvc: per-file parse failures (strict mode)", file=sys.stderr)
         return EXIT_PARTIAL
     _write_out(dumps_report(report), args.out)
     return EXIT_PARTIAL if had_failures else EXIT_OK
@@ -328,10 +320,7 @@ def _score_groups(report: dict) -> dict[str, list[ScoreGroup]]:
 
 def _load_report(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return loads_report(handle.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {path}: {exc}")
+        return loads_report(read_input(path, "report"))
     except (json.JSONDecodeError, ValueError) as exc:
         raise ConfigError(f"not a usable report: {exc}")
 

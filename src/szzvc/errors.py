@@ -1,4 +1,4 @@
-"""Exceptions shared across parsers, mining, and the CLI."""
+"""Exceptions shared across parsers, mining, and the CLI; the input reader."""
 
 
 class PatchSyntaxError(Exception):
@@ -21,3 +21,13 @@ class ConfigError(Exception):
 
 class GitError(Exception):
     """A git invocation failed or the repository is unreadable."""
+
+
+def read_input(path: str, what: str) -> str:
+    """Text of a user-named input file, read as UTF-8 text; one that cannot
+    be opened or decoded is a ConfigError naming ``what`` and ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")

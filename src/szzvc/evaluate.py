@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 
 LABELS = ("TP", "FP", "U")
 
@@ -35,34 +35,33 @@ def load_verdicts(path: str) -> list[Verdict]:
     """Newline-delimited JSON verdict records; one verdict per pair."""
     verdicts = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                fixing, inducing = raw["fixing_commit"], raw["inducing_commit"]
-                # the pair is a dict key: a list would fail there, a number
-                # would never match a report's commit id
-                if not (isinstance(fixing, str) and isinstance(inducing, str)):
-                    raise TypeError("commit ids must be strings, got "
-                                    f"{fixing!r} and {inducing!r}")
-                verdict = Verdict(
-                    fixing_commit=fixing,
-                    inducing_commit=inducing,
-                    label=raw["label"],
-                    note=raw.get("note"),
-                    reviewer=raw.get("reviewer"),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ConfigError(f"malformed verdict at line {lineno}: {exc}")
-            pair = (verdict.fixing_commit, verdict.inducing_commit)
-            if pair in seen:
-                raise ConfigError(
-                    f"duplicate verdict for {pair[0]}/{pair[1]} at line {lineno}"
-                )
-            seen.add(pair)
-            verdicts.append(verdict)
+    for lineno, line in enumerate(read_input(path, "verdict file").split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+            fixing, inducing = raw["fixing_commit"], raw["inducing_commit"]
+            # the pair is a dict key: a list would fail there, a number
+            # would never match a report's commit id
+            if not (isinstance(fixing, str) and isinstance(inducing, str)):
+                raise TypeError("commit ids must be strings, got "
+                                f"{fixing!r} and {inducing!r}")
+            verdict = Verdict(
+                fixing_commit=fixing,
+                inducing_commit=inducing,
+                label=raw["label"],
+                note=raw.get("note"),
+                reviewer=raw.get("reviewer"),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed verdict at line {lineno}: {exc}")
+        pair = (verdict.fixing_commit, verdict.inducing_commit)
+        if pair in seen:
+            raise ConfigError(
+                f"duplicate verdict for {pair[0]}/{pair[1]} at line {lineno}"
+            )
+        seen.add(pair)
+        verdicts.append(verdict)
     return verdicts
 
 

@@ -20,7 +20,7 @@ interrupt mid-read) ends its process too, and the next request starts a new
 one.
 
 - ``git cat-file --batch`` answers ``read_file`` with file contents and
-  ``rev_parse`` with the commit a ``<rev>^{commit}`` name peels to. The batch
+  ``rev_parse`` with the commit ``<rev>^{commit}`` (or ``<rev>``) names. The batch
   protocol reads one name per line, drops a carriage return before the
   newline and ends a name at a NUL. So a name holding a NUL names no object,
   and a name holding ``\\n`` or ending in ``\\r`` is first resolved to an
@@ -282,14 +282,18 @@ class Repository:
         """Full id of the commit that ``rev^{commit}`` names, as ``git
         rev-parse --verify rev^{commit}`` gives it: a tag is peeled to its
         commit, and a name of no object, of several, or of an object that
-        does not peel to a commit raises a GitError that names ``rev``. The
-        object reader answers; a name holding a newline, or ending in a
-        carriage return, costs a one-shot ``rev-parse``, and a name holding
-        a NUL names nothing."""
+        does not peel to a commit raises a GitError that names ``rev``.
+        ``:/<text>`` (the newest commit whose message matches ``text``)
+        would read the suffix as part of its pattern: when ``rev^{commit}``
+        names nothing, ``rev`` naming a commit is the answer. The object
+        reader answers; a name holding a newline, or ending in a carriage
+        return, costs a one-shot ``rev-parse``, and a name holding a NUL
+        names nothing."""
         kind, oid, _ = self._object(f"{rev}^{{commit}}")
+        if kind != b"commit":  # ``:/<text>``, or else only to say why
+            kind, oid, _ = self._object(rev)
         if kind == b"commit":
             return oid.decode()
-        kind = self._object(rev)[0]  # only to say why
         if kind in (b"tree", b"blob", b"tag"):
             raise GitError(f"not a commit: {rev!r} names a {kind.decode()}")
         if kind == b"ambiguous":

@@ -42,9 +42,8 @@ from .diff import (
     match_changes,
     path_sort_key,
     paths_at_depth,
-    truncate_path,
 )
-from .errors import ConfigError, GitError, PatchSyntaxError
+from .errors import ConfigError, GitError, PatchSyntaxError, read_input
 from .gitrepo import ChangedFile, LogEntry, Repository
 from .ir import Language, VisualIR, empty_ir
 from .maxparser import MaxNodeTable, PropertyFilter, default_property_filter, parse_maxpat
@@ -204,31 +203,31 @@ class IssueRecord:
 def load_issue_links(path: str) -> list[IssueRecord]:
     """Newline-delimited JSON, one record per issue."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                key, commit_ids = raw["issue_key"], raw["fixing_commit_ids"]
-                # a string would become its characters, a number would
-                # reach the report as the issue key
-                if not isinstance(key, str):
-                    raise TypeError(f"issue_key must be a string, got {key!r}")
-                if not (isinstance(commit_ids, list)
-                        and all(isinstance(rev, str) for rev in commit_ids)):
-                    raise TypeError("fixing_commit_ids must be a list of "
-                                    f"strings, got {commit_ids!r}")
-                records.append(
-                    IssueRecord(
-                        issue_key=key,
-                        fixing_commit_ids=tuple(commit_ids),
-                        report_time=parse_timestamp(raw.get("report_time")),
-                        description=raw.get("description"),
-                    )
+    # lines end at "\n" only; str.splitlines would split at U+2028 and the like
+    for lineno, line in enumerate(read_input(path, "issue link table").split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+            key, commit_ids = raw["issue_key"], raw["fixing_commit_ids"]
+            # a string would become its characters, a number would
+            # reach the report as the issue key
+            if not isinstance(key, str):
+                raise TypeError(f"issue_key must be a string, got {key!r}")
+            if not (isinstance(commit_ids, list)
+                    and all(isinstance(rev, str) for rev in commit_ids)):
+                raise TypeError("fixing_commit_ids must be a list of "
+                                f"strings, got {commit_ids!r}")
+            records.append(
+                IssueRecord(
+                    issue_key=key,
+                    fixing_commit_ids=tuple(commit_ids),
+                    report_time=parse_timestamp(raw.get("report_time")),
+                    description=raw.get("description"),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed issue link table at line {lineno}: {exc}")
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed issue link table at line {lineno}: {exc}")
     return records
 
 
@@ -370,8 +369,29 @@ class AnalysisFailure:
 @dataclass(frozen=True)
 class InducingResult:
     candidates: tuple[InducingCandidate, ...]
-    failures: tuple[AnalysisFailure, ...]
-    fix_diffs: dict[str, IRDiff]
+    failures: tuple[AnalysisFailure, ...] = ()
+    fix_diffs: dict[str, IRDiff] = field(default_factory=dict)
+
+
+# (inducing commit, fix file path) -> (inducing commit time, matched
+# (path, effective depth) pairs, whether any came by addition reduction)
+Matches = dict[tuple[str, str], tuple[datetime, set, bool]]
+
+
+def build_candidates(fixing_commit: str, matches: Matches
+                     ) -> tuple[InducingCandidate, ...]:
+    """A fixing commit's candidates, sorted by inducing commit and file path,
+    each with its matched paths sorted."""
+    if any(inducing == fixing_commit for inducing, _ in matches):
+        raise AssertionError("self-blame candidate")
+    return tuple(
+        InducingCandidate(
+            fixing_commit, inducing, file_path,
+            tuple(sorted(paths, key=lambda pe: (path_sort_key(pe[0]), pe[1]))),
+            via_addition_reduction=via, inducing_commit_time=when,
+        )
+        for (inducing, file_path), (when, paths, via) in sorted(matches.items())
+    )
 
 
 class MiningCache:
@@ -445,32 +465,14 @@ def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
     ``cache`` shares parses and diffs across the fixes of a run; it must be
     built for the same ``repo`` and ``config``."""
     cache = MiningCache(repo, config) if cache is None else cache
-    merged: dict[tuple[str, str], dict] = {}
+    matches: Matches = {}
     failures: list[AnalysisFailure] = []
     fix_diffs: dict[str, IRDiff] = {}
     fix_entry = repo.log_entry(fixing.commit_id)
     for change in fixing.visual_files:
-        _mine_file(cache, fix_step(fix_entry, change), merged, failures, fix_diffs)
-
-    candidates = tuple(
-        InducingCandidate(
-            fixing_commit=fixing.commit_id,
-            inducing_commit=inducing,
-            file_path=file_path,
-            matched_paths=tuple(
-                sorted(info["paths"], key=lambda pe: (path_sort_key(pe[0]), pe[1]))
-            ),
-            via_addition_reduction=info["via"],
-            inducing_commit_time=info["time"],
-        )
-        for (inducing, file_path), info in sorted(merged.items())
-    )
-    for candidate in candidates:
-        if candidate.inducing_commit == fixing.commit_id:
-            raise AssertionError("self-blame candidate")
-    return InducingResult(
-        candidates=candidates, failures=tuple(failures), fix_diffs=fix_diffs
-    )
+        _mine_file(cache, fix_step(fix_entry, change), matches, failures, fix_diffs)
+    return InducingResult(candidates=build_candidates(fixing.commit_id, matches),
+                          failures=tuple(failures), fix_diffs=fix_diffs)
 
 
 def _diff_or_failure(cache: MiningCache, language: Language, step: HistoryStep,
@@ -495,7 +497,7 @@ def _diff_or_failure(cache: MiningCache, language: Language, step: HistoryStep,
 def _mine_file(
     cache: MiningCache,
     fix: HistoryStep,
-    merged: dict,
+    matches: Matches,
     failures: list[AnalysisFailure],
     fix_diffs: dict[str, IRDiff],
 ) -> None:
@@ -508,7 +510,7 @@ def _mine_file(
         return  # the fixing side skips the file
     fix_diffs[fix.path_new] = fix_diff
     fix_paths = paths_at_depth(fix_diff, config.depth_mode)
-    # no order here: candidates gather in sets, which find_inducing sorts
+    # no order here: candidates gather in sets, which build_candidates sorts
     md_pairs = [(path, kind) for path, kind in fix_paths
                 if kind in (ChangeKind.MODIFIED, ChangeKind.DELETED)]
     added_paths = [path for path, kind in fix_paths
@@ -525,11 +527,9 @@ def _mine_file(
 
     def emit(step: HistoryStep, path: ChangePath, depth: int, via: bool) -> None:
         key = (step.entry.commit_id, fix.path_new)
-        info = merged.setdefault(
-            key, {"paths": set(), "via": False, "time": step.entry.commit_time}
-        )
-        info["paths"].add((path, depth))
-        info["via"] = info["via"] or via
+        when, paths, any_via = matches.get(key, (step.entry.commit_time, set(), False))
+        paths.add((path, depth))
+        matches[key] = (when, paths, any_via or via)
 
     # Modified/Deleted fix paths: most recent prior matching commit per path.
     active = md_pairs
@@ -546,13 +546,11 @@ def _mine_file(
     # the enclosing subtree; a depth-1 addition is a new node, never blamed.
     for path in added_paths:
         for depth in range(len(path) - 1, 0, -1):
-            target = truncate_path(path, depth)
+            target = path[:depth]  # the enclosing subtree
             hits = []
             for step, step_diff in zip(steps, step_diffs):
-                if step_diff is None:
-                    continue
-                truncated = {truncate_path(p, depth) for p in step_diff.paths()}
-                if target in truncated:
+                if step_diff is not None and any(
+                        r.path[:depth] == target for r in step_diff.records):
                     hits.append(step)
                     if not config.all_matches:
                         break
@@ -562,22 +560,12 @@ def _mine_file(
                 break
 
 
-@dataclass(frozen=True)
-class FilterOutcome:
-    kept: tuple[InducingCandidate, ...]
-    dropped: tuple[InducingCandidate, ...]
-    unfiltered: bool  # True when no report time was available to filter by
-
-
-def filter_candidates(candidates, fixing: FixingCommit) -> FilterOutcome:
-    """Drop candidates committed after the linked bug report was filed."""
-    candidates = tuple(candidates)
-    if fixing.report_time is None:
-        return FilterOutcome(kept=candidates, dropped=(), unfiltered=True)
+def filter_candidates(candidates, fixing: FixingCommit) -> tuple[tuple, tuple]:
+    """``(kept, dropped)``: candidates committed after the linked bug report
+    was filed are dropped; without a report time none is."""
     kept, dropped = [], []
     for candidate in candidates:
-        if candidate.inducing_commit_time > fixing.report_time:
-            dropped.append(candidate)
-        else:
-            kept.append(candidate)
-    return FilterOutcome(kept=tuple(kept), dropped=tuple(dropped), unfiltered=False)
+        late = (fixing.report_time is not None
+                and candidate.inducing_commit_time > fixing.report_time)
+        (dropped if late else kept).append(candidate)
+    return tuple(kept), tuple(dropped)

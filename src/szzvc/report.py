@@ -4,6 +4,11 @@ The report is a schema-versioned JSON document with deterministic ordering
 (fixing commits sorted by id, keys sorted on serialization), so two runs on
 the same clone and config are byte-identical once timing is excluded. The
 aligned tables printed elsewhere are derived from it, never the reverse.
+
+Each method answers a fixing commit with an :class:`~szzvc.miner.InducingResult`,
+handled one way: its failures become warnings, its fix diffs (``szz-vc``
+only) ``diffs``, and its candidates, split by the time filter, the method's
+section.
 """
 
 from __future__ import annotations
@@ -32,10 +37,6 @@ SCHEMA = "szzvc-report/1"
 METHODS = ("szz-vc", "textual")
 
 
-class StrictAnalysisError(Exception):
-    """Raised in strict mode when any file version fails to parse."""
-
-
 def _iso(stamp: datetime | None) -> str | None:
     if stamp is None:
         return None
@@ -48,10 +49,9 @@ def run_analysis(
     issue_links=None,
     methods=("szz-vc",),
     head: str = "HEAD",
-    strict: bool = False,
     with_timing: bool = True,
 ) -> tuple[dict, bool]:
-    """Full pipeline run; returns (report, had_failures)."""
+    """Full pipeline run; returns (report, whether a version failed to parse)."""
     started = time.monotonic()
     for method in methods:
         if method not in METHODS:
@@ -67,8 +67,6 @@ def run_analysis(
 
     entries = [entry for entry, _ in results]
     had_failures = any(failed for _, failed in results)
-    if strict and had_failures:
-        raise StrictAnalysisError("per-file parse failures (strict mode)")
 
     report = {
         "schema": SCHEMA,
@@ -116,8 +114,15 @@ def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
         "warnings": warnings,
     }
 
-    if "szz-vc" in methods:
-        result = find_inducing(repo, fixing, config, cache)
+    for method in METHODS:
+        if method not in methods:
+            continue
+        # the module's names, read at each call, so that a tracer can wrap them
+        if method == "szz-vc":
+            tag, result = (config.method_tag_vc,
+                           find_inducing(repo, fixing, config, cache))
+        else:
+            tag, result = method, textual_find_inducing(repo, fixing, config)
         for failure in result.failures:
             had_failures = True
             warnings.append(
@@ -136,26 +141,16 @@ def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
                     for p, kind in projected
                 ],
             }
-        entry["methods"][config.method_tag_vc] = _method_section(
-            result.candidates, fixing
-        )
-
-    if "textual" in methods:
-        result = textual_find_inducing(repo, fixing, config)
-        entry["methods"]["textual"] = _method_section(result.candidates, fixing)
+        kept, dropped = filter_candidates(result.candidates, fixing)
+        entry["methods"][tag] = {
+            "candidates": [_candidate_dict(c) for c in kept],
+            "dropped_by_time_filter": [_candidate_dict(c) for c in dropped],
+            "unfiltered": fixing.report_time is None,
+        }
 
     if fixing.report_time is None:  # once, whatever the number of methods
         warnings.append("time filter skipped: fixing commit has no linked report time")
     return entry, had_failures
-
-
-def _method_section(candidates, fixing: FixingCommit) -> dict:
-    outcome = filter_candidates(candidates, fixing)
-    return {
-        "candidates": [_candidate_dict(c) for c in outcome.kept],
-        "dropped_by_time_filter": [_candidate_dict(c) for c in outcome.dropped],
-        "unfiltered": outcome.unfiltered,
-    }
 
 
 def _candidate_dict(candidate: InducingCandidate) -> dict:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .gitrepo import Hunk, Repository
-from .miner import FixingCommit, InducingCandidate, MinerConfig, fix_step, history_steps
+from .miner import (FixingCommit, InducingResult, Matches, MinerConfig,
+                    build_candidates, fix_step, history_steps)
 from .pdparser import decode_patch_bytes
 
 
@@ -123,16 +124,13 @@ def _lines_at(repo: Repository, rev: str, path: str) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
-class TextualResult:
-    candidates: tuple[InducingCandidate, ...]
-
-
 def textual_find_inducing(repo: Repository, fixing: FixingCommit,
-                          config: MinerConfig) -> TextualResult:
-    """Line-blame candidates for a fixing commit's visual files."""
+                          config: MinerConfig) -> InducingResult:
+    """Line-blame candidates for a fixing commit's visual files, one per
+    origin commit and file, with no matched paths. Nothing is parsed, so
+    ``failures`` and ``fix_diffs`` are empty."""
     fix_entry = repo.log_entry(fixing.commit_id)
-    by_key: dict[tuple[str, str], InducingCandidate] = {}
+    matches: Matches = {}
     for change in fixing.visual_files:
         fix = fix_step(fix_entry, change)
         if fix.path_old is None:
@@ -151,18 +149,7 @@ def textual_find_inducing(repo: Repository, fixing: FixingCommit,
                            follow_renames=config.follow_renames,
                            pre_fix_lines=old_lines)
         for origin in origins.values():
-            if origin is None:
-                continue
-            key = (origin.origin_commit, change.path)
-            if key not in by_key:
-                by_key[key] = InducingCandidate(
-                    fixing_commit=fixing.commit_id,
-                    inducing_commit=origin.origin_commit,
-                    file_path=change.path,
-                    matched_paths=(),
-                    via_addition_reduction=False,
-                    inducing_commit_time=origin.origin_time,
-                )
-    return TextualResult(candidates=tuple(
-        by_key[key] for key in sorted(by_key)
-    ))
+            if origin is not None:
+                matches.setdefault((origin.origin_commit, change.path),
+                                   (origin.origin_time, set(), False))
+    return InducingResult(candidates=build_candidates(fixing.commit_id, matches))

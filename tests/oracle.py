@@ -270,10 +270,16 @@ def _reference_record(tokens: list[str], span: tuple[int, int]) -> PdRecord:
 
 
 def rev_parse_commit(repo_path, name: str) -> str | None:
-    """The commit id ``git rev-parse --verify name^{commit}`` prints, or None
-    when it fails."""
-    proc = subprocess.run(
-        ["git", "-C", str(repo_path), "rev-parse", "--verify", f"{name}^{{commit}}"],
-        capture_output=True, text=True,
-    )
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    """The commit id ``git rev-parse --verify name^{commit}`` prints; else,
+    when ``name`` alone names a commit (``:/<text>`` reads the suffix as part
+    of its pattern), that commit's id; None when neither does."""
+    def git(*args) -> str | None:
+        proc = subprocess.run(["git", "-C", str(repo_path), *args],
+                              capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    peeled = git("rev-parse", "--verify", f"{name}^{{commit}}")
+    if peeled is not None:
+        return peeled
+    oid = git("rev-parse", "--verify", "--end-of-options", name)
+    return oid if oid and git("cat-file", "-t", oid) == "commit" else None

@@ -326,12 +326,70 @@ def test_analyze_reports_partial_failures(repo_fixture, tmp_path, capsys):
     assert any("unparseable version" in w for w in warnings)
     assert any("time filter skipped" in w for w in warnings)
 
-    code_strict, _, err = run_cli(
-        capsys, "analyze", "--repo", str(repo_fixture.path),
-        "--issues", str(issues), "--strict",
-    )
-    assert code_strict == 1
-    assert "strict" in err
+    strict_path = tmp_path / "strict.json"
+    for out_flags in ((), ("--out", str(strict_path))):
+        code_strict, out, err = run_cli(
+            capsys, "analyze", "--repo", str(repo_fixture.path),
+            "--issues", str(issues), "--strict", *out_flags,
+        )
+        assert code_strict == 1
+        assert "strict" in err
+        assert out == ""  # an aborted run writes no report
+    assert not strict_path.exists()
+
+
+def test_strict_on_a_clean_history_writes_the_same_report(repo_fixture, tmp_path,
+                                                          capsys):
+    _, _, issues = _seed_repo(repo_fixture, tmp_path)
+    argv = ("analyze", "--repo", str(repo_fixture.path), "--issues", str(issues),
+            "--method", "both", "--no-timing")
+    code, out, _ = run_cli(capsys, *argv)
+    code_strict, out_strict, err = run_cli(capsys, *argv, "--strict")
+    assert code == code_strict == 0
+    assert out_strict == out and loads_report(out)["fixing_commits"]
+    assert err == ""
+
+
+def test_analyze_head_named_by_its_message(repo_fixture, capsys):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    fix = repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1 wiring", T[1])
+    repo_fixture.commit({"p.pd": PATCH_V3}, "later", T[2])
+    code, out, _ = run_cli(capsys, "analyze", "--repo", str(repo_fixture.path),
+                           "--head", ":/fix", "--no-timing")
+    assert code == 0
+    report = loads_report(out)
+    assert report["config"]["head"] == fix
+    assert [f["commit"] for f in report["fixing_commits"]] == [fix]
+
+
+@pytest.mark.parametrize("case", [
+    "missing issue table", "missing verdict file", "config", "config from env",
+    "property filter", "issue table", "verdict file",
+])
+def test_unreadable_input_file_exits_2(repo_fixture, tmp_path, capsys,
+                                       monkeypatch, case):
+    repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    missing = tmp_path / "missing.jsonl"
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"note": "caf\xe9"}\n')
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": SCHEMA, "fixing_commits": []}))
+    analyze = ("analyze", "--repo", str(repo_fixture.path), "--no-timing")
+    named, argv = {
+        "missing issue table": (missing, (*analyze, "--issues", str(missing))),
+        "missing verdict file": (missing, ("score", str(report), str(missing))),
+        "config": (not_utf8, (*analyze, "--config", str(not_utf8))),
+        "config from env": (not_utf8, analyze),
+        "property filter": (not_utf8, (*analyze, "--property-filter", str(not_utf8))),
+        "issue table": (not_utf8, (*analyze, "--issues", str(not_utf8))),
+        "verdict file": (not_utf8, ("score", str(report), str(not_utf8))),
+    }[case]
+    if case == "config from env":
+        monkeypatch.setenv("SZZVC_CONFIG", str(not_utf8))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("szzvc: config error: cannot read ") and str(named) in err
+    assert "Traceback" not in err
 
 
 def test_analyze_env_var_config(repo_fixture, tmp_path, capsys, monkeypatch):

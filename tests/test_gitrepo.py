@@ -235,6 +235,7 @@ def named_repo(tmp_path_factory):
     ("HEAD~1", True),
     ("@", True),
     ("HEAD^2", True),
+    (":/c3", True),
     ("{tree}", False),
     ("{blob}", False),
     ("HEAD~1..HEAD", False),
@@ -243,6 +244,7 @@ def named_repo(tmp_path_factory):
     (" HEAD", False),
     ("HEAD ", False),
     ("nope", False),
+    (":/no such message", False),
     ("HEAD\r", False),
     ("HEAD\nHEAD", False),
 ])

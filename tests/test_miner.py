@@ -180,6 +180,16 @@ def test_issue_table_values_are_type_checked(tmp_path, record, message):
     assert load_issue_links(str(table)) == [IssueRecord("GH-1", ("cafe",))]
 
 
+def test_issue_table_lines_end_at_newlines_only(tmp_path):
+    # JSON may hold U+2028 unescaped, where str.splitlines would split
+    table = tmp_path / "issues.jsonl"
+    record = {"issue_key": "GH-1", "fixing_commit_ids": [], "description": "a\u2028b"}
+    table.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert load_issue_links(str(table)) == [
+        IssueRecord("GH-1", (), description="a\u2028b")
+    ]
+
+
 def test_report_head_is_the_commit_that_was_mined(repo_fixture, monkeypatch):
     repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
     mined = repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1", T[1])
@@ -439,15 +449,10 @@ def test_filter_candidates_by_report_time():
         commit_id="f", message="",
         report_time=datetime(2021, 5, 1, tzinfo=timezone.utc),
     )
-    outcome = filter_candidates([early, late], fixing)
-    assert outcome.kept == (early,)
-    assert outcome.dropped == (late,)
-    assert not outcome.unfiltered
+    assert filter_candidates([early, late], fixing) == ((early,), (late,))
 
     no_report = FixingCommit(commit_id="f", message="")
-    outcome = filter_candidates([early, late], no_report)
-    assert outcome.kept == (early, late)
-    assert outcome.unfiltered
+    assert filter_candidates([early, late], no_report) == ((early, late), ())
 
 
 def test_renamed_file_fix_walks_old_name(repo_fixture):

@@ -56,6 +56,7 @@ def test_three_commit_fixture_blames_line_introducer(repo_fixture, monkeypatch):
     assert [c.inducing_commit for c in result.candidates] == [c2]
     assert reads == [(c2, "p.pd")]  # the pre-fix version, read once
     assert result.candidates[0].matched_paths == ()
+    assert result.failures == () and result.fix_diffs == {}  # nothing parsed
 
     # the modified line is line 2 (the msg record); cross-check with blame
     hunks = repo.line_hunks(c2, c3, _blob(repo_fixture, c2, "p.pd"),
