@@ -9,8 +9,8 @@ Subcommands mirror the pipeline stages so each is independently inspectable:
   history   debug a file's backtracking history
 
 Exit codes: 0 ok; 1 partial results / strict abort; 2 invalid config or
-verdicts, or an input file that cannot be read or is not UTF-8; 3 unreadable
-repository; 4 patch parse failure.
+verdicts, an input file that cannot be read or is not UTF-8, or an output
+file that cannot be written; 3 unreadable repository; 4 patch parse failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .diff import MAX_DEPTH, diff_ir, path_sort_key, paths_at_depth, render_path
+from .diff import MAX_DEPTH, diff_ir, paths_at_depth, render_path
 from .errors import ConfigError, GitError, PatchSyntaxError, read_input
 from .evaluate import ScoreGroup, format_table, load_verdicts, score_methods
 from .gitrepo import Repository
@@ -179,8 +179,11 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}")
 
 
 def _cmd_analyze(args) -> int:
@@ -245,12 +248,11 @@ def _cmd_diff(args) -> int:
         )
     diff = diff_ir(old_ir, new_ir, old_version=args.file_old,
                    new_version=args.file_new)
-    projected = sorted(paths_at_depth(diff, mode),
-                       key=lambda pk: path_sort_key(pk[0]))
-    for path, kind in projected:
+    projected = paths_at_depth(diff, mode)
+    for i, (path, kind) in enumerate(projected):
         line = f"{kind.label} {render_path(path)}"
-        if args.show_values and mode == MAX_DEPTH:
-            record = next(r for r in diff.records if r.path == path)
+        if args.show_values and mode == MAX_DEPTH:  # one pair per record, in order
+            record = diff.records[i]
             line += f"  {record.old_value!r} -> {record.new_value!r}"
         print(line)
     if args.out:

@@ -7,6 +7,11 @@ at the leaf's path. Record paths are therefore prefix-free (asserted on every
 diff). Connections are compared as set elements — an edge has no identity
 beyond its value, so rewiring an endpoint is a Delete+Add pair.
 
+The descent visits siblings in sorted order, so records are built in
+``path_sort_key`` order: siblings never mix component types (node ids and map
+keys are strings, list positions ints; only connections follow
+``"connections"``).
+
 A node whose subtree equals its counterpart is skipped without descent. That
 is sound because dataclass equality compares a ``Num`` by its spelling: equal
 subtrees hold equal leaves, which ``leaf_equal`` also finds equal, so they
@@ -14,9 +19,10 @@ cannot yield a record, while ``1.0`` against ``1.00`` is unequal and still
 reaches ``leaf_equal``, which reports no change.
 
 Change-depth: a path's depth is its component count. ``paths_at_depth``
-renders a diff either at full depth or truncated to a fixed depth; a real
-truncation means "this subtree changed", i.e. Modified, and a record that
-truncation leaves whole (a wholly added or deleted node, say) keeps its kind.
+projects a diff, in record order, either at full depth or truncated to a
+fixed depth; a real truncation means "this subtree changed", i.e. Modified,
+and a record that truncation leaves whole (a wholly added or deleted node,
+say) keeps its kind.
 
 Paths render in bracket notation for humans:
 ``root[obj-0]['serialized_contents']['text']``.
@@ -71,9 +77,6 @@ class IRDiff:
     old_version: str = "old"
     new_version: str = "new"
 
-    def paths(self) -> set[ChangePath]:
-        return {r.path for r in self.records}
-
 
 def _component_key(comp: PathComponent):
     if isinstance(comp, str):
@@ -93,21 +96,21 @@ def is_prefix(short: ChangePath, long: ChangePath) -> bool:
 
 def diff_ir(old: VisualIR, new: VisualIR, old_version: str = "old",
             new_version: str = "new") -> IRDiff:
-    """Deepest-point change set between two canonical IRs of one language."""
+    """Deepest-point change set between two canonical IRs of one language,
+    its records built in ``path_sort_key`` order and asserted prefix-free."""
     if old.source_language is not new.source_language:
         raise ValueError(
             f"language mismatch: {old.source_language.value} vs {new.source_language.value}"
         )
     records: list[ChangeRecord] = []
     _diff_subtrees(old, new, (), records)
-    records.sort(key=lambda r: path_sort_key(r.path))
     _assert_prefix_free(records)
     return IRDiff(records=tuple(records), old_version=old_version, new_version=new_version)
 
 
 def _diff_subtrees(old: VisualIR, new: VisualIR, prefix: ChangePath,
                    records: list[ChangeRecord]) -> None:
-    for node_id in old.subtrees.keys() | new.subtrees.keys():
+    for node_id in sorted(old.subtrees.keys() | new.subtrees.keys()):
         path = prefix + (node_id,)
         o, n = old.subtrees.get(node_id), new.subtrees.get(node_id)
         if n is None:
@@ -120,15 +123,14 @@ def _diff_subtrees(old: VisualIR, new: VisualIR, prefix: ChangePath,
 
 def _diff_one_node(old: NodeSubtree, new: NodeSubtree, prefix: ChangePath,
                    records: list[ChangeRecord]) -> None:
-    old_conns, new_conns = set(old.connections), set(new.connections)
-    for conn in old_conns - new_conns:
-        records.append(
-            ChangeRecord(ChangeKind.DELETED, prefix + ("connections", conn), conn, ABSENT)
-        )
-    for conn in new_conns - old_conns:
-        records.append(
-            ChangeRecord(ChangeKind.ADDED, prefix + ("connections", conn), ABSENT, conn)
-        )
+    old_conns = set(old.connections)
+    for conn in sorted(old_conns ^ set(new.connections), key=Connection.sort_key):
+        if conn in old_conns:
+            records.append(ChangeRecord(ChangeKind.DELETED, prefix + ("connections", conn),
+                                        conn, ABSENT))
+        else:
+            records.append(ChangeRecord(ChangeKind.ADDED, prefix + ("connections", conn),
+                                        ABSENT, conn))
     _diff_value(
         old.serialized_contents,
         new.serialized_contents,
@@ -137,52 +139,27 @@ def _diff_one_node(old: NodeSubtree, new: NodeSubtree, prefix: ChangePath,
     )
 
 
-def _category(value) -> str:
-    if isinstance(value, VisualIR):
-        return "patch"
-    if isinstance(value, dict):
-        return "map"
-    if isinstance(value, (list, tuple)):
-        return "list"
-    return "scalar"
-
-
 def _diff_value(old, new, path: ChangePath, records: list[ChangeRecord]) -> None:
-    cat = _category(old)
-    if cat != _category(new):
-        records.append(ChangeRecord(ChangeKind.MODIFIED, path, old, new))
-    elif cat == "map":
-        for key in old.keys() | new.keys():
-            if key not in new:
-                records.append(
-                    ChangeRecord(ChangeKind.DELETED, path + (key,), old[key], ABSENT)
-                )
-            elif key not in old:
-                records.append(
-                    ChangeRecord(ChangeKind.ADDED, path + (key,), ABSENT, new[key])
-                )
-            else:
-                _diff_value(old[key], new[key], path + (key,), records)
-    elif cat == "list":
+    # ABSENT stands for a map key or list position on one side only
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            _diff_value(old.get(key, ABSENT), new.get(key, ABSENT), path + (key,), records)
+    elif isinstance(old, (list, tuple)) and isinstance(new, (list, tuple)):
         for i in range(max(len(old), len(new))):
-            if i >= len(new):
-                records.append(
-                    ChangeRecord(ChangeKind.DELETED, path + (i,), old[i], ABSENT)
-                )
-            elif i >= len(old):
-                records.append(
-                    ChangeRecord(ChangeKind.ADDED, path + (i,), ABSENT, new[i])
-                )
-            else:
-                _diff_value(old[i], new[i], path + (i,), records)
-    elif cat == "patch":
+            _diff_value(old[i] if i < len(old) else ABSENT,
+                        new[i] if i < len(new) else ABSENT, path + (i,), records)
+    elif isinstance(old, VisualIR) and isinstance(new, VisualIR):
         _diff_subtrees(old, new, path, records)
-    elif not leaf_equal(old, new):
+    elif new is ABSENT:
+        records.append(ChangeRecord(ChangeKind.DELETED, path, old, ABSENT))
+    elif old is ABSENT:
+        records.append(ChangeRecord(ChangeKind.ADDED, path, ABSENT, new))
+    elif not leaf_equal(old, new):  # values of two kinds are never leaf-equal
         records.append(ChangeRecord(ChangeKind.MODIFIED, path, old, new))
 
 
 def _assert_prefix_free(records: list[ChangeRecord]) -> None:
-    # records are sorted, so a prefix violation is always adjacent
+    # records are in path order, so a prefix violation is always adjacent
     for a, b in zip(records, records[1:]):
         if is_prefix(a.path, b.path):
             raise AssertionError(
@@ -197,25 +174,29 @@ def truncate_path(path: ChangePath, depth: int) -> ChangePath:
     return path[:depth]
 
 
-def paths_at_depth(diff: IRDiff, mode: DepthMode) -> set[tuple[ChangePath, ChangeKind]]:
-    """Project a diff to (path, kind) pairs at the requested change-depth.
+def paths_at_depth(diff: IRDiff, mode: DepthMode
+                   ) -> tuple[tuple[ChangePath, ChangeKind], ...]:
+    """Project a diff to (path, kind) pairs at the requested change-depth,
+    as an ordered tuple in record order.
 
     Max mode returns every record as-is. At Depth(k), paths are truncated and
-    deduplicated; a truncated path reports Modified. A record no longer than
-    k keeps its kind: record paths are distinct and prefix-free, so no other
-    record truncates onto its path (a wholly added or deleted node's own
-    record is alone in its group).
+    deduplicated; a truncated path reports Modified. Records are in path
+    order, so equal truncations are adjacent and only the first is kept. A
+    record no longer than k keeps its kind: record paths are distinct and
+    prefix-free, so no other record truncates onto its path (a wholly added
+    or deleted node's own record is alone in its group).
     """
     if mode == MAX_DEPTH:
-        return {(r.path, r.kind) for r in diff.records}
+        return tuple((r.path, r.kind) for r in diff.records)
     depth = int(mode)
     if depth < 1:
         raise ValueError("change-depth must be >= 1")
-    out: set[tuple[ChangePath, ChangeKind]] = set()
+    out: list[tuple[ChangePath, ChangeKind]] = []
     for record in diff.records:
         tpath = truncate_path(record.path, depth)
-        out.add((tpath, record.kind if tpath == record.path else ChangeKind.MODIFIED))
-    return out
+        if not out or out[-1][0] != tpath:
+            out.append((tpath, record.kind if tpath == record.path else ChangeKind.MODIFIED))
+    return tuple(out)
 
 
 def match_changes(
@@ -228,9 +209,8 @@ def match_changes(
     Only Modified/Deleted fix paths participate; Added fix paths go through
     the miner's depth-reduction rule instead.
     """
-    historical = historical_diff.paths()
-    if mode != MAX_DEPTH:
-        historical = {truncate_path(p, int(mode)) for p in historical}
+    historical = {r.path if mode == MAX_DEPTH else truncate_path(r.path, int(mode))
+                  for r in historical_diff.records}
     return {
         path
         for path, kind in fix_paths

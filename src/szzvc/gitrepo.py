@@ -268,14 +268,11 @@ class Repository:
         if not _batch_carries(name):
             if "\x00" in name:
                 return _NO_OBJECT
-            proc = subprocess.run(
-                ["git", "-C", self.path, "rev-parse", "--verify", "--quiet",
-                 "--end-of-options", name],
-                capture_output=True, env=_git_env(),
-            )
-            if proc.returncode != 0:
+            try:
+                name = self._run("rev-parse", "--verify", "--quiet",
+                                 "--end-of-options", name).decode().strip()
+            except GitError:
                 return _NO_OBJECT
-            name = proc.stdout.decode().strip()
         return self._objects.ask(os.fsencode(name) + b"\n", _read_object)
 
     def rev_parse(self, rev: str) -> str:

@@ -10,7 +10,8 @@ IR under the ``patcher`` contents key.
 Box attributes pass through a configurable ``PropertyFilter`` applied
 recursively at every nesting level. The default excludes editor-derived
 churn (geometry, fonts, inlet/outlet counts, app metadata); ``text``,
-``maxclass`` and ``patcher`` identify a node and can never be excluded.
+``maxclass`` and ``patcher`` identify a node: an exclude-list cannot name
+them, and an include-list keeps them whether it names them or not.
 
 Numbers become ``Num`` only where the filter keeps them. The JSON decoder
 hands each number's source text over as ``bytes`` (``str.encode``), a type
@@ -78,6 +79,9 @@ class FilterMode(Enum):
 
 @dataclass(frozen=True)
 class PropertyFilter:
+    """Box attributes to keep at every level; an include-list keeps the
+    guarded keys too, and an exclude-list may not name them."""
+
     mode: FilterMode
     keys: frozenset[str]
 
@@ -92,7 +96,7 @@ class PropertyFilter:
     def keep(self, key: str) -> bool:
         if self.mode is FilterMode.EXCLUDE_LIST:
             return key not in self.keys
-        return key in self.keys
+        return key in self.keys or key in GUARDED_KEYS
 
     @classmethod
     def from_dict(cls, data: dict) -> "PropertyFilter":

@@ -18,7 +18,7 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .diff import paths_at_depth, nodes_touched, path_sort_key, render_path
+from .diff import paths_at_depth, nodes_touched, render_path
 from .gitrepo import Repository
 from .miner import (
     FixingCommit,
@@ -130,15 +130,11 @@ def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
                 f"{failure.reason}"
             )
         for path, fix_diff in sorted(result.fix_diffs.items()):
-            projected = sorted(
-                paths_at_depth(fix_diff, config.depth_mode),
-                key=lambda pk: path_sort_key(pk[0]),
-            )
             entry["diffs"][path] = {
                 "nodes_touched": nodes_touched(fix_diff),
                 "records": [
                     {"kind": kind.value, "path": render_path(p), "depth": len(p)}
-                    for p, kind in projected
+                    for p, kind in paths_at_depth(fix_diff, config.depth_mode)
                 ],
             }
         kept, dropped = filter_candidates(result.candidates, fixing)

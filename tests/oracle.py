@@ -2,14 +2,15 @@
 
 Flattens both IRs to (path -> leaf marker) maps, set-compares them, and
 checks the engine's records against the resulting changed-path set without
-reusing any engine traversal code. Also provides a test-only patch operation
+reusing any engine traversal code. Also provides the change-depth projection
+as an unordered set, a test-only patch operation
 for the composition-soundness property, a character-at-a-time reference
 for the Pd record splitter, and git's own resolution of a commit name.
 """
 
 import subprocess
 
-from szzvc.diff import ChangeKind, IRDiff, diff_ir, is_prefix
+from szzvc.diff import MAX_DEPTH, ChangeKind, IRDiff, diff_ir, is_prefix
 from szzvc.errors import PatchSyntaxError
 from szzvc.ir import Connection, NodeSubtree, Num, VisualIR
 from szzvc.pdparser import PdRecord
@@ -104,6 +105,15 @@ def assert_matches_bruteforce(old: VisualIR, new: VisualIR, diff: IRDiff) -> Non
         else:
             assert in_old and in_new, f"bad Modified record at {record.path}"
 
+
+
+def paths_at_depth_set(diff: IRDiff, mode) -> set:
+    """(path, kind) pairs at a change-depth, one per record, as a set: a
+    record cut short by the depth reads Modified at its truncated path."""
+    if mode == MAX_DEPTH:
+        return {(r.path, r.kind) for r in diff.records}
+    return {(r.path[:mode], r.kind if len(r.path) <= mode else ChangeKind.MODIFIED)
+            for r in diff.records}
 
 # ---------------------------------------------------------------------------
 # Test-only patch operation (composition soundness)

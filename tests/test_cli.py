@@ -392,6 +392,30 @@ def test_unreadable_input_file_exits_2(repo_fixture, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("target", ["missing parent", "directory"])
+@pytest.mark.parametrize("command", ["analyze", "parse", "diff", "score"])
+def test_unwritable_out_file_exits_2(repo_fixture, hello_world_pair, tmp_path, capsys,
+                                     command, target):
+    _, _, issues = _seed_repo(repo_fixture, tmp_path)
+    old, new = hello_world_pair
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": SCHEMA, "fixing_commits": []}))
+    verdicts = tmp_path / "none.jsonl"
+    verdicts.write_text("")
+    out = tmp_path / "missing" / "x.json" if target == "missing parent" else tmp_path
+    argv = {
+        "analyze": ("analyze", "--repo", str(repo_fixture.path), "--issues", str(issues),
+                    "--no-timing"),
+        "parse": ("parse", str(old)),
+        "diff": ("diff", str(old), str(new)),
+        "score": ("score", str(report), str(verdicts)),
+    }[command]
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"szzvc: config error: cannot write {out}: ")
+    assert "Traceback" not in err
+
 def test_analyze_env_var_config(repo_fixture, tmp_path, capsys, monkeypatch):
     _, c3, issues = _seed_repo(repo_fixture, tmp_path)
     config = tmp_path / "config.json"

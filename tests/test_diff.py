@@ -92,12 +92,24 @@ def test_numeric_spelling_is_not_a_change():
     # beside a changed node, and inside a subpatch
     old = _ir({"obj-0": NodeSubtree((), {"p": old}), "obj-1": NodeSubtree((), {"t": "a"})})
     new = _ir({"obj-0": NodeSubtree((), {"p": new}), "obj-1": NodeSubtree((), {"t": "b"})})
-    assert diff_ir(old, new).paths() == {("obj-1", "serialized_contents", "t")}
+    assert [r.path for r in diff_ir(old, new).records] == [
+        ("obj-1", "serialized_contents", "t")
+    ]
 
 
-def test_kind_change_is_reported_at_that_path():
-    old = _ir({"obj-0": NodeSubtree((), {"v": "scalar"})})
-    new = _ir({"obj-0": NodeSubtree((), {"v": {"k": "map"}})})
+_INNER = _ir({"obj-0": _node("in")})
+
+
+@pytest.mark.parametrize("old_value,new_value", [
+    ("scalar", {"k": "map"}),
+    (["a", "b"], {"k": "map"}),
+    ({"k": "map"}, _INNER),
+    (Num("1"), [Num("1")]),
+    (_INNER, "scalar"),
+], ids=["scalar-map", "list-map", "map-patch", "num-list", "patch-scalar"])
+def test_kind_change_is_reported_at_that_path(old_value, new_value):
+    old = _ir({"obj-0": NodeSubtree((), {"v": old_value})})
+    new = _ir({"obj-0": NodeSubtree((), {"v": new_value})})
     diff = diff_ir(old, new)
     assert [(r.kind, r.path) for r in diff.records] == [
         (ChangeKind.MODIFIED, ("obj-0", "serialized_contents", "v"))
@@ -118,16 +130,16 @@ def test_paths_at_depth_single_modified_record():
     old = parse_pd(HELLO_WORLD_PD)
     new = parse_pd(HELLO_WORLD_PD_MUTATED)
     diff = diff_ir(old, new)
-    assert paths_at_depth(diff, 1) == {(("obj-0",), ChangeKind.MODIFIED)}
-    assert paths_at_depth(diff, MAX_DEPTH) == {
-        (("obj-0", "serialized_contents", "text"), ChangeKind.MODIFIED)
-    }
+    assert paths_at_depth(diff, 1) == ((("obj-0",), ChangeKind.MODIFIED),)
+    assert paths_at_depth(diff, MAX_DEPTH) == (
+        (("obj-0", "serialized_contents", "text"), ChangeKind.MODIFIED),
+    )
 
 
 def test_paths_at_depth_empty():
     ir = parse_pd(HELLO_WORLD_PD)
-    assert paths_at_depth(diff_ir(ir, ir), MAX_DEPTH) == set()
-    assert paths_at_depth(diff_ir(ir, ir), 1) == set()
+    assert paths_at_depth(diff_ir(ir, ir), MAX_DEPTH) == ()
+    assert paths_at_depth(diff_ir(ir, ir), 1) == ()
 
 
 def test_paths_at_depth_merge_rule():
@@ -141,22 +153,22 @@ def test_paths_at_depth_merge_rule():
         "obj-2": _node("fresh"),
     })
     diff = diff_ir(old, new)
-    assert paths_at_depth(diff, 1) == {
+    assert paths_at_depth(diff, 1) == (
         (("obj-1",), ChangeKind.MODIFIED),  # edge added + text modified merge
         (("obj-2",), ChangeKind.ADDED),  # whole-node addition stays Added
         (("obj-9",), ChangeKind.DELETED),
-    }
+    )
 
 
 def test_paths_at_depth_all_added_under_existing_node_is_modified():
     old = _ir({"obj-1": NodeSubtree((), {"a": "x"})})
     new = _ir({"obj-1": NodeSubtree((), {"a": "x", "b": "y"})})
     diff = diff_ir(old, new)
-    assert paths_at_depth(diff, 1) == {(("obj-1",), ChangeKind.MODIFIED)}
+    assert paths_at_depth(diff, 1) == ((("obj-1",), ChangeKind.MODIFIED),)
     # untruncated at its own depth, the record keeps its kind
-    assert paths_at_depth(diff, 3) == {
-        (("obj-1", "serialized_contents", "b"), ChangeKind.ADDED)
-    }
+    assert paths_at_depth(diff, 3) == (
+        (("obj-1", "serialized_contents", "b"), ChangeKind.ADDED),
+    )
 
 
 def test_match_changes_exact_and_empty():

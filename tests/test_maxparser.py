@@ -52,8 +52,31 @@ def test_empty_exclude_list_keeps_everything():
 def test_include_list_keeps_only_listed_keys():
     ir = parse_maxpat(MINIMAL, PropertyFilter(FilterMode.INCLUDE_LIST,
                                               frozenset({"text"})))
-    assert ir.subtrees["obj-1"].serialized_contents == {"text": "hello world"}
+    # the guarded keys stay whether the list names them or not
+    assert ir.subtrees["obj-1"].serialized_contents == {"maxclass": "message",
+                                                        "text": "hello world"}
 
+
+def test_include_list_keeps_the_identifying_keys():
+    only_varname = PropertyFilter(FilterMode.INCLUDE_LIST, frozenset({"varname"}))
+    inner = json.loads(maxpat_doc([{"id": "obj-1", "maxclass": "newobj",
+                                    "text": "sig~", "varname": "in"}]))["patcher"]
+
+    def version(freq):
+        return maxpat_doc([
+            {"id": "obj-1", "maxclass": "newobj", "text": f"cycle~ {freq}",
+             "patching_rect": [0.0, 0.0, 1.0, 1.0]},
+            {"id": "obj-2", "maxclass": "newobj", "text": "p sub", "patcher": inner},
+        ])
+
+    old, new = (parse_maxpat(version(f), only_varname) for f in (440, 220))
+    assert [(r.path, r.old_value, r.new_value) for r in diff_ir(old, new).records] == [
+        (("obj-1", "serialized_contents", "text"), "cycle~ 440", "cycle~ 220")
+    ]
+    nested = old.subtrees["obj-2"].serialized_contents["patcher"]
+    assert nested.subtrees["obj-1"].serialized_contents == {
+        "maxclass": "newobj", "text": "sig~", "varname": "in"
+    }
 
 def test_default_filter_contents():
     prop_filter = default_property_filter()

@@ -9,6 +9,7 @@ from szzvc.diff import (
     diff_ir,
     is_prefix,
     match_changes,
+    path_sort_key,
     paths_at_depth,
     truncate_path,
 )
@@ -22,7 +23,13 @@ from szzvc.maxparser import (
     parse_maxpat,
 )
 from szzvc.pdparser import PdNodeTable, parse_pd, split_records
-from oracle import apply_diff, assert_matches_bruteforce, flatten, split_records_reference
+from oracle import (
+    apply_diff,
+    assert_matches_bruteforce,
+    flatten,
+    paths_at_depth_set,
+    split_records_reference,
+)
 from strategies import (
     ir_pairs,
     maxpat_documents,
@@ -227,6 +234,15 @@ def test_depth1_nodes_same_before_or_after_dedup(pair):
         assert len(path) <= 2
         assert truncate_path(path, 1) in {(n,) for n in direct}
 
+
+@CASES
+@given(ir_pairs, st.sampled_from([MAX_DEPTH, 1, 2, 3]))
+def test_records_and_projection_come_in_path_order(pair, mode):
+    diff = diff_ir(*pair)
+    paths = [r.path for r in diff.records]
+    assert paths == sorted(paths, key=path_sort_key)
+    expected = sorted(paths_at_depth_set(diff, mode), key=lambda pk: path_sort_key(pk[0]))
+    assert paths_at_depth(diff, mode) == tuple(expected)
 
 @CASES
 @given(ir_pairs, st.sampled_from([MAX_DEPTH, 1, 2, 3]))
