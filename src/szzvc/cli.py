@@ -16,6 +16,7 @@ file that cannot be written; 3 unreadable repository; 4 patch parse failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -186,7 +187,24 @@ def _write_out(text: str, out: str | None) -> None:
             raise ConfigError(f"cannot write {out}: {exc}")
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an output path that cannot be a file in an existing directory
+    before any work is done; the file is neither created nor truncated, so a
+    run that fails later leaves an old report alone. ``_write_out`` still
+    reports what only writing can find."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write {out}: {OSError(code, os.strerror(code), out)}")
+
+
 def _cmd_analyze(args) -> int:
+    _check_out(args.out)  # before the repository is opened and mined
     config = _load_config(args)
     issue_links = load_issue_links(args.issues) if args.issues else None
     methods = ("szz-vc", "textual") if args.method == "both" else (args.method,)

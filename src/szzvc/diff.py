@@ -110,14 +110,18 @@ def diff_ir(old: VisualIR, new: VisualIR, old_version: str = "old",
 
 def _diff_subtrees(old: VisualIR, new: VisualIR, prefix: ChangePath,
                    records: list[ChangeRecord]) -> None:
-    for node_id in sorted(old.subtrees.keys() | new.subtrees.keys()):
+    olds, news = old.subtrees, new.subtrees
+    # both parsers share unchanged nodes: only the rest are sorted and visited
+    changed = [node_id for node_id, o in olds.items() if news.get(node_id) is not o]
+    changed += [node_id for node_id in news if node_id not in olds]
+    for node_id in sorted(changed):
         path = prefix + (node_id,)
-        o, n = old.subtrees.get(node_id), new.subtrees.get(node_id)
+        o, n = olds.get(node_id), news.get(node_id)
         if n is None:
             records.append(ChangeRecord(ChangeKind.DELETED, path, o, ABSENT))
         elif o is None:
             records.append(ChangeRecord(ChangeKind.ADDED, path, ABSENT, n))
-        elif o is not n and o != n:  # both parsers share unchanged nodes
+        elif o != n:
             _diff_one_node(o, n, path, records)
 
 

@@ -132,13 +132,14 @@ def intern_ir(language: Language, source_path: str,
     has contents of its own and is built anew.
     """
     subtrees = {}
+    get = shared.get
     for node_id in sorted(nodes):
         key, contents = nodes[node_id]
         conns = tuple(sorted(wires[node_id])) if node_id in wires else ()
-        subtree = None if key is None else shared.get((key, conns))
+        subtree = None if key is None else get((key, conns))
         if subtree is None:
             subtree = NodeSubtree(
-                tuple(Connection(outlet, dest, inlet) for dest, outlet, inlet in conns),
+                tuple([Connection(outlet, dest, inlet) for dest, outlet, inlet in conns]),
                 contents,
             )
             if key is not None:

@@ -122,7 +122,8 @@ class MaxNodeTable:
     """What :func:`parse_maxpat` built, for the parses that come after.
 
     - Each element text of an array in a top-level patcher (``boxes``,
-      ``lines`` or any other) that was once decoded as a complete object.
+      ``lines`` or any other) that was once decoded as a complete object,
+      and the element text that last followed it.
     - Each box element's entry, one map per property filter: its id, its
       key for :func:`~szzvc.ir.intern_ir` and its filtered contents. The key
       is the box's text, and the text with its file's path for a box whose
@@ -130,12 +131,23 @@ class MaxNodeTable:
     - The ``shared`` node map of ``intern_ir``, one per property filter.
     - Each patchline element's endpoints.
 
-    A known text met again skips decoding only where the layout closes each
-    element on a line of its own, at the indent the element opened with:
-    the end of the text is then one ``str.find`` away. ``json.dumps`` with
-    an indent and Max's own layout do so. Elsewhere, in a minified document
-    for one, each element is decoded by the C scanner to find its end, and
-    only the filtering and the node are taken from the table.
+    A known text met again is taken without decoding in two ways. Each
+    text remembers the element text that last followed it in an array; where
+    that text starts right after it, one ``str.startswith`` takes it, in any
+    layout. Otherwise, where the layout closes each element on a line of its
+    own, at the indent the element opened with, the end of the text is one
+    ``str.find`` away. ``json.dumps`` with an indent and Max's own layout do
+    so. Elsewhere, in a minified document for one, such an element is
+    decoded by the C scanner to find its end, and only the filtering and the
+    node are taken from the table. A known box text costs one lookup in the
+    box map; a text keyed with its path is looked up after that misses.
+
+    Each array learns the gap between its first two elements, from the end
+    of the one through the ``{`` of the next (``,\\n\\t\\t\\t{`` in a
+    tab-indented document, ``\\n, \\t\\t\\t{`` in Max's own layout). Where
+    an object element is followed by that same text, the next element starts
+    right after it; anything else is read by the whitespace, ``]`` and ``,``
+    checks, so a gap that changes mid-array costs only the shortcut.
 
     The reader is built from parts of ``json.decoder`` that are not public:
     ``JSONObject`` called with its positional arguments, ``JSONArray``,
@@ -151,8 +163,9 @@ class MaxNodeTable:
 
     def __init__(self):
         self._boxes: dict[PropertyFilter, tuple[dict, dict]] = {}
-        self._lines: dict[str, tuple[str, int, str, int]] = {}
+        self._lines: dict[str, tuple[str, tuple[str, int, int]]] = {}
         texts: set[str] = set()
+        follows: dict[str, str] = {}  # an element text -> the text that followed it
         decoder = json.JSONDecoder(parse_int=str.encode, parse_float=str.encode,
                                    parse_constant=_reject_constant)
         scan = self._scan = decoder.scan_once  # the C scanner where there is one
@@ -171,6 +184,10 @@ class MaxNodeTable:
             pos = skip(s, idx + 1).end()
             if startswith("]", pos):
                 return items, pos + 1
+            # the text from the end of an element through the "{" of the
+            # next, as the array's first such gap reads; where it follows an
+            # object element again, it is the same whitespace, comma and "{"
+            sep = None
             # An element of the pretty-printed layouts ends in a newline, the
             # indent it starts at and "}". The indent is that of a new line,
             # or the tabs of Max's own "[ \t\t\t{" and ", \t\t\t{".
@@ -181,19 +198,32 @@ class MaxNodeTable:
                 if s[start - 1] in "\n ":
                     closing = "\n" + s[start:pos] + "}"
             closes = len(closing)
+            last = None  # the text of the last object element
             while True:
                 if startswith("{", pos):
                     # a text seen before is a complete object: it ends where it did
-                    close = find(closing, pos) + closes
-                    text = s[pos:close]
-                    if text in texts:
-                        end = close
+                    text = follows.get(last)
+                    if text is not None and startswith(text, pos):
+                        end = pos + len(text)
                         append((text, None))
                     else:
-                        value, end = scan(s, pos)
-                        text = s[pos:end]
-                        texts.add(text)
-                        append((text, value))
+                        close = find(closing, pos) + closes
+                        text = s[pos:close]
+                        if text in texts:
+                            end = close
+                            append((text, None))
+                        else:
+                            value, end = scan(s, pos)
+                            if end != close:
+                                text = s[pos:end]
+                            texts.add(text)
+                            append((text, value))
+                        if last is not None:
+                            follows[last] = text
+                    last = text
+                    if sep is not None and startswith(sep, end):
+                        pos = end + to_next
+                        continue
                 else:
                     try:
                         value, end = scan(s, pos)
@@ -206,6 +236,9 @@ class MaxNodeTable:
                 if not startswith(",", pos):
                     return json.decoder.JSONArray((s, idx + 1), scan)
                 pos = skip(s, pos + 1).end()
+                if sep is None and startswith("{", pos):
+                    sep = s[end:pos + 1]
+                    to_next = len(sep) - 1
 
         def patcher_value(s: str, idx: int):
             if s.startswith("[", idx):
@@ -277,63 +310,87 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter, source_path: str,
     if not isinstance(boxes, list):
         raise PatchSyntaxError("patcher boxes must be an array")
     known, shared = table._boxes.setdefault(prop_filter, ({}, {}))
+    known_get = known.get
     nodes: dict[str, tuple] = {}  # box id -> (key, contents); a key of None is not shared
     for item in boxes:
-        text = entry = None
-        if type(item) is tuple:  # an element of a top-level patcher
-            text, item = item
-            entry = known.get(text) or known.get((source_path, text))
-            if entry is None and item is None:  # seen, but not as such a box
-                item = table._scan(text, 0)[0]
+        # an element of a top-level patcher is (text, value): one lookup
+        # finds a box met before under its text alone
+        entry = known_get(item[0]) if type(item) is tuple else None
         if entry is None:
-            box = item.get("box") if isinstance(item, dict) else None
-            if not isinstance(box, dict):
-                raise PatchSyntaxError("box entry is not an object")
-            box_id = box.get("id")
-            if not isinstance(box_id, str) or not box_id:
-                raise PatchSyntaxError("box has no id")
-        else:
-            box_id = entry[0]
+            entry = _box_entry(item, nodes, known, prop_filter, source_path, depth, table)
+        box_id, node = entry
         if box_id in nodes:
             raise PatchSyntaxError(f"duplicate box id {box_id!r}")
-        if entry is None:
-            contents = _box_contents(box, prop_filter, source_path, depth, table)
-            key = text
-            if text is not None and isinstance(contents.get("patcher"), VisualIR):
-                key = (source_path, text)
-            entry = (box_id, key, contents)
-            if key is not None:
-                known[key] = entry
-        nodes[box_id] = entry[1:]
+        nodes[box_id] = node
 
     lines = patcher.get("lines", [])
     if not isinstance(lines, list):
         raise PatchSyntaxError("patcher lines must be an array")
+    lines_get = table._lines.get
     wires: dict[str, list[tuple[str, int, int]]] = {}
     for item in lines:
-        text = wire = None
-        if type(item) is tuple:
-            text, item = item
-            wire = table._lines.get(text)
-            if wire is None and item is None:
-                item = table._scan(text, 0)[0]
+        wire = lines_get(item[0]) if type(item) is tuple else None
         if wire is None:
-            line = item.get("patchline") if isinstance(item, dict) else None
-            if not isinstance(line, dict):
-                raise PatchSyntaxError("patchline entry is not an object")
-            wire = _endpoint(line, "source") + _endpoint(line, "destination")
-            if text is not None:
-                table._lines[text] = wire
-        src_id, outlet, dst_id, inlet = wire
+            wire = _wire(item, table)
+        src_id, conn = wire
         if src_id not in nodes:
             raise PatchSyntaxError(f"patchline source references unknown box {src_id!r}")
-        if dst_id not in nodes:
+        if conn[0] not in nodes:
             raise PatchSyntaxError(
-                f"patchline destination references unknown box {dst_id!r}"
+                f"patchline destination references unknown box {conn[0]!r}"
             )
-        wires.setdefault(src_id, []).append((dst_id, outlet, inlet))
+        wires.setdefault(src_id, []).append(conn)
 
     return intern_ir(Language.MAX_MSP, source_path, nodes, wires, shared)
+
+
+def _box_entry(item, nodes: dict, known: dict, prop_filter: PropertyFilter,
+               source_path: str, depth: int, table: MaxNodeTable) -> tuple:
+    """``(box id, (key, contents))`` of a box element that its text alone
+    does not find in ``known``; a keyed entry is stored there."""
+    text = None
+    if type(item) is tuple:
+        text, item = item
+        entry = known.get((source_path, text))
+        if entry is not None:
+            return entry
+        if item is None:  # seen, but not as such a box
+            item = table._scan(text, 0)[0]
+    box = item.get("box") if isinstance(item, dict) else None
+    if not isinstance(box, dict):
+        raise PatchSyntaxError("box entry is not an object")
+    box_id = box.get("id")
+    if not isinstance(box_id, str) or not box_id:
+        raise PatchSyntaxError("box has no id")
+    if box_id in nodes:
+        raise PatchSyntaxError(f"duplicate box id {box_id!r}")
+    contents = _box_contents(box, prop_filter, source_path, depth, table)
+    key = text
+    if text is not None and isinstance(contents.get("patcher"), VisualIR):
+        key = (source_path, text)
+    entry = (box_id, (key, contents))
+    if key is not None:
+        known[key] = entry
+    return entry
+
+
+def _wire(item, table: MaxNodeTable) -> tuple[str, tuple[str, int, int]]:
+    """``(source id, (destination id, outlet, inlet))`` of a patchline
+    element; one of a top-level patcher is stored under its text."""
+    text = None
+    if type(item) is tuple:
+        text, item = item
+        if item is None:  # seen, but not as a patchline
+            item = table._scan(text, 0)[0]
+    line = item.get("patchline") if isinstance(item, dict) else None
+    if not isinstance(line, dict):
+        raise PatchSyntaxError("patchline entry is not an object")
+    src_id, outlet = _endpoint(line, "source")
+    dst_id, inlet = _endpoint(line, "destination")
+    wire = (src_id, (dst_id, outlet, inlet))
+    if text is not None:
+        table._lines[text] = wire
+    return wire
 
 
 def _endpoint(line: dict, key: str) -> tuple[str, int]:
@@ -356,13 +413,17 @@ def _endpoint(line: dict, key: str) -> tuple[str, int]:
 
 def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str,
                   depth: int, table: MaxNodeTable) -> dict:
+    if prop_filter.mode is FilterMode.EXCLUDE_LIST:
+        keys = box.keys() - prop_filter.keys
+    else:
+        keys = {key for key in box if prop_filter.keep(key)}
+    keys.discard("id")  # the id is the subtree key, not a content property
     contents = {}
-    for key, value in sorted(box.items()):  # keys are distinct: values never compare
-        if key == "id":
-            continue  # the id is the subtree key, not a content property
-        if not prop_filter.keep(key):
-            continue
-        if key == "patcher" and isinstance(value, dict):
+    for key in sorted(keys):
+        value = box[key]
+        if type(value) is str:
+            contents[key] = value
+        elif key == "patcher" and isinstance(value, dict):
             contents[key] = _parse_patcher(value, prop_filter, source_path, depth + 1,
                                            table)
         else:
@@ -371,8 +432,14 @@ def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str,
 
 
 def _filter_value(value, prop_filter: PropertyFilter, depth: int):
+    # the decoder makes dicts, lists, strs, bytes (numbers), bools and None;
     # the depth is checked on containers only: a leaf cannot nest
-    if isinstance(value, dict):
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is bytes:
+        return Num(value.decode())
+    if kind is dict:
         if depth > MAX_NESTING:
             raise _too_deep()
         return {
@@ -380,10 +447,8 @@ def _filter_value(value, prop_filter: PropertyFilter, depth: int):
             for k, v in sorted(value.items())
             if prop_filter.keep(k)
         }
-    if isinstance(value, list):
+    if kind is list:
         if depth > MAX_NESTING:
             raise _too_deep()
         return [_filter_value(v, prop_filter, depth + 1) for v in value]
-    if isinstance(value, bytes):
-        return Num(value.decode())
     return value

@@ -22,7 +22,10 @@ filter afterwards drops candidates committed after the linked bug report.
 Fixing commits on one file share most of their history, so a run keeps one
 :class:`MiningCache`: each file version is read and parsed once, keyed by its
 blob id, and each step, the fix's own included, is diffed once, keyed by its
-two blob ids. Blob ids come with the changed files of the commit index.
+two blob ids. Blob ids come with the changed files of the commit index, and
+a fix's versions are read by blob id in one request: before the fix is
+diffed, the versions of its own step and of every history step that the
+cache has not parsed are prefetched together.
 """
 
 from __future__ import annotations
@@ -427,14 +430,20 @@ class MiningCache:
         key = (blob, language)
         ir = self._irs.get(key)
         if ir is None:
-            ir = self._irs[key] = self._parse(language, rev, path)
+            ir = self._irs[key] = self._parse(language, blob, rev, path)
         if isinstance(ir, PatchSyntaxError):
             raise ir.with_traceback(None)
         return ir
 
-    def _parse(self, language: Language, rev: str, path: str
+    def prefetch(self, language: Language, steps: list[HistoryStep]) -> None:
+        """Read, in one request, the versions of ``steps`` not parsed yet."""
+        self.repo.prefetch(
+            blob for step in steps for blob in (step.old_blob, step.new_blob)
+            if blob is not None and (blob, language) not in self._irs)
+
+    def _parse(self, language: Language, blob: str, rev: str, path: str
                ) -> VisualIR | PatchSyntaxError:
-        data = self.repo.read_file(rev, path)
+        data = self.repo.read_file(rev, path, blob=blob)
         if data is None:  # not a file, e.g. a gitlink
             return empty_ir(language, path)
         text, _ = decode_patch_bytes(data)
@@ -505,6 +514,11 @@ def _mine_file(
     language = language_for_path(fix.path_new, config.extensions)
     if language is None:
         return
+    # a brand-new file has no history to blame
+    steps = [] if fix.path_old is None else history_steps(
+        cache.repo, fix.path_old, fix.entry.commit_id,
+        follow_renames=config.follow_renames)
+    cache.prefetch(language, [fix, *steps])
     fix_diff = _diff_or_failure(cache, language, fix, failures)
     if fix_diff is None:
         return  # the fixing side skips the file
@@ -517,11 +531,6 @@ def _mine_file(
                    if kind is ChangeKind.ADDED and len(path) > 1]
     if not md_pairs and not added_paths:
         return
-    if fix.path_old is None:
-        return  # a brand-new file has no history to blame
-
-    steps = history_steps(cache.repo, fix.path_old, fix.entry.commit_id,
-                          follow_renames=config.follow_renames)
     # an unparseable step is skipped; matching continues further back
     step_diffs = [_diff_or_failure(cache, language, s, failures) for s in steps]
 

@@ -15,10 +15,11 @@ insertion shifts every later id, which is exactly the instability the Max
 format avoids with persistent ids.
 
 Grammar subset: node-defining elements are obj, msg, text (comments appear as
-nodes in the editor), floatatom, symbolatom, number, and array (so ``#A``
-data has a home); ``connect`` wires ordinals, ``coords`` is layout, a nested
-``#N canvas``/``#X restore`` pair becomes one node whose contents nest the
-subcanvas IR. Anything else is skipped. An ``#A`` record writes its values
+nodes in the editor), floatatom, symbolatom, listbox, number, and array (so
+``#A`` data has a home); ``connect`` wires ordinals, ``coords`` is layout, a
+nested ``#N canvas``/``#X restore`` pair becomes one node whose contents nest
+the subcanvas IR. The ``#N struct`` templates that Pd saves before the first
+canvas are skipped, as is anything else. An ``#A`` record writes its values
 from the index given by its first atom. Layout is excluded unless
 ``include_layout`` is set: the x/y coordinates and the box width, which Pd
 appends to a box's atoms as an unescaped ``, f <int>``.
@@ -47,7 +48,8 @@ from .ir import (
     intern_ir,
 )
 
-NODE_ELEMENTS = {"obj", "msg", "text", "floatatom", "symbolatom", "number", "array"}
+NODE_ELEMENTS = {"obj", "msg", "text", "floatatom", "symbolatom", "listbox", "number",
+                 "array"}
 COORDLESS_ELEMENTS = {"array"}
 _DIGITS = re.compile(r"[0-9]+")
 
@@ -181,10 +183,10 @@ def _layout_value(token: str):
 # What a record means to the parser, built once per record text. Forms are
 # (kind, ...): (_NODE, (tag, contents), error), (_RESTORE, contents, error),
 # (_CONNECT, (src, outlet, dst, inlet), error), (_ARRAY_DATA, index, start,
-# values), (_CANVAS,) and (_SKIP,). ``error`` is a message that depends on
-# the record alone; it is raised only when the parse reaches the record, so
-# that errors come in the order the records' meaning asks for.
-_NODE, _CONNECT, _CANVAS, _RESTORE, _ARRAY_DATA, _SKIP = range(6)
+# values), (_CANVAS,), (_STRUCT,) and (_SKIP,). ``error`` is a message that
+# depends on the record alone; it is raised only when the parse reaches the
+# record, so that errors come in the order the records' meaning asks for.
+_NODE, _CONNECT, _CANVAS, _RESTORE, _ARRAY_DATA, _SKIP, _STRUCT = range(7)
 
 
 class PdNodeTable:
@@ -216,7 +218,9 @@ class PdNodeTable:
             start = int(index) if len(index) < 19 and _DIGITS.fullmatch(index) else -1
             return _ARRAY_DATA, index, start, tuple(map(_layout_value, values))
         if record.chunk == "N":
-            return (_CANVAS,) if record.element == "canvas" else (_SKIP,)
+            if record.element == "canvas":
+                return (_CANVAS,)
+            return (_STRUCT,) if record.element == "struct" else (_SKIP,)
         if record.element == "connect":
             if len(record.atoms) != 4:
                 return _CONNECT, None, "connect record needs 4 indices"
@@ -295,13 +299,14 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
         raise unterminated
     if not forms:
         raise PatchSyntaxError("empty patch file", (1, 1))
-    if forms[0][0] != _CANVAS:
-        raise error(0, "patch must start with a canvas declaration")
     # the open canvas: its record index, nodes and connect record indices;
     # the canvases around it wait on the stack
-    opened, nodes, connects = 0, [], []
+    opened = next((i for i, form in enumerate(forms) if form[0] != _STRUCT), 0)
+    if forms[opened][0] != _CANVAS:
+        raise error(opened, "patch must start with a canvas declaration")
+    nodes, connects = [], []
     stack: list[tuple[int, list, list]] = []
-    for i in range(1, len(forms)):
+    for i in range(opened + 1, len(forms)):
         form = forms[i]
         kind = form[0]
         if kind == _NODE:

@@ -3,16 +3,18 @@
 Flattens both IRs to (path -> leaf marker) maps, set-compares them, and
 checks the engine's records against the resulting changed-path set without
 reusing any engine traversal code. Also provides the change-depth projection
-as an unordered set, a test-only patch operation
+as an unordered set, the diff's node loop as a visit of every node id, a
+test-only patch operation
 for the composition-soundness property, a character-at-a-time reference
 for the Pd record splitter, and git's own resolution of a commit name.
 """
 
 import subprocess
 
-from szzvc.diff import MAX_DEPTH, ChangeKind, IRDiff, diff_ir, is_prefix
+from szzvc import diff as diff_module
+from szzvc.diff import MAX_DEPTH, ChangeKind, ChangeRecord, IRDiff, diff_ir, is_prefix
 from szzvc.errors import PatchSyntaxError
-from szzvc.ir import Connection, NodeSubtree, Num, VisualIR
+from szzvc.ir import ABSENT, Connection, NodeSubtree, Num, VisualIR
 from szzvc.pdparser import PdRecord
 
 
@@ -114,6 +116,20 @@ def paths_at_depth_set(diff: IRDiff, mode) -> set:
         return {(r.path, r.kind) for r in diff.records}
     return {(r.path[:mode], r.kind if len(r.path) <= mode else ChangeKind.MODIFIED)
             for r in diff.records}
+
+def diff_subtrees_full_visit(old: VisualIR, new: VisualIR, prefix, records) -> None:
+    """The node loop of ``szzvc.diff`` as a visit of every node id of either
+    side in sorted order, comparing each pair that is not one object; the
+    reference for the loop that sorts only the ids whose nodes differ."""
+    for node_id in sorted(old.subtrees.keys() | new.subtrees.keys()):
+        path = prefix + (node_id,)
+        o, n = old.subtrees.get(node_id), new.subtrees.get(node_id)
+        if n is None:
+            records.append(ChangeRecord(ChangeKind.DELETED, path, o, ABSENT))
+        elif o is None:
+            records.append(ChangeRecord(ChangeKind.ADDED, path, ABSENT, n))
+        elif o is not n and o != n:
+            diff_module._diff_one_node(o, n, path, records)
 
 # ---------------------------------------------------------------------------
 # Test-only patch operation (composition soundness)

@@ -228,7 +228,7 @@ _pd_token = st.text(alphabet=string.ascii_lowercase + string.digits, min_size=1,
 
 @st.composite
 def pd_node_records(draw):
-    element = draw(st.sampled_from(["obj", "msg", "text", "floatatom"]))
+    element = draw(st.sampled_from(["obj", "msg", "text", "floatatom", "listbox"]))
     args = " ".join(draw(st.lists(_pd_token, min_size=1, max_size=3)))
     x, y = draw(st.integers(0, 500)), draw(st.integers(0, 500))
     return f"#X {element} {x} {y} {args};"

@@ -396,8 +396,11 @@ def test_unreadable_input_file_exits_2(repo_fixture, tmp_path, capsys,
 @pytest.mark.parametrize("target", ["missing parent", "directory"])
 @pytest.mark.parametrize("command", ["analyze", "parse", "diff", "score"])
 def test_unwritable_out_file_exits_2(repo_fixture, hello_world_pair, tmp_path, capsys,
-                                     command, target):
+                                     monkeypatch, command, target):
     _, _, issues = _seed_repo(repo_fixture, tmp_path)
+    mined = []
+    # analyze finds the path unwritable before it mines anything
+    monkeypatch.setattr("szzvc.cli.run_analysis", lambda *a, **k: mined.append(a))
     old, new = hello_world_pair
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"schema": SCHEMA, "fixing_commits": []}))
@@ -415,6 +418,24 @@ def test_unwritable_out_file_exits_2(repo_fixture, hello_world_pair, tmp_path, c
     assert code == 2
     assert err.startswith(f"szzvc: config error: cannot write {out}: ")
     assert "Traceback" not in err
+    assert mined == []
+
+
+def test_unwritable_out_file_is_found_before_the_repository(tmp_path, capsys):
+    # not a repository would exit 3, but the output path is checked first
+    out = tmp_path / "missing" / "r.json"
+    code, _, err = run_cli(capsys, "analyze", "--repo", str(tmp_path), "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"szzvc: config error: cannot write {out}: ")
+
+
+def test_a_failed_analyze_leaves_an_old_report_alone(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_text("old report\n")
+    code, _, _ = run_cli(capsys, "analyze", "--repo", str(tmp_path / "nope"),
+                         "--out", str(out))
+    assert code == 3
+    assert out.read_text() == "old report\n"
 
 def test_analyze_env_var_config(repo_fixture, tmp_path, capsys, monkeypatch):
     _, c3, issues = _seed_repo(repo_fixture, tmp_path)

@@ -120,6 +120,18 @@ def test_duplicate_id_is_an_error():
         parse_maxpat(doc)
 
 
+@pytest.mark.parametrize("second", ["same text", "other text"])
+def test_duplicate_id_met_through_a_known_text_is_an_error(second):
+    a = {"id": "obj-1", "text": "a"}
+    b = a if second == "same text" else {"id": "obj-1", "text": "b"}
+    table = MaxNodeTable()
+    parse_maxpat(maxpat_doc(boxes=[a, b | {"id": "obj-2"}], indent="\t"), table=table)
+    doc = maxpat_doc(boxes=[a, {"id": "obj-3", "text": "c"}, b], indent="\t")
+    for shared in (table, None):
+        with pytest.raises(PatchSyntaxError, match="duplicate box id 'obj-1'"):
+            parse_maxpat(doc, table=shared)
+
+
 def test_not_json_is_a_syntax_error():
     with pytest.raises(PatchSyntaxError, match="not a patcher document"):
         parse_maxpat("#N canvas 0 0 1 1 10;")
@@ -402,6 +414,54 @@ def test_shared_table_builds_only_the_changed_box(monkeypatch, layout):
               if node is first.subtrees[box_id]]
     assert len(shared) == 99 and "obj-50" not in shared
     assert repr(second) == repr(parse_maxpat(_hundred_boxes("f fifty", layout)))
+
+
+def _boxes_with_gaps(gaps: list[str], minified_from: int = 100,
+                     changed: str = "f 50") -> str:
+    """A hundred boxes in tab-indented elements, box ``k`` followed by
+    ``gaps[k]`` and a comma; the elements from ``minified_from`` on are
+    minified."""
+    elements = []
+    for k in range(100):
+        box = {"box": {"id": f"obj-{k}", "maxclass": "newobj",
+                       "text": changed if k == 50 else f"f {k}",
+                       "patching_rect": [k * 1.0, 10.0, 40.0, 22.0]}}
+        if k < minified_from:
+            elements.append(json.dumps(box, indent="\t").replace("\n", "\n\t\t\t"))
+        else:
+            elements.append(json.dumps(box, separators=(",", ":")))
+    boxes = "".join(element + gap for element, gap in zip(elements, gaps + [""]))
+    wires = ",".join(json.dumps({"patchline": {"source": [f"obj-{k}", 0],
+                                               "destination": [f"obj-{k + 1}", 0]}})
+                     for k in range(99))
+    return ('{\n\t"patcher": {\n\t\t"fileversion": 1,\n\t\t"boxes": [\n\t\t\t'
+            + boxes + '\n\t\t],\n\t\t"lines": [' + wires + ']\n\t}\n}\n')
+
+
+@pytest.mark.parametrize("gaps, minified_from", [
+    pytest.param([",\n\t\t\t"] * 60 + [",\n\t\t\t\t"] + [",\n\t\t\t"] * 38, 100,
+                 id="one extra tab"),
+    pytest.param([",\n\t\t\t"] * 40 + ["\n, \t\t\t"] * 59, 100, id="max's own"),
+    pytest.param([",\n\t\t\t"] * 70 + [","] * 29, 71, id="minified tail"),
+])
+def test_a_gap_that_changes_mid_array_parses_as_a_fresh_table_does(monkeypatch, gaps,
+                                                                  minified_from):
+    # the gap between the first two elements is taken for every later one;
+    # where another follows, the array is read on as before, and a valid
+    # array is never read again by the standard library's reader
+    def reread(*args):
+        raise AssertionError("a valid array was read again")
+
+    monkeypatch.setattr(json.decoder, "JSONArray", reread)
+    table = MaxNodeTable()
+    parse_maxpat(_boxes_with_gaps(gaps, minified_from), table=table)
+    text = _boxes_with_gaps(gaps, minified_from, changed="f fifty")
+    json.loads(text)
+    ir = parse_maxpat(text, table=table)
+    assert repr(ir) == repr(parse_maxpat(text))
+    assert repr(ir) == repr(parse_maxpat(_boxes_with_gaps([","] * 99, 0, "f fifty")))
+    assert ir.subtrees["obj-50"].serialized_contents["text"] == "f fifty"
+    assert len(ir.subtrees) == 100
 
 
 def test_the_json_decoder_parts_the_reader_uses():

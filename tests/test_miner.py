@@ -15,6 +15,7 @@ from szzvc.miner import (
     MinerConfig,
     filter_candidates,
     find_inducing,
+    fix_step,
     history_steps,
     identify_fixing_commits,
     language_for_path,
@@ -455,6 +456,23 @@ def test_filter_candidates_by_report_time():
     assert filter_candidates([early, late], no_report) == ((early, late), ())
 
 
+def _assert_blob_reads_match_path_reads(repo, fix_id):
+    """Each version of every step of the fix's files, prefetched and read by
+    its blob id, is the file at ``rev:path`` on that side."""
+    fix_entry = repo.log_entry(fix_id)
+    for change in fix_entry.changes:
+        fix = fix_step(fix_entry, change)
+        steps = [fix, *history_steps(repo, fix.path_old, fix_id)]
+        sides = [(s.old_blob, s.parent, s.path_old) for s in steps]
+        sides += [(s.new_blob, s.entry.commit_id, s.path_new) for s in steps]
+        sides = [side for side in sides if side[0] is not None]
+        assert len(sides) > len(steps)
+        repo.prefetch(blob for blob, _, _ in sides)
+        for blob, rev, path in sides:
+            assert repo.read_file(rev, path, blob=blob) == repo.read_file(rev, path)
+            assert repo.read_file(rev, path) is not None
+
+
 def test_renamed_file_fix_walks_old_name(repo_fixture):
     c1 = repo_fixture.commit({"a.pd": PATCH_V1}, "c1", T[0])
     c2 = repo_fixture.commit({"a.pd": PATCH_V2}, "c2", T[1])
@@ -467,6 +485,7 @@ def test_renamed_file_fix_walks_old_name(repo_fixture):
     result = find_inducing(repo, fixing, MinerConfig())
     assert [c.inducing_commit for c in result.candidates] == [c2]
     assert result.candidates[0].file_path == "b.pd"
+    _assert_blob_reads_match_path_reads(repo, c3)
 
 
 def test_merge_commits_walk_first_parent(repo_fixture):
@@ -483,6 +502,7 @@ def test_merge_commits_walk_first_parent(repo_fixture):
     result = find_inducing(repo, _fixing(repo, fix), MinerConfig())
     assert [c.inducing_commit for c in result.candidates] == [main_edit]
     assert merge not in {c.inducing_commit for c in result.candidates}
+    _assert_blob_reads_match_path_reads(repo, fix)
 
 
 def _count_parses(monkeypatch) -> list[str]:
@@ -524,6 +544,34 @@ def test_run_parses_each_blob_once(repo_fixture, monkeypatch):
     # seven steps, the creation included; a fix is a step of every later
     # fix, and one diff serves both
     assert len(steps) == len(set(steps)) == 7
+
+
+def test_each_fix_reads_its_versions_by_blob_id_in_one_request(repo_fixture,
+                                                               monkeypatch):
+    versions = [PATCH_V1, PATCH_V2, PATCH_V3, PATCH_V1,
+                PATCH_V3.replace("hello again", "hi")]
+    for day, text in enumerate(versions):
+        message = "fix #%d" % day if day in (2, 4) else f"c{day}"
+        repo_fixture.commit({"p.pd": text}, message, T[day])
+    fetched, read = [], []
+    real_read_blobs, real_read_file = Repository._read_blobs, Repository.read_file
+
+    def read_blobs(self, ids):
+        fetched.append(list(ids))
+        return real_read_blobs(self, ids)
+
+    def read_file(self, rev, path, blob=None):
+        read.append(blob)
+        return real_read_file(self, rev, path, blob=blob)
+
+    monkeypatch.setattr(Repository, "_read_blobs", read_blobs)
+    monkeypatch.setattr(Repository, "read_file", read_file)
+    run_analysis(str(repo_fixture.path), MinerConfig(), with_timing=False)
+    # one batch per fix; the four distinct versions are each read once, by
+    # blob id, from the batch of the fix that met them first
+    assert len(fetched) == 2
+    assert sorted(read) == sorted(blob for ids in fetched for blob in ids)
+    assert len(set(read)) == len(read) == 4
 
 
 def test_unparseable_version_warns_in_every_fix(repo_fixture):

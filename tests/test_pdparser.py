@@ -221,6 +221,33 @@ def test_unknown_elements_are_skipped():
     assert ir.subtrees["obj-0"].serialized_contents["element"] == "msg"
 
 
+def test_listbox_is_a_numbered_box():
+    # Pd numbers a listbox like any atom box; skipping it would move the
+    # wire below onto "print a" -> "print b"
+    text = (
+        "#N canvas 0 0 450 300 12;\n"
+        "#X listbox 10 10 20 0 0 0 - - - 0;\n"
+        "#X obj 10 40 print a;\n"
+        "#X obj 10 70 print b;\n"
+        "#X connect 0 0 1 0;\n"
+    )
+    ir = parse_pd(text)
+    assert ir.subtrees["obj-0"].serialized_contents == {
+        "element": "listbox", "text": "20 0 0 0 - - - 0"}
+    assert ir.subtrees["obj-0"].connections == (Connection(0, "obj-1", 0),)
+    assert ir.subtrees["obj-1"].connections == ()
+    assert ir.subtrees["obj-2"].serialized_contents["text"] == "print b"
+
+
+def test_struct_templates_before_the_canvas_are_skipped():
+    # Pd saves the templates of a patch's data structures before its canvas
+    text = "#N struct point float x float y;\n#N struct dot float x;\n" + HELLO_WORLD_PD
+    assert repr(parse_pd(text)) == repr(parse_pd(HELLO_WORLD_PD))
+    with pytest.raises(PatchSyntaxError, match="must start with a canvas") as info:
+        parse_pd("#N struct point float x;\n#X obj 10 10 print;\n")
+    assert info.value.source_span == (2, 2)
+
+
 def test_parse_is_deterministic():
     assert parse_pd(HELLO_WORLD_PD) == parse_pd(HELLO_WORLD_PD)
     from szzvc.ir import dumps_ir

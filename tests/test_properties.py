@@ -1,8 +1,11 @@
 """Randomized property suites for the IR, parsers, and diff engine."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from szzvc import diff as diff_module
 from szzvc.diff import (
     MAX_DEPTH,
     ChangeKind,
@@ -14,7 +17,7 @@ from szzvc.diff import (
     truncate_path,
 )
 from szzvc.errors import PatchSyntaxError
-from szzvc.ir import canonicalize, dumps_ir
+from szzvc.ir import NodeSubtree, VisualIR, canonicalize, dumps_ir
 from szzvc.maxparser import (
     FilterMode,
     MaxNodeTable,
@@ -26,6 +29,7 @@ from szzvc.pdparser import PdNodeTable, parse_pd, split_records
 from oracle import (
     apply_diff,
     assert_matches_bruteforce,
+    diff_subtrees_full_visit,
     flatten,
     paths_at_depth_set,
     split_records_reference,
@@ -243,6 +247,28 @@ def test_records_and_projection_come_in_path_order(pair, mode):
     assert paths == sorted(paths, key=path_sort_key)
     expected = sorted(paths_at_depth_set(diff, mode), key=lambda pk: path_sort_key(pk[0]))
     assert paths_at_depth(diff, mode) == tuple(expected)
+
+@CASES
+@given(ir_pairs, st.data())
+def test_diff_of_shared_nodes_equals_a_full_visit(pair, data):
+    old, other = pair
+    # each node of the new side is the old node itself, an equal copy, the
+    # other IR's node, or absent: shared, equal, changed, added and deleted
+    subtrees = {}
+    for node_id in sorted(old.subtrees.keys() | other.subtrees.keys()):
+        source = data.draw(st.sampled_from(["same", "copy", "other", "absent"]))
+        node = old.subtrees.get(node_id)
+        if source == "copy" and node is not None:
+            node = NodeSubtree(node.connections, dict(node.serialized_contents))
+        elif source == "other":
+            node = other.subtrees.get(node_id)
+        if node is not None and source != "absent":
+            subtrees[node_id] = node
+    new = VisualIR(subtrees, old.source_language, old.source_path)
+    with mock.patch.object(diff_module, "_diff_subtrees", diff_subtrees_full_visit):
+        expected = diff_ir(old, new).records
+    assert diff_ir(old, new).records == expected
+
 
 @CASES
 @given(ir_pairs, st.sampled_from([MAX_DEPTH, 1, 2, 3]))
