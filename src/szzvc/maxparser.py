@@ -28,9 +28,9 @@ and wires; lists keep the document's order.
 Versions of one file share almost all of their boxes and patchlines, so the
 parser keeps what it builds in a :class:`MaxNodeTable`, keyed by each
 element's exact source text: an element seen before is not filtered again,
-nor decoded again where the layout lets its end be found without decoding,
-and a box's text is its key for ``intern_ir``, which shares a node unchanged
-since an earlier parse. The connections are checked against the box ids of
+nor decoded again where it follows the element it last followed, and a
+box's text is its key for ``intern_ir``, which shares a node unchanged since
+an earlier parse. The connections are checked against the box ids of
 the version at hand, in document order. The document and patcher objects
 are read by the standard library's own JSON object reader, and an array the
 parser's own loop does not accept is read again by the standard library's
@@ -121,9 +121,9 @@ def default_property_filter() -> PropertyFilter:
 class MaxNodeTable:
     """What :func:`parse_maxpat` built, for the parses that come after.
 
-    - Each element text of an array in a top-level patcher (``boxes``,
-      ``lines`` or any other) that was once decoded as a complete object,
-      and the element text that last followed it.
+    - For each object element text of an array in a top-level patcher
+      (``boxes``, ``lines`` or any other), the element text that last
+      followed it.
     - Each box element's entry, one map per property filter: its id, its
       key for :func:`~szzvc.ir.intern_ir` and its filtered contents. The key
       is the box's text, and the text with its file's path for a box whose
@@ -131,16 +131,12 @@ class MaxNodeTable:
     - The ``shared`` node map of ``intern_ir``, one per property filter.
     - Each patchline element's endpoints.
 
-    A known text met again is taken without decoding in two ways. Each
-    text remembers the element text that last followed it in an array; where
-    that text starts right after it, one ``str.startswith`` takes it, in any
-    layout. Otherwise, where the layout closes each element on a line of its
-    own, at the indent the element opened with, the end of the text is one
-    ``str.find`` away. ``json.dumps`` with an indent and Max's own layout do
-    so. Elsewhere, in a minified document for one, such an element is
-    decoded by the C scanner to find its end, and only the filtering and the
-    node are taken from the table. A known box text costs one lookup in the
-    box map; a text keyed with its path is looked up after that misses.
+    A known element is taken without decoding where it follows, in an
+    array, the element text it last followed: one ``str.startswith`` of that
+    text takes it, in any layout. Any other element is decoded by the C
+    scanner to find its end, and then found by its text, so only a new one
+    is filtered and built. A known box text costs one lookup in the box map;
+    a text keyed with its path is looked up after that misses.
 
     Each array learns the gap between its first two elements, from the end
     of the one through the ``{`` of the next (``,\\n\\t\\t\\t{`` in a
@@ -164,7 +160,6 @@ class MaxNodeTable:
     def __init__(self):
         self._boxes: dict[PropertyFilter, tuple[dict, dict]] = {}
         self._lines: dict[str, tuple[str, tuple[str, int, int]]] = {}
-        texts: set[str] = set()
         follows: dict[str, str] = {}  # an element text -> the text that followed it
         decoder = json.JSONDecoder(parse_int=str.encode, parse_float=str.encode,
                                    parse_constant=_reject_constant)
@@ -178,9 +173,9 @@ class MaxNodeTable:
         # reader reads the array again and raises the error json.loads gives.
 
         def array(s: str, idx: int):
-            # every object element as (its text, its value or None if seen before)
+            # every object element as (its text, its value or None if known)
             items = []
-            append, find, startswith = items.append, s.find, s.startswith
+            append, startswith = items.append, s.startswith
             pos = skip(s, idx + 1).end()
             if startswith("]", pos):
                 return items, pos + 1
@@ -188,16 +183,6 @@ class MaxNodeTable:
             # next, as the array's first such gap reads; where it follows an
             # object element again, it is the same whitespace, comma and "{"
             sep = None
-            # An element of the pretty-printed layouts ends in a newline, the
-            # indent it starts at and "}". The indent is that of a new line,
-            # or the tabs of Max's own "[ \t\t\t{" and ", \t\t\t{".
-            closing, pad, start = "", s[pos - 1], pos - 1
-            if pad == " " or pad == "\t":
-                while s[start - 1] == pad:
-                    start -= 1
-                if s[start - 1] in "\n ":
-                    closing = "\n" + s[start:pos] + "}"
-            closes = len(closing)
             last = None  # the text of the last object element
             while True:
                 if startswith("{", pos):
@@ -207,17 +192,9 @@ class MaxNodeTable:
                         end = pos + len(text)
                         append((text, None))
                     else:
-                        close = find(closing, pos) + closes
-                        text = s[pos:close]
-                        if text in texts:
-                            end = close
-                            append((text, None))
-                        else:
-                            value, end = scan(s, pos)
-                            if end != close:
-                                text = s[pos:end]
-                            texts.add(text)
-                            append((text, value))
+                        value, end = scan(s, pos)
+                        text = s[pos:end]
+                        append((text, value))
                         if last is not None:
                             follows[last] = text
                     last = text
@@ -266,10 +243,10 @@ def parse_maxpat(text: str, prop_filter: PropertyFilter | None = None,
     """Parse a patcher document into a canonical IR.
 
     ``table`` holds what earlier parses built (see :class:`MaxNodeTable`): a
-    box or patchline text it holds is neither decoded nor filtered again,
-    and a box node equal to one in it is returned as that same object. A
-    ``MiningCache`` passes the table of its run; without one the parse makes
-    a fresh table, which is the same code path with nothing to reuse.
+    box or patchline text it holds is not filtered again, and a box node
+    equal to one in it is returned as that same object. A ``MiningCache``
+    passes the table of its run; without one the parse makes a fresh table,
+    which is the same code path with nothing to reuse.
     """
     if prop_filter is None:
         prop_filter = default_property_filter()

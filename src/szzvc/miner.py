@@ -423,7 +423,7 @@ class MiningCache:
 
     def ir(self, language: Language, blob: str | None, rev: str | None,
            path: str | None) -> VisualIR:
-        """IR of blob ``blob``, read as ``rev:path`` on a miss; a side
+        """IR of blob ``blob``, read by its blob id on a miss; a side
         without a blob is empty."""
         if blob is None:
             return empty_ir(language, path or "")

@@ -101,7 +101,7 @@ def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
     })
     entry = {
         "commit": fixing.commit_id,
-        "summary": fixing.message.splitlines()[0] if fixing.message else "",
+        "summary": fixing.message.split("\n", 1)[0],
         "linked_issue": fixing.linked_issue,
         "report_time": _iso(fixing.report_time),
         "language": languages[0] if len(languages) == 1 else "mixed",

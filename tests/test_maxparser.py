@@ -382,11 +382,15 @@ def test_duplicate_keys_take_the_last_value():
     assert repr(ir) == repr(parse_maxpat(BASE)) == repr(parse_maxpat(text))
 
 
-def _hundred_boxes(changed: str = "f 50", layout: str = "indented") -> str:
+def _hundred_boxes(changed: str = "f 50", layout: str = "indented",
+                   reverse: bool = False) -> str:
     boxes = [{"id": f"obj-{k}", "maxclass": "newobj", "text": f"f {k}",
               "patching_rect": [k * 1.0, 10.0, 40.0, 22.0]} for k in range(100)]
     boxes[50]["text"] = changed
     wires = [(f"obj-{k}", 0, f"obj-{k + 1}", 0) for k in range(99)]
+    if reverse:
+        boxes.reverse()
+        wires.reverse()
     text = maxpat_doc(boxes, wires, indent="\t")
     if layout == "native":
         return native_maxpat(json.loads(text))
@@ -414,6 +418,26 @@ def test_shared_table_builds_only_the_changed_box(monkeypatch, layout):
               if node is first.subtrees[box_id]]
     assert len(shared) == 99 and "obj-50" not in shared
     assert repr(second) == repr(parse_maxpat(_hundred_boxes("f fifty", layout)))
+
+
+@pytest.mark.parametrize("layout", ["indented", "native", "minified"])
+def test_known_elements_out_of_their_old_order_are_not_built_again(monkeypatch, layout):
+    # no element follows the one it followed before, so each is decoded to
+    # find its end, and then found by its text
+    table = MaxNodeTable()
+    parse_maxpat(_hundred_boxes(layout=layout), table=table)
+    built = []
+    real = maxparser._box_contents
+
+    def counting(box, *args):
+        built.append(box["id"])
+        return real(box, *args)
+
+    monkeypatch.setattr(maxparser, "_box_contents", counting)
+    text = _hundred_boxes(layout=layout, reverse=True)
+    ir = parse_maxpat(text, table=table)
+    assert built == []
+    assert repr(ir) == repr(parse_maxpat(text))
 
 
 def _boxes_with_gaps(gaps: list[str], minified_from: int = 100,

@@ -106,3 +106,16 @@ def test_report_writes_a_path_that_is_not_utf8_as_surrogate_escapes(repo_fixture
     paths += [c["file_path"] for section in entry["methods"].values()
               for c in section["candidates"]]
     assert [os.fsencode(p) for p in paths] == [b"p\xe9.pd"] * 4
+
+
+@pytest.mark.parametrize("separator", ["\f", "\u2028", "\x1c", "\x85"])
+def test_summary_is_the_subject_line_as_git_gives_it(repo_fixture, separator):
+    # str.splitlines splits at more than "\n"; git's subject does not
+    repo_fixture.commit({"a.pd": PATCH_V1}, "c1", T[0])
+    subject = f"fix #1{separator}of the osc box"
+    commit_id = repo_fixture.commit({"a.pd": PATCH_V2}, subject + "\n\nbody", T[1])
+    report, _ = run_analysis(str(repo_fixture.path), MinerConfig(),
+                             methods=("szz-vc",), with_timing=False)
+    (entry,) = report["fixing_commits"]
+    git_subject = repo_fixture._git("log", "-1", "--format=%s", commit_id)
+    assert entry["summary"] == subject == git_subject.rstrip("\n")
