@@ -24,12 +24,11 @@ one.
   protocol reads one name per line, drops a carriage return before the
   newline and ends a name at a NUL. So a name holding a NUL names no object,
   and a name holding ``\\n`` or ending in ``\\r`` is first resolved to an
-  object id by a one-shot ``rev-parse --verify``. A file read by its blob id
-  skips the commit, tree and subtree lookups of ``<rev>:<path>``.
-  ``prefetch`` pipelines the ids of many blobs: it writes them in requests
-  of under 4 KiB, each read whole before the next is written, so git never
-  blocks on a full reply pipe while a request is still being written; the
-  replies wait for ``read_file`` to take them.
+  object id by a one-shot ``rev-parse --verify``. ``read_blobs`` reads
+  blobs by their ids, which skips the commit, tree and subtree lookups of
+  ``<rev>:<path>``, and pipelines them: it writes the ids in requests of
+  under 4 KiB, each read whole before the next is written, so git never
+  blocks on a full reply pipe while a request is still being written.
 - ``line_hunks`` reads the hunk headers of ``git diff-tree --stdin -p -U0``
   between two commits, with every flag that affects the line alignment
   pinned so that user or repository config cannot change it; every git
@@ -52,7 +51,7 @@ import os
 import re
 import subprocess
 import weakref
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO, TypeVar
@@ -239,7 +238,6 @@ class Repository:
             "-r", "-M", "-p", "--full-index", *_DIFF_FLAGS,
         ])
         self._hunks: dict[tuple[str, str], tuple[Hunk, ...]] = {}
-        self._fetched: dict[str, bytes | None] = {}  # prefetched, not yet read
         try:
             # any reply, ``missing`` for an unborn HEAD too, shows the
             # repository readable; outside one, git exits before reading
@@ -365,28 +363,16 @@ class Repository:
     def commit_message(self, rev: str) -> str:
         return self.log_entry(rev).message
 
-    def read_file(self, rev: str, path: str, blob: str | None = None) -> bytes | None:
+    def read_file(self, rev: str, path: str) -> bytes | None:
         """File content at a revision, or None when absent there or not a
-        file (a tree or a gitlink). ``blob``, the full id that the history
-        walk gives the file at ``rev:path``, reads it by id instead: from
-        what :meth:`prefetch` read, or on its own. A gitlink's id names no
-        blob, so it reads as None either way."""
-        if blob is None:
-            kind, _, content = self._object(f"{rev}:{path}")
-            return content if kind == b"blob" else None
-        if blob in self._fetched:
-            return self._fetched.pop(blob)
-        return self._read_blobs([blob])[blob]
+        file (a tree or a gitlink)."""
+        kind, _, content = self._object(f"{rev}:{path}")
+        return content if kind == b"blob" else None
 
-    def prefetch(self, blobs: Iterable[str]) -> None:
-        """Read the blobs of full ids ``blobs`` in pipelined requests and
-        keep each content until ``read_file`` takes it by its id; None for
-        an id that names no blob. What an earlier prefetch left is
-        dropped."""
-        self._fetched = {}
-        self._fetched = self._read_blobs(list(dict.fromkeys(blobs)))
-
-    def _read_blobs(self, ids: list[str]) -> dict[str, bytes | None]:
+    def read_blobs(self, ids: list[str]) -> dict[str, bytes | None]:
+        """Contents of the blobs of full ids ``ids``, read in pipelined
+        requests; None for an id that names no blob (a gitlink's id is a
+        commit's)."""
         for oid in ids:
             if not _OBJECT_ID.fullmatch(oid):  # a newline would desync the replies
                 raise GitError(f"not an object id: {oid!r}")

@@ -22,10 +22,11 @@ filter afterwards drops candidates committed after the linked bug report.
 Fixing commits on one file share most of their history, so a run keeps one
 :class:`MiningCache`: each file version is read and parsed once, keyed by its
 blob id, and each step, the fix's own included, is diffed once, keyed by its
-two blob ids. Blob ids come with the changed files of the commit index, and
-a fix's versions are read by blob id in one request: before the fix is
-diffed, the versions of its own step and of every history step that the
-cache has not parsed are prefetched together.
+two blob ids. Blob ids come with the changed files of the commit index.
+Before a fix is diffed, :meth:`MiningCache.load` reads the versions of its
+own step and of every history step that the cache has not parsed, by blob
+id in one request, and parses them in step order; a fix whose projected
+diff is empty has parsed its history too.
 """
 
 from __future__ import annotations
@@ -421,29 +422,31 @@ class MiningCache:
         self._tables = {Language.PURE_DATA: PdNodeTable(),
                         Language.MAX_MSP: MaxNodeTable()}
 
-    def ir(self, language: Language, blob: str | None, rev: str | None,
-           path: str | None) -> VisualIR:
-        """IR of blob ``blob``, read by its blob id on a miss; a side
-        without a blob is empty."""
+    def load(self, language: Language, steps: list[HistoryStep]) -> None:
+        """Read the versions of ``steps`` not parsed yet in one request and
+        parse them in step order, each under the path of its first side."""
+        paths: dict[str, str] = {}
+        for step in steps:
+            for blob, path in ((step.old_blob, step.path_old),
+                               (step.new_blob, step.path_new)):
+                if blob is not None and (blob, language) not in self._irs:
+                    paths.setdefault(blob, path)
+        for blob, data in self.repo.read_blobs(list(paths)).items():
+            self._irs[blob, language] = self._parse(language, data, paths[blob])
+
+    def ir(self, language: Language, blob: str | None, path: str | None
+           ) -> VisualIR:
+        """IR of blob ``blob``, which :meth:`load` parsed; a side without a
+        blob is empty."""
         if blob is None:
             return empty_ir(language, path or "")
-        key = (blob, language)
-        ir = self._irs.get(key)
-        if ir is None:
-            ir = self._irs[key] = self._parse(language, blob, rev, path)
+        ir = self._irs[blob, language]
         if isinstance(ir, PatchSyntaxError):
             raise ir.with_traceback(None)
         return ir
 
-    def prefetch(self, language: Language, steps: list[HistoryStep]) -> None:
-        """Read, in one request, the versions of ``steps`` not parsed yet."""
-        self.repo.prefetch(
-            blob for step in steps for blob in (step.old_blob, step.new_blob)
-            if blob is not None and (blob, language) not in self._irs)
-
-    def _parse(self, language: Language, blob: str, rev: str, path: str
+    def _parse(self, language: Language, data: bytes | None, path: str
                ) -> VisualIR | PatchSyntaxError:
-        data = self.repo.read_file(rev, path, blob=blob)
         if data is None:  # not a file, e.g. a gitlink
             return empty_ir(language, path)
         text, _ = decode_patch_bytes(data)
@@ -458,11 +461,10 @@ class MiningCache:
         key = (step.old_blob, step.new_blob, language)
         diff = self._diffs.get(key)
         if diff is None:
-            commit_id = step.entry.commit_id
             diff = self._diffs[key] = diff_ir(
-                self.ir(language, step.old_blob, step.parent, step.path_old),
-                self.ir(language, step.new_blob, commit_id, step.path_new),
-                old_version=step.parent or "", new_version=commit_id,
+                self.ir(language, step.old_blob, step.path_old),
+                self.ir(language, step.new_blob, step.path_new),
+                old_version=step.parent or "", new_version=step.entry.commit_id,
             )
         return diff
 
@@ -495,7 +497,7 @@ def _diff_or_failure(cache: MiningCache, language: Language, step: HistoryStep,
     for blob, rev, path in ((step.old_blob, step.parent, step.path_old),
                             (step.new_blob, step.entry.commit_id, step.path_new)):
         try:
-            cache.ir(language, blob, rev, path)
+            cache.ir(language, blob, path)
         except PatchSyntaxError as exc:
             failure = AnalysisFailure(rev, path, str(exc))
             if failure not in failures:
@@ -518,7 +520,7 @@ def _mine_file(
     steps = [] if fix.path_old is None else history_steps(
         cache.repo, fix.path_old, fix.entry.commit_id,
         follow_renames=config.follow_renames)
-    cache.prefetch(language, [fix, *steps])
+    cache.load(language, [fix, *steps])
     fix_diff = _diff_or_failure(cache, language, fix, failures)
     if fix_diff is None:
         return  # the fixing side skips the file

@@ -6,16 +6,19 @@ reusing any engine traversal code. Also provides the change-depth projection
 as an unordered set, the diff's node loop as a visit of every node id, a
 test-only patch operation
 for the composition-soundness property, a character-at-a-time reference
-for the Pd record splitter, and git's own resolution of a commit name.
+for the Pd record splitter, git's own resolution of a commit name, and a
+reference miner that reads every version with git itself.
 """
 
+import functools
 import subprocess
 
 from szzvc import diff as diff_module
 from szzvc.diff import MAX_DEPTH, ChangeKind, ChangeRecord, IRDiff, diff_ir, is_prefix
 from szzvc.errors import PatchSyntaxError
-from szzvc.ir import ABSENT, Connection, NodeSubtree, Num, VisualIR
-from szzvc.pdparser import PdRecord
+from szzvc.ir import ABSENT, Connection, NodeSubtree, Num, VisualIR, empty_ir
+from szzvc.miner import language_for_path, parse_patch_text
+from szzvc.pdparser import PdRecord, decode_patch_bytes
 
 
 def flatten(ir: VisualIR) -> dict:
@@ -309,3 +312,188 @@ def rev_parse_commit(repo_path, name: str) -> str | None:
         return peeled
     oid = git("rev-parse", "--verify", "--end-of-options", name)
     return oid if oid and git("cat-file", "-t", oid) == "commit" else None
+
+
+# ---------------------------------------------------------------------------
+# Reference miner: git's own history walk, fresh parses, flatten-based diffs
+# ---------------------------------------------------------------------------
+
+
+def flatten_typed(ir: VisualIR) -> dict:
+    """Every node, container and leaf of an IR by path: a container maps to
+    its kind (a list and a tuple are both ``"list"``), a leaf to its value
+    and a ``Num`` to its numeric value, which is how the diff engine compares
+    them. Unlike :func:`flatten`, a non-empty container is marked too, so a
+    container that becomes one of another kind is one change at its path."""
+    out = {}
+    _typed_patch(ir, (), out)
+    return out
+
+
+def _typed_patch(ir: VisualIR, prefix, out) -> None:
+    for node_id, sub in ir.subtrees.items():
+        base = prefix + (node_id,)
+        out[base] = ("node",)
+        for conn in sub.connections:
+            out[base + ("connections", conn)] = ("conn",)
+        _typed_value(sub.serialized_contents, base + ("serialized_contents",), out)
+
+
+def _typed_value(value, path, out) -> None:
+    if isinstance(value, VisualIR):
+        out[path] = ("patch",)
+        _typed_patch(value, path, out)
+    elif isinstance(value, dict):
+        out[path] = ("map",)
+        for key, v in value.items():
+            _typed_value(v, path + (key,), out)
+    elif isinstance(value, (list, tuple)):
+        out[path] = ("list",)
+        for i, v in enumerate(value):
+            _typed_value(v, path + (i,), out)
+    elif isinstance(value, Num):
+        out[path] = ("num", value.value)
+    else:
+        out[path] = ("leaf", value)
+
+
+def flat_diff(old: VisualIR, new: VisualIR) -> set:
+    """(path, kind) of each change: a path whose entry differs between the
+    two flattenings and that lies under no other such path. A path on one
+    side only is Added or Deleted, one on both Modified."""
+    flat_old, flat_new = flatten_typed(old), flatten_typed(new)
+    differing = {path for path in flat_old.keys() | flat_new.keys()
+                 if flat_old.get(path) != flat_new.get(path)}
+    changes = set()
+    for path in differing:
+        if any(path[:n] in differing for n in range(1, len(path))):
+            continue
+        if path not in flat_old:
+            changes.add((path, ChangeKind.ADDED))
+        elif path not in flat_new:
+            changes.add((path, ChangeKind.DELETED))
+        else:
+            changes.add((path, ChangeKind.MODIFIED))
+    return changes
+
+
+@functools.lru_cache(maxsize=4096)
+def _git(repo_path, *args) -> str | bytes | None:
+    """Output of one git command, text unless it is ``show``; None when git
+    fails. Memoized: every command the reference runs names a commit id, so
+    its output is the same in any repository that holds that commit."""
+    proc = subprocess.run(["git", "-C", str(repo_path), *args],
+                          capture_output=True, text=args[0] != "show")
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _version(repo_path, rev, path, language, config) -> VisualIR | None:
+    """The file at ``rev:path`` parsed on its own; empty when there is no
+    side, None when it does not parse."""
+    if path is None:
+        return empty_ir(language, "")
+    text, _ = decode_patch_bytes(_git(repo_path, "show", f"{rev}:{path}"))
+    try:
+        return parse_patch_text(text, language, config, source_path=path)
+    except PatchSyntaxError:
+        return None
+
+
+def _name_status(line: str) -> tuple[str, str | None, str]:
+    """(status letter, old path or None, path) of a ``--name-status`` line;
+    paths are taken as git prints them, so they must need no quoting."""
+    status, *paths = line.split("\t")
+    old_path = None if status[0] == "A" else paths[0]
+    return status[0], old_path, paths[-1]
+
+
+def _reference_history(repo_path, path: str, before: str, follow: bool) -> list:
+    """(commit, old path or None, path) of each first-parent commit before
+    ``before`` that touched the file, newest first, as ``git log --follow``
+    lists them; a creation, or a rename when renames are not followed,
+    ends the history. A deletion is not a step and ends it too."""
+    out = _git(repo_path, "log", "--first-parent", "--format=%H", "--name-status",
+               *(["--follow"] if follow else []), f"{before}^", "--", path)
+    steps = []
+    commit = None
+    for line in (out or "").splitlines():
+        if not line:
+            continue
+        if "\t" not in line:
+            commit = line
+            continue
+        status, old_path, new_path = _name_status(line)
+        if status == "D":
+            break
+        if status == "R" and not follow:
+            old_path = None
+        steps.append((commit, old_path, new_path))
+        if old_path is None:
+            break
+    return steps
+
+
+def _project(changes: set, mode) -> set:
+    if mode == MAX_DEPTH:
+        return set(changes)
+    return {(path[:mode], kind if len(path) <= mode else ChangeKind.MODIFIED)
+            for path, kind in changes}
+
+
+def reference_inducing(repo_path, fix: str, config) -> dict:
+    """The unfiltered candidates of fixing commit ``fix`` by the rule in the
+    ``szzvc.miner`` docstring, as ``{(inducing commit, fix file path):
+    (set of (matched path, effective depth), whether any came by addition
+    reduction)}``. It shares no code with the miner's walk or cache: the
+    fix's files come from ``git diff-tree``, each file's history from ``git
+    log --first-parent``, each version from ``git show``, parsed on its own
+    (only git's output is memoized) and diffed by :func:`flat_diff`. Merges
+    and copies are not handled."""
+    mode = config.depth_mode
+    matches: dict = {}
+
+    def emit(commit, fix_path, path, depth, via):
+        paths, any_via = matches.get((commit, fix_path), (set(), False))
+        matches[commit, fix_path] = (paths | {(path, depth)}, any_via or via)
+
+    listing = _git(repo_path, "diff-tree", "-r", "-M", "--root", "--name-status",
+                   "--no-commit-id", fix)
+    for line in listing.splitlines():
+        status, fix_old_path, fix_path = _name_status(line)
+        language = language_for_path(fix_path, config.extensions)
+        if language is None or fix_old_path is None:
+            continue  # a new file has no history to blame
+        old = _version(repo_path, f"{fix}^", fix_old_path, language, config)
+        new = _version(repo_path, fix, None if status == "D" else fix_path,
+                       language, config)
+        if old is None or new is None:
+            continue  # an unparseable fix side skips the file
+        projected = _project(flat_diff(old, new), mode)
+        steps = []  # (commit, changes), None for an unparseable step
+        for commit, old_path, path in _reference_history(
+                repo_path, fix_old_path, fix, config.follow_renames):
+            before = _version(repo_path, f"{commit}^", old_path, language, config)
+            after = _version(repo_path, commit, path, language, config)
+            steps.append((commit, None if before is None or after is None
+                          else {p for p, _ in flat_diff(before, after)}))
+
+        active = {path for path, kind in projected if kind is not ChangeKind.ADDED}
+        for commit, changed in steps:
+            if changed is None:
+                continue
+            touched = changed if mode == MAX_DEPTH else {p[:mode] for p in changed}
+            for path in active & touched:
+                emit(commit, fix_path, path, len(path), False)
+            if not config.all_matches:
+                active -= touched
+        for path, kind in projected:
+            if kind is not ChangeKind.ADDED:
+                continue
+            for depth in range(len(path) - 1, 0, -1):
+                hits = [commit for commit, changed in steps if changed is not None
+                        and any(p[:depth] == path[:depth] for p in changed)]
+                if hits:
+                    for commit in hits if config.all_matches else hits[:1]:
+                        emit(commit, fix_path, path, depth, True)
+                    break
+    return matches

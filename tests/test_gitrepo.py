@@ -197,7 +197,7 @@ def test_read_file_through_the_batch_reader(repo_fixture):
     assert repo.read_file(c1, "nul.pd") == b"a\x00b\n"  # the reader is in sync
 
 
-def test_prefetch_reads_every_id_in_requests_under_4_kib(repo_fixture):
+def test_read_blobs_reads_every_id_in_requests_under_4_kib(repo_fixture):
     files = {f"p{k:03d}.pd": f"patch {k}\n" for k in range(210)}
     c1 = repo_fixture.commit(files, "c1", T1)
     blobs = {path: _blob(repo_fixture, c1, path) for path in files}
@@ -210,16 +210,13 @@ def test_prefetch_reads_every_id_in_requests_under_4_kib(repo_fixture):
             return ask(request, read_reply)
 
         repo._objects.ask = recording
-        repo.prefetch(blobs.values())
-        n = len(requests)
-        assert n == -(-len(files) // gitrepo._IDS_PER_REQUEST) > 1
+        contents = repo.read_blobs(list(blobs.values()))
+        assert len(requests) == -(-len(files) // gitrepo._IDS_PER_REQUEST) > 1
         assert all(len(request) < 4096 for request in requests)
-        for path, content in files.items():
-            assert repo.read_file(c1, path, blob=blobs[path]) == content.encode()
-        assert len(requests) == n  # every content came from the prefetch
-        # taken once read: an id read again is read on its own
-        assert repo.read_file(c1, "p000.pd", blob=blobs["p000.pd"]) == b"patch 0\n"
-        assert len(requests) == n + 1
+        assert b"".join(requests).decode().split() == list(blobs.values())
+        assert list(contents) == list(blobs.values())  # in the order asked
+        assert contents == {blobs[path]: content.encode()
+                            for path, content in files.items()}
 
 
 def test_an_id_that_names_no_blob_reads_as_none(repo_fixture):
@@ -228,37 +225,28 @@ def test_an_id_that_names_no_blob_reads_as_none(repo_fixture):
     tree = repo_fixture._git("rev-parse", f"{c1}^{{tree}}").strip()
     absent = "0123456789abcdef" * 2 + "01234567"
     with Repository(str(repo_fixture.path)) as repo:
-        assert repo.read_file(c1, "a.pd", blob=absent) is None
-        repo.prefetch([absent, tree, c1, blob])
-        assert repo.read_file(c1, "a.pd", blob=absent) is None
-        assert repo.read_file(c1, "a.pd", blob=tree) is None
-        assert repo.read_file(c1, "a.pd", blob=c1) is None  # as a gitlink's id
-        assert repo.read_file(c1, "a.pd", blob=blob) == b"a\n"
+        assert repo.read_blobs([absent]) == {absent: None}
+        assert repo.read_blobs([absent, tree, c1, blob]) == {
+            absent: None, tree: None,
+            c1: None,  # as a gitlink's id
+            blob: b"a\n"}
         for name in ("HEAD", f"{blob}\nHEAD", blob[:12]):  # not full ids
             with pytest.raises(GitError, match="not an object id"):
-                repo.read_file(c1, "a.pd", blob=name)
+                repo.read_blobs([name])
             with pytest.raises(GitError, match="not an object id"):
-                repo.prefetch([blob, name])
-        assert repo.read_file(c1, "a.pd", blob=blob) == b"a\n"  # in sync
-
-
-def test_a_new_prefetch_drops_what_the_last_one_left(repo_fixture):
-    c1 = repo_fixture.commit({"a.pd": "a\n", "b.pd": "b\n"}, "c1", T1)
-    a, b = _blob(repo_fixture, c1, "a.pd"), _blob(repo_fixture, c1, "b.pd")
-    with Repository(str(repo_fixture.path)) as repo:
-        repo.prefetch([a])
-        repo.prefetch([b])
-        assert list(repo._fetched) == [b]
+                repo.read_blobs([blob, name])
+        assert repo.read_blobs([blob]) == {blob: b"a\n"}  # in sync
 
 
 def test_a_batch_read_in_part_resets_the_reader(repo_fixture, monkeypatch):
     files = {f"p{k}.pd": f"patch {k}\n" for k in range(5)}
     c1 = repo_fixture.commit(files, "c1", T1)
     blobs = [_blob(repo_fixture, c1, path) for path in files]
+    expected = {blob: content.encode() for blob, content in zip(blobs, files.values())}
 
     def run():
         with Repository(str(repo_fixture.path)) as repo:
-            repo.prefetch(blobs[:1])
+            repo.read_blobs(blobs[:1])
             read = gitrepo._read_object
             replies = []
 
@@ -271,13 +259,11 @@ def test_a_batch_read_in_part_resets_the_reader(repo_fixture, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(gitrepo, "_read_object", interrupted)
                 with pytest.raises(_Interrupted):
-                    repo.prefetch(blobs)
-            assert repo._objects.proc is None and repo._fetched == {}
-            assert repo.read_file(c1, "p4.pd", blob=blobs[4]) == b"patch 4\n"
-            repo.prefetch(blobs)
-            assert [repo.read_file(c1, path, blob=blob)
-                    for path, blob in zip(files, blobs)] == [
-                        content.encode() for content in files.values()]
+                    repo.read_blobs(blobs)
+            assert repo._objects.proc is None
+            assert repo.read_blobs(blobs[4:]) == {blobs[4]: b"patch 4\n"}
+            assert repo.read_blobs(blobs) == expected
+            assert repo.read_file(c1, "p4.pd") == b"patch 4\n"
 
     within(60, run)
 

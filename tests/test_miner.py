@@ -457,8 +457,8 @@ def test_filter_candidates_by_report_time():
 
 
 def _assert_blob_reads_match_path_reads(repo, fix_id):
-    """Each version of every step of the fix's files, prefetched and read by
-    its blob id, is the file at ``rev:path`` on that side."""
+    """Each version of every step of the fix's files, read by its blob id,
+    is the file at ``rev:path`` on that side."""
     fix_entry = repo.log_entry(fix_id)
     for change in fix_entry.changes:
         fix = fix_step(fix_entry, change)
@@ -467,10 +467,10 @@ def _assert_blob_reads_match_path_reads(repo, fix_id):
         sides += [(s.new_blob, s.entry.commit_id, s.path_new) for s in steps]
         sides = [side for side in sides if side[0] is not None]
         assert len(sides) > len(steps)
-        repo.prefetch(blob for blob, _, _ in sides)
+        contents = repo.read_blobs([blob for blob, _, _ in sides])
         for blob, rev, path in sides:
-            assert repo.read_file(rev, path, blob=blob) == repo.read_file(rev, path)
-            assert repo.read_file(rev, path) is not None
+            assert contents[blob] == repo.read_file(rev, path)
+            assert contents[blob] is not None
 
 
 def test_renamed_file_fix_walks_old_name(repo_fixture):
@@ -553,25 +553,26 @@ def test_each_fix_reads_its_versions_by_blob_id_in_one_request(repo_fixture,
     for day, text in enumerate(versions):
         message = "fix #%d" % day if day in (2, 4) else f"c{day}"
         repo_fixture.commit({"p.pd": text}, message, T[day])
-    fetched, read = [], []
-    real_read_blobs, real_read_file = Repository._read_blobs, Repository.read_file
+    requests = []
+    real = Repository.read_blobs
 
     def read_blobs(self, ids):
-        fetched.append(list(ids))
-        return real_read_blobs(self, ids)
+        requests.append(list(ids))
+        return real(self, ids)
 
-    def read_file(self, rev, path, blob=None):
-        read.append(blob)
-        return real_read_file(self, rev, path, blob=blob)
+    def read_file(self, rev, path):
+        raise AssertionError(f"read by path: {rev}:{path}")
 
-    monkeypatch.setattr(Repository, "_read_blobs", read_blobs)
+    monkeypatch.setattr(Repository, "read_blobs", read_blobs)
     monkeypatch.setattr(Repository, "read_file", read_file)
     run_analysis(str(repo_fixture.path), MinerConfig(), with_timing=False)
-    # one batch per fix; the four distinct versions are each read once, by
-    # blob id, from the batch of the fix that met them first
-    assert len(fetched) == 2
-    assert sorted(read) == sorted(blob for ids in fetched for blob in ids)
-    assert len(set(read)) == len(read) == 4
+    # one request per fix; the four distinct versions are each in one of
+    # them, the request of the fix that met them first
+    blobs = {repo_fixture._git("rev-parse", f"{commit}:p.pd").strip()
+             for commit in repo_fixture._git("log", "--format=%H").split()}
+    assert len(requests) == 2
+    assert sorted(blob for ids in requests for blob in ids) == sorted(blobs)
+    assert len(blobs) == 4
 
 
 def test_unparseable_version_warns_in_every_fix(repo_fixture):
@@ -592,6 +593,51 @@ def test_unparseable_version_warns_in_every_fix(repo_fixture):
     for entry in entries:
         assert any(w.startswith(f"unparseable version {broken}:p.pd")
                    for w in entry["warnings"])
+
+
+def test_a_fix_with_an_empty_projected_diff_warns_of_no_version(repo_fixture):
+    # the fix's versions and its history's are parsed before the fix is
+    # diffed; an unparseable one is named only by a fix whose walk diffs it
+    box = {"id": "obj-1", "maxclass": "newobj", "text": "counter",
+           "patching_rect": [10, 10, 50, 20]}
+    repo_fixture.commit({"p.maxpat": maxpat_doc([box])}, "c1", T[0])
+    box = dict(box, text="counter 2")
+    c2 = repo_fixture.commit({"p.maxpat": maxpat_doc([box])}, "c2", T[1])
+    broken = repo_fixture.commit({"p.maxpat": '{"patcher": {"boxes": ['},
+                                 "c3 hand-edited", T[2])
+    repo_fixture.commit({"p.maxpat": maxpat_doc([box])}, "c4 repaired", T[3])
+    moved = dict(box, patching_rect=[30, 30, 50, 20])
+    move = repo_fixture.commit({"p.maxpat": maxpat_doc([moved])},
+                               "fix #1 moves the box", T[4])
+
+    report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
+                                        with_timing=False)
+    assert not had_failures
+    (entry,) = report["fixing_commits"]
+    assert entry["commit"] == move
+    assert entry["diffs"]["p.maxpat"]["records"] == []
+    assert entry["methods"]["szz-vc-max"]["candidates"] == []
+    assert not any(w.startswith("unparseable version") for w in entry["warnings"])
+
+    edit = repo_fixture.commit(
+        {"p.maxpat": maxpat_doc([dict(moved, text="counter 5")])},
+        "fix #2 edits the box text", T[5])
+    repo = _repo(repo_fixture)
+    cache = miner_module.MiningCache(repo, MinerConfig())
+    results = [find_inducing(repo, _fixing(repo, fix), MinerConfig(), cache)
+               for fix in (move, edit)]
+    assert [(r.candidates, r.failures) for r in results[:1]] == [((), ())]
+    # the walk skips the two steps that meet the broken version
+    assert [c.inducing_commit for c in results[1].candidates] == [c2]
+    assert [(f.commit_id, f.file_path) for f in results[1].failures] == [
+        (broken, "p.maxpat")]
+    report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
+                                        with_timing=False)
+    assert had_failures
+    warned = {entry["commit"]: [w.split(": ")[0] for w in entry["warnings"]
+                                if w.startswith("unparseable version")]
+              for entry in report["fixing_commits"]}
+    assert warned == {move: [], edit: [f"unparseable version {broken}:p.maxpat"]}
 
 
 def test_over_deep_version_is_unparseable_and_the_run_goes_on(repo_fixture):

@@ -1,5 +1,8 @@
 """Randomized property suites for the IR, parsers, and diff engine."""
 
+import itertools
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -17,6 +20,7 @@ from szzvc.diff import (
     truncate_path,
 )
 from szzvc.errors import PatchSyntaxError
+from szzvc.gitrepo import Repository
 from szzvc.ir import NodeSubtree, VisualIR, canonicalize, dumps_ir
 from szzvc.maxparser import (
     FilterMode,
@@ -25,13 +29,16 @@ from szzvc.maxparser import (
     default_property_filter,
     parse_maxpat,
 )
+from szzvc.miner import FixingCommit, MinerConfig, MiningCache, find_inducing
 from szzvc.pdparser import PdNodeTable, parse_pd, split_records
+from conftest import RepoFixture
 from oracle import (
     apply_diff,
     assert_matches_bruteforce,
     diff_subtrees_full_visit,
     flatten,
     paths_at_depth_set,
+    reference_inducing,
     split_records_reference,
 )
 from strategies import (
@@ -282,3 +289,47 @@ def test_match_changes_projects_like_paths_at_depth(pair, mode):
                          step_diff, mode) == projected
     assert match_changes([(p, ChangeKind.ADDED) for p in prefixes],
                          step_diff, mode) == set()
+
+
+# The miner against a reference that reads, parses and diffs every version
+# afresh: candidates must not depend on when a version was read or parsed.
+
+
+@settings(max_examples=20, deadline=None)
+@given(pd_version_sequences().map(lambda texts: ("pd", texts))
+       | maxpat_version_sequences().map(lambda texts: ("maxpat", texts)),
+       st.data())
+def test_candidates_equal_a_reference_miner(sequence, data):
+    extension, texts = sequence
+    versions = data.draw(st.lists(st.sampled_from(texts), min_size=2, max_size=6))
+    rename_at = data.draw(st.none() | st.integers(1, len(versions) - 1))
+    follow_renames = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = RepoFixture(Path(tmp) / "repo")
+        path, commits = f"p.{extension}", []
+
+        def commit(files, message):
+            when = f"2021-05-01T10:{len(commits):02d}:00+00:00"
+            commits.append(fixture.commit(files, message, when))
+
+        for k, text in enumerate(versions):
+            if k == rename_at:  # a pure rename, a step of its own
+                fixture.move(path, f"q.{extension}")
+                path = f"q.{extension}"
+                commit({}, "rename")
+            commit({path: text}, f"v{k}")
+        # the fixes in any order, so each meets a cache that others filled
+        fixes = data.draw(st.permutations(commits[1:]))
+        with Repository(str(fixture.path)) as repo:
+            for mode, all_matches in itertools.product([MAX_DEPTH, 1, 2],
+                                                       [False, True]):
+                config = MinerConfig(depth_mode=mode, all_matches=all_matches,
+                                     follow_renames=follow_renames)
+                cache = MiningCache(repo, config)
+                for fix in fixes:
+                    fixing = FixingCommit(fix, "", visual_files=repo.changed_files(fix))
+                    result = find_inducing(repo, fixing, config, cache)
+                    assert {(c.inducing_commit, c.file_path):
+                            (set(c.matched_paths), c.via_addition_reduction)
+                            for c in result.candidates} == \
+                        reference_inducing(fixture.path, fix, config), (fix, config)
