@@ -16,8 +16,10 @@ Pipeline per fixing commit and visual file:
 
 Unparseable file versions (hand-edited patches) are recorded as failures,
 each version (commit and path) once per fix: a failing fix step skips the
-file, a failing historical step is skipped and the walk continues. The time
-filter afterwards drops candidates committed after the linked bug report.
+file, a failing historical step is skipped and the walk continues. A version
+read with a warning (the Latin-1 fallback) is named once per fix too, but
+is no failure. The time filter afterwards drops candidates committed after
+the linked bug report.
 
 Fixing commits on one file share most of their history, so a run keeps one
 :class:`MiningCache`: each file version is read and parsed once, keyed by its
@@ -25,8 +27,10 @@ blob id, and each step, the fix's own included, is diffed once, keyed by its
 two blob ids. Blob ids come with the changed files of the commit index.
 Before a fix is diffed, :meth:`MiningCache.load` reads the versions of its
 own step and of every history step that the cache has not parsed, by blob
-id in one request, and parses them in step order; a fix whose projected
-diff is empty has parsed its history too.
+id in one request, and parses them in step order, each step's new side
+before its old side: newest first, so that each Max version is spliced from
+the version next to it (see :class:`~szzvc.maxparser.MaxNodeTable`). A fix
+whose projected diff is empty has parsed its history too.
 """
 
 from __future__ import annotations
@@ -371,10 +375,22 @@ class AnalysisFailure:
 
 
 @dataclass(frozen=True)
+class VersionWarning:
+    """A file version read with a warning, such as the Latin-1 fallback of
+    :func:`~szzvc.pdparser.decode_patch_bytes`; unlike a failure it does
+    not fail the run."""
+
+    commit_id: str
+    file_path: str
+    message: str
+
+
+@dataclass(frozen=True)
 class InducingResult:
     candidates: tuple[InducingCandidate, ...]
     failures: tuple[AnalysisFailure, ...] = ()
     fix_diffs: dict[str, IRDiff] = field(default_factory=dict)
+    warnings: tuple[VersionWarning, ...] = ()
 
 
 # (inducing commit, fix file path) -> (inducing commit time, matched
@@ -404,7 +420,8 @@ class MiningCache:
     Built for one repository and config and shared by every fixing commit
     of the run. An unparseable version is kept as its ``PatchSyntaxError``
     and raised again at each use, so every fix that meets it records the
-    failure.
+    failure. What reading a version warned of is kept by its blob id, so
+    every fix that meets it names it.
 
     It also owns the run's node tables, a
     :class:`~szzvc.pdparser.PdNodeTable` and a
@@ -419,20 +436,25 @@ class MiningCache:
         self.config = config
         self._irs: dict[tuple[str, Language], VisualIR | PatchSyntaxError] = {}
         self._diffs: dict[tuple[str | None, str | None, Language], IRDiff] = {}
+        self._warnings: dict[str, list[str]] = {}
         self._tables = {Language.PURE_DATA: PdNodeTable(),
                         Language.MAX_MSP: MaxNodeTable()}
 
     def load(self, language: Language, steps: list[HistoryStep]) -> None:
         """Read the versions of ``steps`` not parsed yet in one request and
-        parse them in step order, each under the path of its first side."""
+        parse them in step order, each step's new side before its old side,
+        so that each version follows the one next to it in history. Each is
+        parsed under its path in the first step that holds it; a step that
+        holds it on both sides, a pure rename, gives its old path."""
         paths: dict[str, str] = {}
         for step in steps:
-            for blob, path in ((step.old_blob, step.path_old),
-                               (step.new_blob, step.path_new)):
+            for blob, path in ((step.new_blob, step.path_new),
+                               (step.old_blob, step.path_old)):
                 if blob is not None and (blob, language) not in self._irs:
-                    paths.setdefault(blob, path)
+                    paths.setdefault(blob, step.path_old if blob == step.old_blob
+                                     else path)
         for blob, data in self.repo.read_blobs(list(paths)).items():
-            self._irs[blob, language] = self._parse(language, data, paths[blob])
+            self._irs[blob, language] = self._parse(language, blob, data, paths[blob])
 
     def ir(self, language: Language, blob: str | None, path: str | None
            ) -> VisualIR:
@@ -445,11 +467,17 @@ class MiningCache:
             raise ir.with_traceback(None)
         return ir
 
-    def _parse(self, language: Language, data: bytes | None, path: str
+    def warnings(self, blob: str | None) -> list[str]:
+        """What reading blob ``blob`` warned of, when :meth:`load` read it."""
+        return self._warnings.get(blob, [])
+
+    def _parse(self, language: Language, blob: str, data: bytes | None, path: str
                ) -> VisualIR | PatchSyntaxError:
         if data is None:  # not a file, e.g. a gitlink
             return empty_ir(language, path)
-        text, _ = decode_patch_bytes(data)
+        text, warnings = decode_patch_bytes(data)
+        if warnings:
+            self._warnings[blob] = warnings
         try:
             return parse_patch_text(text, language, self.config, source_path=path,
                                     table=self._tables[language])
@@ -478,24 +506,34 @@ def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
     cache = MiningCache(repo, config) if cache is None else cache
     matches: Matches = {}
     failures: list[AnalysisFailure] = []
+    warnings: list[VersionWarning] = []
     fix_diffs: dict[str, IRDiff] = {}
     fix_entry = repo.log_entry(fixing.commit_id)
     for change in fixing.visual_files:
-        _mine_file(cache, fix_step(fix_entry, change), matches, failures, fix_diffs)
+        _mine_file(cache, fix_step(fix_entry, change), matches, failures, warnings,
+                   fix_diffs)
     return InducingResult(candidates=build_candidates(fixing.commit_id, matches),
-                          failures=tuple(failures), fix_diffs=fix_diffs)
+                          failures=tuple(failures), fix_diffs=fix_diffs,
+                          warnings=tuple(warnings))
 
 
 def _diff_or_failure(cache: MiningCache, language: Language, step: HistoryStep,
-                     failures: list[AnalysisFailure]) -> IRDiff | None:
-    """The step's diff; None when a side is unparseable, with each version
-    that failed recorded once per fix."""
+                     failures: list[AnalysisFailure],
+                     warnings: list[VersionWarning]) -> IRDiff | None:
+    """The step's diff; None when a side is unparseable. Each version that
+    failed, and each read with a warning, is recorded once per fix."""
+    sides = ((step.old_blob, step.parent, step.path_old),
+             (step.new_blob, step.entry.commit_id, step.path_new))
+    for blob, rev, path in sides:
+        for message in cache.warnings(blob):
+            warning = VersionWarning(rev, path, message)
+            if warning not in warnings:
+                warnings.append(warning)
     try:
         return cache.step_diff(language, step)
     except PatchSyntaxError:
         pass
-    for blob, rev, path in ((step.old_blob, step.parent, step.path_old),
-                            (step.new_blob, step.entry.commit_id, step.path_new)):
+    for blob, rev, path in sides:
         try:
             cache.ir(language, blob, path)
         except PatchSyntaxError as exc:
@@ -510,6 +548,7 @@ def _mine_file(
     fix: HistoryStep,
     matches: Matches,
     failures: list[AnalysisFailure],
+    warnings: list[VersionWarning],
     fix_diffs: dict[str, IRDiff],
 ) -> None:
     config = cache.config
@@ -521,7 +560,7 @@ def _mine_file(
         cache.repo, fix.path_old, fix.entry.commit_id,
         follow_renames=config.follow_renames)
     cache.load(language, [fix, *steps])
-    fix_diff = _diff_or_failure(cache, language, fix, failures)
+    fix_diff = _diff_or_failure(cache, language, fix, failures, warnings)
     if fix_diff is None:
         return  # the fixing side skips the file
     fix_diffs[fix.path_new] = fix_diff
@@ -534,7 +573,8 @@ def _mine_file(
     if not md_pairs and not added_paths:
         return
     # an unparseable step is skipped; matching continues further back
-    step_diffs = [_diff_or_failure(cache, language, s, failures) for s in steps]
+    step_diffs = [_diff_or_failure(cache, language, s, failures, warnings)
+                  for s in steps]
 
     def emit(step: HistoryStep, path: ChangePath, depth: int, via: bool) -> None:
         key = (step.entry.commit_id, fix.path_new)

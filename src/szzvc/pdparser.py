@@ -356,9 +356,11 @@ def _attach_array_data(nodes: list, form: tuple, i: int, error) -> None:
 
 
 def decode_patch_bytes(data: bytes) -> tuple[str, list[str]]:
-    """UTF-8 without a leading byte-order mark, with Latin-1 fallback; the
-    fallback is reported as a warning."""
+    """UTF-8, or Latin-1 where the data is not valid UTF-8, either way
+    without a leading UTF-8 byte-order mark; the fallback is reported as a
+    warning."""
     try:
         return data.decode("utf-8-sig"), []
     except UnicodeDecodeError:
-        return data.decode("latin-1"), ["decoded as latin-1 (invalid utf-8)"]
+        return (data.removeprefix(b"\xef\xbb\xbf").decode("latin-1"),
+                ["decoded as latin-1 (invalid utf-8)"])

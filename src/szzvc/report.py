@@ -6,9 +6,10 @@ the same clone and config are byte-identical once timing is excluded. The
 aligned tables printed elsewhere are derived from it, never the reverse.
 
 Each method answers a fixing commit with an :class:`~szzvc.miner.InducingResult`,
-handled one way: its failures become warnings, its fix diffs (``szz-vc``
-only) ``diffs``, and its candidates, split by the time filter, the method's
-section.
+handled one way: its failures and the versions it read with a warning
+become warnings, its fix diffs (``szz-vc`` only) ``diffs``, and its
+candidates, split by the time filter, the method's section. A version that
+both methods read with a warning is named once.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ def _analyze_fixing_commit(repo: Repository, cache: MiningCache,
                 f"unparseable version {failure.commit_id}:{failure.file_path}: "
                 f"{failure.reason}"
             )
+        for note in result.warnings:
+            warning = f"version {note.commit_id}:{note.file_path}: {note.message}"
+            if warning not in warnings:
+                warnings.append(warning)
         for path, fix_diff in sorted(result.fix_diffs.items()):
             entry["diffs"][path] = {
                 "nodes_touched": nodes_touched(fix_diff),

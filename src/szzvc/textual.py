@@ -26,7 +26,7 @@ from datetime import datetime
 
 from .gitrepo import Hunk, Repository
 from .miner import (FixingCommit, InducingResult, Matches, MinerConfig,
-                    build_candidates, fix_step, history_steps)
+                    VersionWarning, build_candidates, fix_step, history_steps)
 from .pdparser import decode_patch_bytes
 
 
@@ -81,7 +81,8 @@ def annotate(repo: Repository, path: str, before: str, line_numbers,
     if not steps:
         return origins
     if pre_fix_lines is None:
-        pre_fix_lines = _lines_at(repo, steps[0].entry.commit_id, steps[0].path_new)
+        pre_fix_lines, _ = _lines_at(repo, steps[0].entry.commit_id,
+                                     steps[0].path_new)
     # position of each traced line in the version at the current step
     tracked = {n: n for n in line_numbers if 1 <= n <= len(pre_fix_lines)}
     for step in steps:
@@ -111,31 +112,38 @@ def annotate(repo: Repository, path: str, before: str, line_numbers,
     return origins
 
 
-def _lines_at(repo: Repository, rev: str, path: str) -> list[str]:
+def _lines_at(repo: Repository, rev: str, path: str) -> tuple[list[str], list[str]]:
     """Lines as git numbers them: split at ``\\n`` only, where
-    ``str.splitlines`` would also split at form feeds and the like."""
+    ``str.splitlines`` would also split at form feeds and the like; and what
+    decoding them warned of."""
     data = repo.read_file(rev, path)
     if data is None:
-        return []
-    text, _ = decode_patch_bytes(data)
+        return [], []
+    text, warnings = decode_patch_bytes(data)
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return lines
+    return lines, warnings
 
 
 def textual_find_inducing(repo: Repository, fixing: FixingCommit,
                           config: MinerConfig) -> InducingResult:
     """Line-blame candidates for a fixing commit's visual files, one per
     origin commit and file, with no matched paths. Nothing is parsed, so
-    ``failures`` and ``fix_diffs`` are empty."""
+    ``failures`` and ``fix_diffs`` are empty; ``warnings`` names each fix's
+    old version that was read with a warning."""
     fix_entry = repo.log_entry(fixing.commit_id)
     matches: Matches = {}
+    warnings: list[VersionWarning] = []
     for change in fixing.visual_files:
         fix = fix_step(fix_entry, change)
         if fix.path_old is None:
             continue  # an added file: nothing was deleted or modified
-        old_lines = _lines_at(repo, fix.parent, fix.path_old)
+        old_lines, decoded = _lines_at(repo, fix.parent, fix.path_old)
+        for message in decoded:
+            warning = VersionWarning(fix.parent, fix.path_old, message)
+            if warning not in warnings:
+                warnings.append(warning)
         hunks = (
             ((1, len(old_lines), 0, 0),)
             if fix.new_blob is None  # a deleted file
@@ -152,4 +160,5 @@ def textual_find_inducing(repo: Repository, fixing: FixingCommit,
             if origin is not None:
                 matches.setdefault((origin.origin_commit, change.path),
                                    (origin.origin_time, set(), False))
-    return InducingResult(candidates=build_candidates(fixing.commit_id, matches))
+    return InducingResult(candidates=build_candidates(fixing.commit_id, matches),
+                          warnings=tuple(warnings))

@@ -445,10 +445,10 @@ def reference_inducing(repo_path, fix: str, config) -> dict:
     ``szzvc.miner`` docstring, as ``{(inducing commit, fix file path):
     (set of (matched path, effective depth), whether any came by addition
     reduction)}``. It shares no code with the miner's walk or cache: the
-    fix's files come from ``git diff-tree``, each file's history from ``git
-    log --first-parent``, each version from ``git show``, parsed on its own
-    (only git's output is memoized) and diffed by :func:`flat_diff`. Merges
-    and copies are not handled."""
+    fix's files come from ``git diff-tree`` against its first parent, each
+    file's history from ``git log --first-parent``, each version from ``git
+    show``, parsed on its own (only git's output is memoized) and diffed by
+    :func:`flat_diff`. Copies are not handled."""
     mode = config.depth_mode
     matches: dict = {}
 
@@ -456,8 +456,10 @@ def reference_inducing(repo_path, fix: str, config) -> dict:
         paths, any_via = matches.get((commit, fix_path), (set(), False))
         matches[commit, fix_path] = (paths | {(path, depth)}, any_via or via)
 
-    listing = _git(repo_path, "diff-tree", "-r", "-M", "--root", "--name-status",
-                   "--no-commit-id", fix)
+    # a merge's files as its first parent sees them; a root commit's as added
+    parents = _git(repo_path, "rev-list", "--parents", "-n", "1", fix).split()[1:]
+    listing = _git(repo_path, "diff-tree", "-r", "-M", "--name-status", "--no-commit-id",
+                   *([parents[0], fix] if parents else ["--root", fix]))
     for line in listing.splitlines():
         status, fix_old_path, fix_path = _name_status(line)
         language = language_for_path(fix_path, config.extensions)

@@ -198,26 +198,39 @@ _TEXT_BREAKERS = ["", ",", "NaN", "]", "}", ":", '"', "{", "\ufeff"]
 
 
 @st.composite
-def maxpat_version_sequences(draw):
+def maxpat_histories(draw):
+    """Versions of one patch, each an edit of the one before or a broken
+    copy of an earlier one, as three histories of texts: indented, minified
+    and in Max's own layout. A fourth list holds texts cut or broken from
+    them."""
     versions = [draw(_max_patchers())]
     for _ in range(draw(st.integers(1, 3))):
         versions.append(_max_edit(draw, versions[-1]))
     for _ in range(draw(st.integers(0, 2))):
         versions.append(_max_break(draw, draw(st.sampled_from(versions))))
-    texts = []
+    histories = [[], [], []]
     for patcher in versions:
         document = {"patcher": patcher}
-        texts += [json.dumps(document, indent=draw(st.sampled_from([2, "\t"]))),
-                  json.dumps(document, separators=(",", ":")),
-                  native_maxpat(document)]
+        for history, text in zip(histories, [
+                json.dumps(document, indent=draw(st.sampled_from([2, "\t"]))),
+                json.dumps(document, separators=(",", ":")),
+                native_maxpat(document)]):
+            history.append(text)
+    texts = [text for history in histories for text in history]
+    broken = []
     for _ in range(draw(st.integers(0, 3))):  # a text cut, or a character replaced
         text = draw(st.sampled_from(texts))
         at = draw(st.integers(0, len(text)))
         if draw(st.booleans()):
-            texts.append(text[:at])
+            broken.append(text[:at])
         else:
-            texts.append(text[:at] + draw(st.sampled_from(_TEXT_BREAKERS)) + text[at + 1:])
-    return texts
+            broken.append(text[:at] + draw(st.sampled_from(_TEXT_BREAKERS)) + text[at + 1:])
+    return [*histories, broken]
+
+
+def maxpat_version_sequences():
+    """The texts of :func:`maxpat_histories` in one list."""
+    return maxpat_histories().map(lambda lists: [text for texts in lists for text in texts])
 
 
 # --- Pure Data patch texts ---------------------------------------------------

@@ -264,6 +264,14 @@ def test_utf8_bom_is_not_part_of_the_patch():
     assert parse_maxpat(text) == parse_maxpat(MINIMAL)
 
 
+def test_utf8_bom_before_invalid_utf8_is_not_part_of_the_patch():
+    # the Latin-1 fallback drops the mark too, so the version still parses
+    latin = MINIMAL.replace("hello world", "caf\xe9")
+    text, warnings = decode_patch_bytes(b"\xef\xbb\xbf" + latin.encode("latin-1"))
+    assert warnings and "latin-1" in warnings[0]
+    assert parse_maxpat(text) == parse_maxpat(latin)
+
+
 def _nested_patchers(levels: int, text: str = "x") -> str:
     patcher = {"boxes": [{"box": {"id": "obj-1", "maxclass": "newobj", "text": text}}]}
     for _ in range(levels):
@@ -418,6 +426,41 @@ def test_shared_table_builds_only_the_changed_box(monkeypatch, layout):
               if node is first.subtrees[box_id]]
     assert len(shared) == 99 and "obj-50" not in shared
     assert repr(second) == repr(parse_maxpat(_hundred_boxes("f fifty", layout)))
+
+
+@pytest.mark.parametrize("layout", ["indented", "native", "minified"])
+def test_a_later_version_is_spliced_from_the_last_one(monkeypatch, layout):
+    # the second text differs from the first in one box: only that element
+    # is decoded and built, and the document is not read whole
+    table = MaxNodeTable()
+    first = parse_maxpat(_hundred_boxes(layout=layout), table=table)
+    decoded, built = [], []
+    scan, real = table._scan, maxparser._box_contents
+
+    def counting_scan(s, idx):
+        value, end = scan(s, idx)
+        decoded.append(s[idx:end])
+        return value, end
+
+    def counting(box, *args):
+        built.append(box["id"])
+        return real(box, *args)
+
+    def whole(text):
+        raise AssertionError("the document was read whole")
+
+    monkeypatch.setattr(table, "_scan", counting_scan)
+    monkeypatch.setattr(table, "_read", whole)
+    monkeypatch.setattr(maxparser, "_box_contents", counting)
+    text = _hundred_boxes("f fifty", layout)
+    second = parse_maxpat(text, table=table)
+    assert [json.loads(element)["box"]["id"] for element in decoded] == ["obj-50"]
+    assert built == ["obj-50"]
+    shared = [box_id for box_id, node in second.subtrees.items()
+              if node is first.subtrees[box_id]]
+    assert len(shared) == 99 and "obj-50" not in shared
+    monkeypatch.undo()
+    assert repr(second) == repr(parse_maxpat(text))
 
 
 @pytest.mark.parametrize("layout", ["indented", "native", "minified"])

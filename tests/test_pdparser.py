@@ -312,6 +312,16 @@ def test_utf8_bom_is_not_part_of_the_patch():
     assert parse_pd(text) == parse_pd(HELLO_WORLD_PD)
 
 
+def test_utf8_bom_before_invalid_utf8_is_not_part_of_the_patch():
+    # the Latin-1 fallback drops the mark too, so the version still parses
+    data = b"\xef\xbb\xbf" + HELLO_WORLD_PD.replace("hello", "caf\xe9").encode("latin-1")
+    text, warnings = decode_patch_bytes(data)
+    assert warnings and "latin-1" in warnings[0]
+    assert text.startswith("#N canvas")
+    contents = parse_pd(text).subtrees["obj-0"].serialized_contents
+    assert "caf\xe9" in contents["text"]
+
+
 def test_subcanvases_nest_up_to_the_limit():
     # parse, diff, == and dumps_ir all recurse per level; at the limit they
     # stay within Python's default recursion limit

@@ -44,6 +44,7 @@ from oracle import (
 from strategies import (
     ir_pairs,
     maxpat_documents,
+    maxpat_histories,
     maxpat_version_sequences,
     pd_node_records,
     pd_patches,
@@ -208,15 +209,23 @@ _FILTERS = [
 
 
 @CASES
-@given(maxpat_version_sequences(), st.data())
-def test_shared_max_table_parses_like_a_fresh_one(texts, data):
+@given(maxpat_histories(), st.data())
+def test_shared_max_table_parses_like_a_fresh_one(histories, data):
+    # each layout's versions in history order and then reversed, each run
+    # under one filter and path, so that most texts differ from the one read
+    # before them in a few elements only and are spliced from it; the texts
+    # cut or broken from them come last
+    *layouts, broken = histories
+    runs = [run for texts in layouts for run in (texts, texts[::-1])] + [broken]
     table = MaxNodeTable()
-    options = [(data.draw(st.sampled_from(_FILTERS)),
-                data.draw(st.sampled_from(["a.maxpat", "b.maxhelp"]))) for _ in texts]
-    shared = [_max_parse_or_error(text, *option, table)
-              for text, option in zip(texts, options)]
+    shared = []
+    for run in runs:
+        option = (data.draw(st.sampled_from(_FILTERS)),
+                  data.draw(st.sampled_from(["a.maxpat", "b.maxhelp"])))
+        shared += [(text, option, _max_parse_or_error(text, *option, table))
+                   for text in run]
     # compared once all are parsed: a later parse must not change an earlier IR
-    for text, option, result in zip(texts, options, shared):
+    for text, option, result in shared:
         assert _outcome(result) == _outcome(_max_parse_or_error(text, *option, None))
 
 
@@ -303,20 +312,30 @@ def test_candidates_equal_a_reference_miner(sequence, data):
     extension, texts = sequence
     versions = data.draw(st.lists(st.sampled_from(texts), min_size=2, max_size=6))
     rename_at = data.draw(st.none() | st.integers(1, len(versions) - 1))
+    merge_at = data.draw(st.none() | st.integers(1, len(versions) - 1))
     follow_renames = data.draw(st.booleans())
     with tempfile.TemporaryDirectory() as tmp:
         fixture = RepoFixture(Path(tmp) / "repo")
         path, commits = f"p.{extension}", []
 
+        def when():
+            return f"2021-05-01T10:{len(commits):02d}:00+00:00"
+
         def commit(files, message):
-            when = f"2021-05-01T10:{len(commits):02d}:00+00:00"
-            commits.append(fixture.commit(files, message, when))
+            commits.append(fixture.commit(files, message, when()))
 
         for k, text in enumerate(versions):
             if k == rename_at:  # a pure rename, a step of its own
                 fixture.move(path, f"q.{extension}")
                 path = f"q.{extension}"
                 commit({}, "rename")
+            if k == merge_at:  # the version comes in by a --no-ff merge
+                fixture.checkout("side", create=True)
+                commit({path: text}, f"v{k} on a side branch")
+                fixture.checkout("main")
+                commit({"notes.txt": f"{k}"}, "main moves on")
+                commits.append(fixture.merge("side", f"merge v{k}", when()))
+                continue
             commit({path: text}, f"v{k}")
         # the fixes in any order, so each meets a cache that others filled
         fixes = data.draw(st.permutations(commits[1:]))

@@ -119,3 +119,24 @@ def test_summary_is_the_subject_line_as_git_gives_it(repo_fixture, separator):
     (entry,) = report["fixing_commits"]
     git_subject = repo_fixture._git("log", "-1", "--format=%s", commit_id)
     assert entry["summary"] == subject == git_subject.rstrip("\n")
+
+
+@pytest.mark.parametrize("methods", [("szz-vc",), ("textual",), ("szz-vc", "textual")])
+def test_a_version_read_as_latin1_is_named_once_per_fix(repo_fixture, methods):
+    # c2 holds a Latin-1 byte; the fix reads it as its old side, and szz-vc
+    # as the new side of c2's own step too, and the run does not fail for it
+    repo_fixture.commit({"a.pd": SYNTH_V1}, "c1", T[0])
+    latin = SYNTH_V2.replace("msg 50 50 440", "msg 50 50 caf\xe9")
+    (repo_fixture.path / "a.pd").write_bytes(latin.encode("latin-1"))
+    c2 = repo_fixture.commit({}, "lower the pitch", T[1])
+    repo_fixture.commit({"a.pd": latin.replace("osc~ 220", "osc~ 330")}, "fix #1", T[2])
+    report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
+                                        methods=methods, with_timing=False)
+    assert not had_failures
+    (entry,) = report["fixing_commits"]
+    assert entry["warnings"] == [
+        f"version {c2}:a.pd: decoded as latin-1 (invalid utf-8)",
+        "time filter skipped: fixing commit has no linked report time",
+    ]
+    for section in entry["methods"].values():
+        assert [c["inducing_commit"] for c in section["candidates"]] == [c2]
