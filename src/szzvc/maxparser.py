@@ -34,10 +34,9 @@ an earlier parse. The connections are checked against the box ids of
 the version at hand, in document order. Persistent box ids make most edits
 a change to one or two elements, so a text that differs from the document
 the table read last only inside one run of ``boxes`` elements and one run
-of ``lines`` elements is spliced from it: only those runs are read, and the
-IR is the last one with the boxes they touch built again, an incremental
-parse in the sense of Wagner and Graham ("Efficient and Flexible
-Incremental Parsing", TOPLAS 1998). Any other text is read whole, as it is
+of ``lines`` elements is spliced from it: only those runs, which
+:mod:`szzvc.splice` finds, are read, and the IR is the last one with the
+boxes they touch built again. Any other text is read whole, as it is
 by a fresh table. The document and patcher objects are then read by the
 standard library's own JSON object reader, and an array the parser's own
 loop does not accept is read again by the standard library's array reader,
@@ -47,7 +46,6 @@ so every syntax error reads as ``json.loads`` words it, line included.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +58,7 @@ from .ir import (
     canonicalize,  # noqa: F401  unused; perfbench traces maxparser.canonicalize by name
     intern_ir,
 )
+from .splice import changed_run
 
 GUARDED_KEYS = frozenset({"text", "maxclass", "patcher"})
 
@@ -148,18 +147,18 @@ class MaxNodeTable:
     so must the text between the two arrays, which is looked for where the
     first array ends if the change is in the second, where it ends shifted
     by the change in length if the change is in the first, and else by
-    ``str.find``. In each array, bisection with ``str.startswith`` over the
-    element ends finds the leading elements the text holds where the last
-    document did, and over the element starts the trailing ones it holds
-    shifted by the change in length; only the run between them is decoded,
-    by the C scanner, and each of its elements is found by its text or
-    built. The IR is the last IR with the boxes of the old runs taken out,
-    those of the new runs put in, and only those boxes and the sources of
-    the wires that changed interned again; a new box id puts the nodes back
-    into id order. A run that is not a comma-separated list of objects, a
-    duplicate box id, a wire to a box that is not there and any error the
-    run raises all leave the text to the whole read, which says what is
-    wrong as a fresh table does. A change inside a box, a nested patcher's
+    ``str.find``. In each array, :func:`szzvc.splice.changed_run`, which the
+    Pd splice shares, finds the leading elements the text holds where the
+    last document did and the trailing ones it holds shifted by the change
+    in length; only the run between them is decoded, by the C scanner, and
+    each of its elements is found by its text or built. The IR is the last
+    IR with the boxes of the old runs taken out, those of the new runs put
+    in, and only those boxes and the sources of the wires that changed
+    interned again; a new box id puts the nodes back into id order. A run
+    that is not a comma-separated list of objects, a duplicate box id, a
+    wire to a box that is not there and any error the run raises all leave
+    the text to the whole read, which says what is wrong as a fresh table
+    does. A change inside a box, a nested patcher's
     included, is a change of that box's element.
 
     A whole read takes a known element without decoding where it follows,
@@ -541,31 +540,12 @@ def _splice_array(s: str, t: str, old: _Array, start: int, end: int,
     (text, value) pairs of its new run; None where ``s`` holds no such run
     of object elements."""
     size, old_size = end - start, old.close - old.open
-    if size == old_size and s.startswith(t[old.open + 1:old.close], start + 1):
-        return _Array(start, end, old.starts, old.ends), [], []
     starts, ends, shift = old.starts, old.ends, size - old_size
-    # bisect for the leading elements s holds where t does: the text from
-    # the "[" through the end of element ``first - 1`` is t's
-    first, hi = 0, bisect_right(ends, size)
-    while first < hi:
-        mid = (first + hi + 1) // 2
-        done = ends[first - 1] if first else 1
-        if s.startswith(t[old.open + done:old.open + ends[mid - 1]], start + done):
-            first = mid
-        else:
-            hi = mid - 1
+    found = changed_run(s, start, size, t, old.open, old_size, starts, ends)
+    if found is None:
+        return _Array(start, end, starts, ends), [], []
+    first, stop = found
     after = ends[first - 1] if first else 1
-    # and for the trailing ones, which s holds as much further on as it is
-    # longer: the text from element ``stop`` up to the "]" is t's
-    stop, hi = max(first, bisect_left(starts, after - shift)), len(starts)
-    while stop < hi:
-        mid = (stop + hi) // 2
-        done = starts[hi] if hi < len(starts) else old_size
-        if s.startswith(t[old.open + starts[mid]:old.open + done],
-                        start + starts[mid] + shift):
-            hi = mid
-        else:
-            stop = mid + 1
     until = starts[stop] if stop < len(starts) else old_size
     run = _read_run(s, start + after, start + until + shift, first > 0,
                     stop < len(starts), table)

@@ -7,9 +7,11 @@ whitespace and newlines included, so ``\\;`` does not terminate and a lone
 backslash at the end of the text leaves its record unterminated. A text
 without a backslash splits into records with ``str.split(";")``; one with a
 backslash is cut one match of a compiled pattern at a time (plain characters
-and escapes up to an unescaped ``;``). A record body splits into atoms
-through one atom pattern, in which a backslash keeps the next character. The
-format has no node ids, so pseudo-ids ``obj-<k>`` are assigned by the 0-based
+and escapes up to an unescaped ``;``). A record body without a backslash
+splits into atoms with ``str.split()``, which cuts at the same whitespace as
+``re``'s ``\\s`` and ``str.isspace``; one with a backslash splits through an
+atom pattern in which a backslash keeps the next character. The format has
+no node ids, so pseudo-ids ``obj-<k>`` are assigned by the 0-based
 ordinal position of node-defining records on their canvas — meaning an
 insertion shifts every later id, which is exactly the instability the Max
 format avoids with persistent ids.
@@ -27,15 +29,22 @@ appends to a box's atoms as an unescaped ``, f <int>``.
 Versions of one file share almost all of their records, so the parser keeps
 what it builds in a :class:`PdNodeTable`: a record text seen before is not
 tokenized again, and each canvas is built by :func:`szzvc.ir.intern_ir`,
-which shares a node unchanged since an earlier parse. A record's line span
-is counted only when an error names it.
+which shares a node unchanged since an earlier parse. A text that differs
+from the document the table read last only inside one run of whole
+records, as many as before and each of the kind it replaces, is spliced
+from it: only that run, which :mod:`szzvc.splice` finds, is read, and the
+IR is the last one with the nodes it touches built again. An insertion or
+deletion renumbers the nodes after it, so such a text, like anything else
+the splice does not take, is read whole, as by a fresh table. A record's
+line span is counted only when an error names it.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import PatchSyntaxError
 from .ir import (
@@ -47,6 +56,7 @@ from .ir import (
     canonicalize,  # noqa: F401  unused; perfbench traces pdparser.canonicalize by name
     intern_ir,
 )
+from .splice import changed_run
 
 NODE_ELEMENTS = {"obj", "msg", "text", "floatatom", "symbolatom", "listbox", "number",
                  "array"}
@@ -128,17 +138,32 @@ def split_records(text: str) -> list[PdRecord]:
     return records
 
 
-def _make_record(body: str, span: tuple[int, int] | None) -> PdRecord:
-    tokens = _ESCAPED_ATOM.findall(body)
+def _make_record(body: str, span: tuple[int, int]) -> PdRecord:
+    tokens = _atoms(body)
+    chunk = _chunk(tokens, span)
+    if chunk == "A":
+        return PdRecord("A", "", tuple(tokens[1:]), span)
+    return PdRecord(chunk, tokens[1], tuple(tokens[2:]), span)
+
+
+def _atoms(body: str) -> list[str]:
+    """A record body's atoms. Without a backslash ``str.split()`` cuts it at
+    the same whitespace as the atom pattern's ``\\s``."""
+    return _ESCAPED_ATOM.findall(body) if "\\" in body else body.split()
+
+
+def _chunk(tokens: list[str], span: tuple[int, int] | None) -> str:
+    """The chunk of a record's atoms: ``N``, ``X`` (both followed by an
+    element) or ``A``."""
     if not tokens:
         raise PatchSyntaxError("empty record", span)
     marker = tokens[0]
     if marker == "#N" or marker == "#X":
         if len(tokens) < 2:
             raise PatchSyntaxError(f"record {marker} has no element", span)
-        return PdRecord(marker[1], tokens[1], tuple(tokens[2:]), span)
+        return marker[1]
     if marker == "#A":
-        return PdRecord("A", "", tuple(tokens[1:]), span)
+        return "A"
     raise PatchSyntaxError(f"unknown chunk {marker!r}", span)
 
 
@@ -146,15 +171,17 @@ def pd_node_properties(record: PdRecord, include_layout: bool = False) -> dict:
     """Contents for a node-defining record: at minimum element and the text
     after the x/y coordinates; coordinates and box width only with
     ``include_layout``. Keys are in sorted order, as in every canonical IR."""
-    atoms = record.atoms
-    if record.element in COORDLESS_ELEMENTS:
-        return {"element": record.element, "text": " ".join(atoms)}
+    return _node_contents(record.element, record.atoms, include_layout, record.source_span)
+
+
+def _node_contents(element: str, atoms: list[str] | tuple[str, ...], include_layout: bool,
+                   span: tuple[int, int] | None = None) -> dict:
+    if element in COORDLESS_ELEMENTS:
+        return {"element": element, "text": " ".join(atoms)}
     atoms, width = _split_width(atoms)
     if len(atoms) < 2:
-        raise PatchSyntaxError(
-            f"{record.element} record missing coordinates", record.source_span
-        )
-    contents = {"element": record.element, "text": " ".join(atoms[2:])}
+        raise PatchSyntaxError(f"{element} record missing coordinates", span)
+    contents = {"element": element, "text": " ".join(atoms[2:])}
     if include_layout:
         if width is not None:
             contents["width"] = _layout_value(width)
@@ -163,7 +190,8 @@ def pd_node_properties(record: PdRecord, include_layout: bool = False) -> dict:
     return contents
 
 
-def _split_width(atoms: tuple[str, ...]) -> tuple[tuple[str, ...], str | None]:
+def _split_width(atoms: list[str] | tuple[str, ...]
+                 ) -> tuple[list[str] | tuple[str, ...], str | None]:
     """The atoms without a trailing ``, f <int>`` box-width suffix, and the
     width (None without a suffix). Pd writes the suffix's comma unescaped and
     attached to the atom before it; an escaped ``\\,`` is message content."""
@@ -173,7 +201,7 @@ def _split_width(atoms: tuple[str, ...]) -> tuple[tuple[str, ...], str | None]:
     stem = last[:-1]
     if not last.endswith(",") or (len(stem) - len(stem.rstrip("\\"))) % 2:
         return atoms, None  # no comma, or one escaped by an odd backslash run
-    return atoms[:-3] + ((stem,) if stem else ()), atoms[-1]
+    return (*atoms[:-3], stem) if stem else atoms[:-3], atoms[-1]
 
 
 def _layout_value(token: str):
@@ -199,10 +227,34 @@ class PdNodeTable:
     - The ``shared`` node map of :func:`~szzvc.ir.intern_ir`, in which a
       node's key is its contents tag.
     - The ``obj-<k>`` ids, built as parses first need them.
+    - The last top-level document it read whole or spliced, one per
+      ``include_layout``: its text and path, where each record ends, the
+      records' forms, the record of each top-level node (so each record's
+      node ordinal), the top-level connect records, the nodes and wires as
+      ``intern_ir`` takes them, and the IR.
 
-    Nothing in it is changed once built; it only grows. A
-    :class:`~szzvc.miner.MiningCache` owns one for its run, and ``parse_pd``
-    makes a fresh one for a caller that passes none.
+    A text parsed under the last document's ``include_layout`` and path is
+    spliced from it where it can be. :func:`szzvc.splice.changed_run`, which
+    the Max splice shares, finds the leading records the text holds where
+    the last document did and the trailing ones it holds shifted by the
+    change in length. The text between them, to the end where no record
+    trails, must be as many whole records as it replaces and blanks, each
+    of the same kind: a top-level node whose contents are its record's
+    alone (no ``#A`` data) stays such a node, a top-level connect a connect
+    in range, a skipped record (``coords``, ``declare``, ...) a skipped
+    record, and none of them may hold an error. Only that run is looked up
+    or tokenized, and the IR is the last IR with the changed nodes and the
+    sources of the changed wires interned again. Anything else (an insertion
+    or deletion, which renumbers the nodes after it, a record inside a
+    subcanvas, a canvas, restore, ``#A`` or struct record in the run, a
+    first parse, another path, any error) is read whole, as it is by a
+    fresh table.
+
+    Nothing in it is changed once built but the last documents; it only
+    grows. A :class:`~szzvc.miner.MiningCache` owns one for its run and
+    parses each fix's versions newest first, so each splices from the
+    version next to it in history; ``parse_pd`` makes a fresh one for a
+    caller that passes none.
     """
 
     def __init__(self):
@@ -210,29 +262,39 @@ class PdNodeTable:
         self._contents: dict[tuple, tuple[int, dict]] = {}
         self._subtrees: dict = {}
         self._ids: list[str] = []
+        # include_layout -> (text, source path, record bounds, forms, node
+        # records, connect records, nodes, wires, IR); record k runs from
+        # bounds[k] through its ";" at bounds[k + 1] - 1
+        self._last: dict[bool, tuple] = {}
 
-    def _form(self, record: PdRecord, include_layout: bool) -> tuple:
-        if record.chunk == "A":
-            index, *values = record.atoms or ("",)
+    def _form(self, body: str, include_layout: bool) -> tuple:
+        tokens = _atoms(body)
+        chunk = _chunk(tokens, None)
+        if chunk == "A":
+            index, *values = tokens[1:] or ("",)
             # a longer index is out of range anyway, and int() refuses huge digit runs
             start = int(index) if len(index) < 19 and _DIGITS.fullmatch(index) else -1
             return _ARRAY_DATA, index, start, tuple(map(_layout_value, values))
-        if record.chunk == "N":
-            if record.element == "canvas":
+        element = tokens[1]
+        if chunk == "N":
+            if element == "canvas":
                 return (_CANVAS,)
-            return (_STRUCT,) if record.element == "struct" else (_SKIP,)
-        if record.element == "connect":
-            if len(record.atoms) != 4:
+            return (_STRUCT,) if element == "struct" else (_SKIP,)
+        if element == "connect":
+            if len(tokens) != 6:
                 return _CONNECT, None, "connect record needs 4 indices"
             try:
-                return _CONNECT, tuple(int(a) for a in record.atoms), None
+                return _CONNECT, tuple(map(int, tokens[2:])), None
             except ValueError:
                 return _CONNECT, None, "connect indices must be integers"
-        if record.element != "restore" and not record.is_node:
+        if element == "restore":
+            kind = _RESTORE
+        elif element in NODE_ELEMENTS:
+            kind = _NODE
+        else:
             return (_SKIP,)  # any other #X element (coords, declare, scalar, ...)
-        kind = _RESTORE if record.element == "restore" else _NODE
         try:
-            contents = pd_node_properties(record, include_layout=include_layout)
+            contents = _node_contents(element, tokens[2:], include_layout)
         except PatchSyntaxError as exc:  # the record has no span: a bare message
             return kind, None, str(exc)
         if kind == _RESTORE:
@@ -244,10 +306,11 @@ class PdNodeTable:
         return kind, node, None
 
     def _close(self, nodes: list[tuple[int | None, dict]], connects: list[int],
-               forms: list[tuple], source_path: str, error) -> VisualIR:
-        """The IR of one canvas: its nodes as (contents tag, contents), a
-        tag of None marking contents of the node's own that are not shared,
-        and the indices of its connect records."""
+               forms: list[tuple], source_path: str, error) -> tuple[VisualIR, dict]:
+        """The IR of one canvas and its wires as ``intern_ir`` takes them:
+        its nodes as (contents tag, contents), a tag of None marking contents
+        of the node's own that are not shared, and the indices of its
+        connect records."""
         count = len(nodes)
         ids = self._ids
         if len(ids) < count:
@@ -264,7 +327,99 @@ class PdNodeTable:
                 raise error(i, "connect ports must be >= 0")
             wires.setdefault(ids[src], []).append((ids[dst], outlet, inlet))
         return intern_ir(Language.PURE_DATA, source_path, dict(zip(ids, nodes)), wires,
-                         self._subtrees)
+                         self._subtrees), wires
+
+    def _splice(self, s: str, last: tuple, include_layout: bool) -> VisualIR | None:
+        """The IR of text ``s`` spliced from ``last``, the document the table
+        read last under the same ``include_layout`` and path; None where the
+        splice does not take ``s`` (see the class docstring)."""
+        t, source_path, bounds, forms, at, connects, nodes, wires, ir = last
+        if s == t:
+            return ir
+        shift = len(s) - len(t)
+        first, stop = changed_run(s, 0, len(s), t, 0, len(t), bounds[:-1], bounds[1:])
+        start = bounds[first]
+        # blanks after the run's last ";" start the record after it, or end
+        # the text
+        run = s[start:bounds[stop] + shift] if stop < len(forms) else s[start:]
+        bodies, unterminated = _scan(run)
+        if unterminated is not None or len(bodies) != stop - first:
+            return None  # not as many whole records as it replaces
+        known = self._forms[include_layout]
+        new = []
+        for body in bodies:
+            form = known.get(body)
+            if form is None:
+                try:
+                    form = known[body] = self._form(body, include_layout)
+                except PatchSyntaxError:
+                    return None
+            new.append(form)
+
+        count = len(nodes)
+        changed: dict[int, tuple] = {}  # a node's ordinal -> its new (tag, contents)
+        moved = []  # the old and new indices of each changed connect
+        for i, form in enumerate(new, first):
+            kind, old = form[0], forms[i]
+            if kind != old[0]:
+                return None
+            if kind == _NODE:
+                # the first top-level node from record i on: its own, or for a
+                # record in a subcanvas the node that closes it, whose
+                # contents are its own as an array's with data are
+                k = bisect_left(at, i)
+                if form[2] is not None or nodes[k][0] is None:
+                    return None
+                if form[1] is not nodes[k]:
+                    changed[k] = form[1]
+            elif kind == _CONNECT:
+                k = bisect_left(connects, i)
+                if k == len(connects) or connects[k] != i or form[1] is None:
+                    return None
+                src, outlet, dst, inlet = form[1]
+                if not (0 <= src < count and 0 <= dst < count and outlet >= 0 and inlet >= 0):
+                    return None
+                if form[1] != old[1]:
+                    moved.append((old[1], form[1]))
+            elif kind != _SKIP:
+                return None
+
+        ids = self._ids
+        touched: dict[int, list] = {}  # a wire source's ordinal -> its wires as they now are
+        for old_wire, new_wire in moved:
+            for k in (old_wire[0], new_wire[0]):
+                if k not in touched:
+                    touched[k] = list(wires.get(ids[k], ()))
+            src, outlet, dst, inlet = old_wire
+            touched[src].remove((ids[dst], outlet, inlet))
+            src, outlet, dst, inlet = new_wire
+            touched[src].append((ids[dst], outlet, inlet))
+        if touched:
+            wires = dict(wires)
+            for k, conns in touched.items():
+                if conns:
+                    wires[ids[k]] = conns
+                else:
+                    del wires[ids[k]]
+        if changed:
+            nodes = list(nodes)
+            for k, node in changed.items():
+                nodes[k] = node
+        subtrees = dict(ir.subtrees)
+        subtrees.update(intern_ir(Language.PURE_DATA, source_path,
+                                  {ids[k]: nodes[k] for k in changed.keys() | touched.keys()},
+                                  wires, self._subtrees).subtrees)
+        ir = VisualIR(subtrees, Language.PURE_DATA, source_path)
+
+        ends = []
+        for body in bodies:
+            start += len(body) + 1
+            ends.append(start)
+        kept = bounds[stop + 1:]
+        bounds = bounds[:first + 1] + ends + ([b + shift for b in kept] if shift else kept)
+        self._last[include_layout] = (s, source_path, bounds, forms[:first] + new + forms[stop:],
+                                      at, connects, nodes, wires, ir)
+        return ir
 
 
 def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
@@ -273,12 +428,18 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
     whole file version (callers record it as unparseable).
 
     ``table`` holds what earlier parses built (see :class:`PdNodeTable`): a
-    record text it holds is not tokenized again, and a node equal to one in
-    it is returned as that same object. A ``MiningCache`` passes the table
-    of its run; without one the parse makes a fresh table, which is the same
-    code path with nothing to reuse.
+    record text it holds is not tokenized again, a node equal to one in it
+    is returned as that same object, and a text that its last document
+    splices into is read only where the two differ. A ``MiningCache``
+    passes the table of its run; without one the parse makes a fresh table,
+    which is the same code path with nothing to reuse.
     """
     table = PdNodeTable() if table is None else table
+    last = table._last.get(include_layout)
+    if last is not None and last[1] == source_path:
+        ir = table._splice(text, last, include_layout)
+        if ir is not None:
+            return ir
     bodies, unterminated = _scan(text)
 
     def error(i: int, message: str) -> PatchSyntaxError:
@@ -290,22 +451,21 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
         form = known.get(body)
         if form is None:
             try:
-                record = _make_record(body, None)
+                form = known[body] = table._form(body, include_layout)
             except PatchSyntaxError as exc:
                 raise error(len(forms), str(exc)) from None
-            form = known[body] = table._form(record, include_layout)
         forms.append(form)
     if unterminated is not None:
         raise unterminated
     if not forms:
         raise PatchSyntaxError("empty patch file", (1, 1))
-    # the open canvas: its record index, nodes and connect record indices;
-    # the canvases around it wait on the stack
+    # the open canvas: its record index, nodes, the record of each node and
+    # its connect record indices; the canvases around it wait on the stack
     opened = next((i for i, form in enumerate(forms) if form[0] != _STRUCT), 0)
     if forms[opened][0] != _CANVAS:
         raise error(opened, "patch must start with a canvas declaration")
-    nodes, connects = [], []
-    stack: list[tuple[int, list, list]] = []
+    nodes, at, connects = [], [], []
+    stack: list[tuple[int, list, list, list]] = []
     for i in range(opened + 1, len(forms)):
         form = forms[i]
         kind = form[0]
@@ -313,27 +473,33 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
             if form[2] is not None:
                 raise error(i, form[2])
             nodes.append(form[1])
+            at.append(i)
         elif kind == _CONNECT:
             connects.append(i)
         elif kind == _CANVAS:
             if len(stack) >= MAX_NESTING:
                 raise error(i, f"subcanvases nest deeper than {MAX_NESTING} levels")
-            stack.append((opened, nodes, connects))
-            opened, nodes, connects = i, [], []
+            stack.append((opened, nodes, at, connects))
+            opened, nodes, at, connects = i, [], [], []
         elif kind == _RESTORE:
             if not stack:
                 raise error(i, "restore without open subcanvas")
-            closed = table._close(nodes, connects, forms, source_path, error)
+            closed, _ = table._close(nodes, connects, forms, source_path, error)
             if form[2] is not None:
                 raise error(i, form[2])
-            opened, nodes, connects = stack.pop()
+            opened, nodes, at, connects = stack.pop()
             # contents written after their record are the node's own
             nodes.append((None, dict(sorted({**form[1], "subpatch": closed}.items()))))
+            at.append(i)
         elif kind == _ARRAY_DATA:
             _attach_array_data(nodes, form, i, error)
     if stack:
         raise error(opened, "unbalanced subcanvas")
-    return table._close(nodes, connects, forms, source_path, error)
+    ir, wires = table._close(nodes, connects, forms, source_path, error)
+    bounds = list(accumulate((len(body) + 1 for body in bodies), initial=0))
+    table._last[include_layout] = (text, source_path, bounds, forms, at, connects, nodes,
+                                   wires, ir)
+    return ir
 
 
 def _attach_array_data(nodes: list, form: tuple, i: int, error) -> None:

@@ -262,10 +262,12 @@ _PD_SPLIT_PIECES = ["#N", "#X", "#A", ";", "\\;", "\\\n", "\\", "\r\n", "\n", " 
 pd_split_texts = st.lists(st.sampled_from(_PD_SPLIT_PIECES), max_size=20).map("".join)
 
 
-# Versions of one Pd patch: a valid first version, then edits of it, some of
-# which break it in a way that is found only after records of the first
-# version have been seen again. Every record is one list item, so an edit can
-# change a subpatch's nodes or drop an array's data.
+# Versions of one Pd patch: a valid first version, then each an edit of the
+# version before it (a breaking edit is not built on), so that most differ
+# from the version before them in one record and a shared table splices them;
+# some edits break the patch in a way that is found only after records of an
+# earlier version have been seen again. Every record is one list item, so an
+# edit can change a subpatch's nodes or drop an array's data.
 _PD_SUBPATCH = ["#N canvas 0 0 200 140 sub 0;", "#X obj 5 5 inlet;", "#X obj 5 40 outlet;",
                 "#X connect 0 0 1 0;", "#X restore 10 60 pd sub;"]
 _PD_ARRAY = ["#X array tab 3 float 0;", "#A 0 1 2.5 -3;"]
@@ -275,37 +277,128 @@ _PD_BREAKERS = [
     "#N canvas 0 0 200 140 open 0;",  # unbalanced subcanvas
     "#X obj 10 10 print",  # unterminated record
 ]
+_PD_NO_COORDINATES = "#X msg 7;"  # a node record in error
+_PD_NODES = {"obj", "msg", "text", "floatatom", "listbox", "array"}
+# the edits a shared table splices come first, where Hypothesis starts
+_PD_EDITS = ["replace", "rewire", "coords", "same", "insert", "drop", "node to connect",
+             "subpatch", "array", "data", "nest", "break"]
+
+
+def _pd_depths(version: list[str]) -> tuple[list[int], int]:
+    """Each record's canvas depth below the top one, and the number of nodes
+    on the top canvas (as long as the records balance)."""
+    depths, depth, count = [], 0, 0
+    for record in version:
+        atoms = record.split()
+        element = atoms[1] if len(atoms) > 1 else ""
+        if record.startswith("#X restore"):
+            depth -= 1
+            count += depth == 0
+        depths.append(depth)
+        if record.startswith("#N canvas"):
+            depth += 1
+        elif depth == 0 and record.startswith("#X ") and element in _PD_NODES:
+            count += 1
+    return depths, count
+
+
+def _pd_connect(draw, count: int) -> str:
+    index = st.integers(0, max(count - 1, 0))
+    return (f"#X connect {draw(index)} {draw(st.integers(0, 2))} {draw(index)} "
+            f"{draw(st.integers(0, 2))};")
+
+
+def _pd_edit(draw, version: list[str]) -> tuple[bool, list[str]]:
+    """An edit of ``version``, and whether later versions build on it: only
+    on an edit meant to keep the patch valid."""
+    version = list(version)
+    edit = draw(st.sampled_from(_PD_EDITS))
+    depths, count = _pd_depths(version)
+    nodes = [k for k, record in enumerate(version)
+             if record.startswith("#X ") and record.split()[1] in _PD_NODES]
+
+    def pick(where):
+        return draw(st.sampled_from(where)) if where else None
+
+    at = pick(range(len(version)))
+    valid = edit in ("same", "insert", "data", "subpatch", "array")
+    if edit == "drop" and at is not None:
+        del version[at]
+    elif edit == "data":  # other array values, or none
+        values = draw(st.lists(st.integers(-9, 9), max_size=3))
+        version = [f"#A 0 {' '.join(map(str, values))};" if r.startswith("#A") else r
+                   for r in version if values or not r.startswith("#A")]
+    elif edit == "insert":
+        version.insert(at or 0, draw(pd_node_records()))
+    elif edit == "break":
+        version.append(draw(st.sampled_from(_PD_BREAKERS)))
+    elif edit == "nest":  # within the limit, or one canvas past it
+        levels = draw(st.sampled_from([1, MAX_NESTING + 1]))
+        version = (["#N canvas 0 0 200 140 sub 0;"] * levels + version
+                   + ["#X restore 10 10 pd sub;"] * levels)
+        valid = levels == 1
+    elif edit == "replace":  # a top-level node or connect by another of its kind
+        k = pick([k for k in nodes if depths[k] == 0]
+                 + [k for k, r in enumerate(version)
+                    if depths[k] == 0 and r.startswith("#X connect")])
+        if k is not None and version[k].startswith("#X connect"):
+            version[k] = _pd_connect(draw, count)
+        elif k is not None:
+            version[k] = draw(pd_node_records() | st.just(_PD_NO_COORDINATES))
+        valid = k is None or version[k] != _PD_NO_COORDINATES
+    elif edit == "rewire":  # one index or port of a connect, out of range at times
+        k = pick([k for k, r in enumerate(version) if r.startswith("#X connect")])
+        valid = True
+        if k is not None:
+            atoms = version[k].rstrip(";").split()
+            slot, value = draw(st.integers(2, 5)), draw(st.integers(-1, count))
+            atoms[slot] = str(value)
+            version[k] = " ".join(atoms) + ";"
+            valid = value >= 0 and (slot % 2 or value < count)
+    elif edit == "node to connect":
+        k = pick(nodes)
+        if k is not None:
+            version[k] = _pd_connect(draw, count)
+    elif edit == "coords":  # layout that no IR holds: another view, or a record replaced
+        k = pick([k for k, r in enumerate(version) if r.startswith("#X coords")])
+        valid = k is not None
+        if k is None:
+            k = at
+        if k is not None:
+            version[k] = (f"#X coords 0 -1 1 1 {draw(st.integers(10, 300))} "
+                          f"{draw(st.integers(10, 300))} 1 0 0;")
+    elif edit == "subpatch":  # a node inside a subpatch
+        k = pick([k for k in nodes if depths[k] > 0])
+        if k is not None:
+            version[k] = draw(pd_node_records())
+    elif edit == "array":  # the values of one #A record
+        k = pick([k for k, r in enumerate(version) if r.startswith("#A")])
+        if k is not None:
+            values = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+            version[k] = f"#A 0 {' '.join(map(str, values))};"
+    return valid, version
 
 
 @st.composite
 def pd_version_sequences(draw):
-    records = draw(st.lists(pd_node_records(), min_size=1, max_size=6))
-    blocks = draw(st.lists(st.sampled_from([_PD_SUBPATCH, _PD_ARRAY]), max_size=2))
-    count = len(records) + len(blocks)  # each block is one node on the canvas
-    for block in blocks:
-        records += block
+    nodes = [[record] for record in draw(st.lists(pd_node_records(), min_size=1, max_size=6))]
+    for block in draw(st.lists(st.sampled_from([_PD_SUBPATCH, _PD_ARRAY]), max_size=2)):
+        nodes.insert(draw(st.integers(0, len(nodes))), block)
+    count = len(nodes)  # each block is one node on the canvas
+    records = [record for node in nodes for record in node]
+    if draw(st.booleans()):
+        records.append("#X coords 0 -1 1 1 200 140 1 0 0;")
     wires = draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, 2),
                                     st.integers(0, count - 1), st.integers(0, 2)),
                           max_size=4))
     records += [f"#X connect {s} {o} {d} {i};" for s, o, d, i in wires]
-    versions = [records]
-    for _ in range(draw(st.integers(1, 4))):
-        version = list(records)
-        edit = draw(st.sampled_from(["same", "drop", "insert", "break", "nest", "data"]))
-        at = draw(st.integers(0, len(version) - 1))
-        if edit == "drop":
-            del version[at]
-        elif edit == "data":  # other array values, or none
-            values = draw(st.lists(st.integers(-9, 9), max_size=3))
-            version = [f"#A 0 {' '.join(map(str, values))};" if r.startswith("#A") else r
-                       for r in version if values or not r.startswith("#A")]
-        elif edit == "insert":
-            version.insert(at, draw(pd_node_records()))
-        elif edit == "break":
-            version.append(draw(st.sampled_from(_PD_BREAKERS)))
-        elif edit == "nest":  # within the limit, or one canvas past it
-            levels = draw(st.sampled_from([1, MAX_NESTING + 1]))
-            version = (["#N canvas 0 0 200 140 sub 0;"] * levels + version
-                       + ["#X restore 10 10 pd sub;"] * levels)
+    versions, current = [records], records
+    for _ in range(draw(st.integers(1, 6))):
+        build_on, version = _pd_edit(draw, current)
         versions.append(version)
-    return ["#N canvas 0 0 450 300 12;\n" + "\n".join(v) + "\n" for v in versions]
+        if build_on:
+            current = version
+    # a text ends in a newline, in nothing, or in an empty record
+    ends = [draw(st.sampled_from(["\n", "", ";"])) for _ in versions]
+    return ["#N canvas 0 0 450 300 12;\n" + "\n".join(v) + end
+            for v, end in zip(versions, ends)]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from szzvc.diff import ChangeKind, diff_ir
@@ -353,19 +355,155 @@ def test_shared_table_builds_only_the_changed_node(monkeypatch):
     table = PdNodeTable()
     first = parse_pd(_hundred_nodes(), table=table)
     built = []
-    real = pdparser.pd_node_properties
+    real = pdparser._node_contents
 
-    def counting(record, *args, **kwargs):
-        built.append(record.atoms)
-        return real(record, *args, **kwargs)
+    def counting(element, atoms, *args):
+        built.append(tuple(atoms))
+        return real(element, atoms, *args)
 
-    monkeypatch.setattr(pdparser, "pd_node_properties", counting)
+    monkeypatch.setattr(pdparser, "_node_contents", counting)
     second = parse_pd(_hundred_nodes("f fifty"), table=table)
     assert built == [("50", "10", "f", "fifty")]
     shared = [node_id for node_id, node in second.subtrees.items()
               if node is first.subtrees[node_id]]
     assert len(shared) == 99 and "obj-50" not in shared
     assert second == parse_pd(_hundred_nodes("f fifty"))
+
+
+def test_a_later_version_is_spliced_from_the_last_one(monkeypatch):
+    # an obj text edit is one record: it alone is scanned, tokenized and
+    # built, and the text is not read whole
+    table = PdNodeTable()
+    first = parse_pd(_hundred_nodes(), table=table)
+    scanned, tokenized, built, interned = [], [], [], []
+    scan, split, contents, intern = (pdparser._scan, pdparser._atoms,
+                                     pdparser._node_contents, pdparser.intern_ir)
+
+    def counting_scan(text):
+        scanned.append(text)
+        return scan(text)
+
+    def counting_atoms(body):
+        tokenized.append(body)
+        return split(body)
+
+    def counting_contents(element, atoms, *args):
+        built.append(tuple(atoms))
+        return contents(element, atoms, *args)
+
+    def counting_intern(language, source_path, nodes, *args):
+        interned.append(sorted(nodes))
+        return intern(language, source_path, nodes, *args)
+
+    monkeypatch.setattr(pdparser, "_scan", counting_scan)
+    monkeypatch.setattr(pdparser, "_atoms", counting_atoms)
+    monkeypatch.setattr(pdparser, "_node_contents", counting_contents)
+    monkeypatch.setattr(pdparser, "intern_ir", counting_intern)
+    edited = _hundred_nodes("f fifty")
+    second = parse_pd(edited, table=table)
+    assert scanned == ["\n#X obj 50 10 f fifty;"]
+    assert tokenized == ["\n#X obj 50 10 f fifty"]
+    assert built == [("50", "10", "f", "fifty")]
+    assert interned == [["obj-50"]]
+    shared = [node_id for node_id, node in second.subtrees.items()
+              if node is first.subtrees[node_id]]
+    assert len(shared) == 99 and "obj-50" not in shared
+
+    # a connect edit interns its source again, and nothing else
+    scanned.clear()
+    interned.clear()
+    rewired = edited.replace("#X connect 7 0 8 0;", "#X connect 7 0 9 1;")
+    third = parse_pd(rewired, table=table)
+    assert scanned == ["\n#X connect 7 0 9 1;"]
+    assert interned == [["obj-7"]]
+    assert third.subtrees["obj-7"].connections == (Connection(0, "obj-9", 1),)
+    shared = [node_id for node_id, node in third.subtrees.items()
+              if node is second.subtrees[node_id]]
+    assert len(shared) == 99 and "obj-7" not in shared
+
+    # an inserted object renumbers the nodes after it: the run found holds
+    # one record where the last document held none, so the text is read whole
+    scanned.clear()
+    interned.clear()
+    inserted = rewired.replace("#X obj 20 10 f 20;", "#X obj 20 10 f 20;\n#X obj 21 10 new;")
+    fourth = parse_pd(inserted, table=table)
+    assert scanned == ["\n#X obj 21 10 new;", inserted]
+    assert interned == [sorted(f"obj-{k}" for k in range(101))]
+    monkeypatch.undo()
+    for text, ir in ((edited, second), (rewired, third), (inserted, fourth)):
+        fresh = parse_pd(text)
+        assert (repr(ir), dumps_ir(ir)) == (repr(fresh), dumps_ir(fresh))
+
+
+_SPLICE_BASE = """#N canvas 0 0 450 300 12;
+#X obj 10 10 f 0;
+#N canvas 0 0 200 140 sub 0;
+#X obj 5 5 inlet;
+#X restore 10 60 pd sub;
+#X array tab 2 float 0;
+#A 0 1 2;
+#X obj 10 90 f 3;
+#X coords 0 -1 1 1 200 140 1 0 0;
+#X connect 0 0 3 0;
+"""
+
+
+@pytest.mark.parametrize("old, new, spliced", [
+    ("#X obj 10 90 f 3;", "#X msg 10 90 three;", True),
+    ("#X connect 0 0 3 0;", "#X connect 3 1 0 0;", True),
+    ("#X coords 0 -1 1 1 200 140 1 0 0;", "#X coords 0 -1 1 1 90 60 1 0 0;", True),
+    ("3 0;\n", "3 0;\n\n", True),  # other blanks at the end
+    ("#X obj 10 10 f 0;", "#X obj 10 10 f 0;\n", True),  # ... or before a record
+    ("#X obj 5 5 inlet;", "#X obj 5 5 outlet;", False),  # in a subcanvas
+    ("#X array tab 2 float 0;", "#X array tab 2 float 1;", False),  # contents of its own
+    ("#A 0 1 2;", "#A 0 5 6;", False),
+    ("#X restore 10 60 pd sub;", "#X restore 10 60 pd other;", False),
+    ("#X obj 10 90 f 3;", "#X connect 0 0 1 0;", False),  # another kind, then an error
+    ("#X coords 0 -1 1 1 200 140 1 0 0;", "#X obj 1 1 new;", False),  # another kind
+    ("#X obj 10 90 f 3;", "#X obj 10;", False),  # an error
+    ("#X connect 0 0 3 0;", "#X connect 0 0 4 0;", False),  # out of range
+    ("#X connect 0 0 3 0;", "#X connect 0 -1 3 0;", False),  # a negative port
+    ("#X obj 10 90 f 3;", "#X obj 10 90 f 3;\n#X obj 10 99 f 4;", False),  # inserted
+    ("3 0;\n", "3 0;\n#X", False),  # unterminated
+])
+def test_a_version_the_splice_does_not_take_is_read_whole(monkeypatch, old, new, spliced):
+    table = PdNodeTable()
+    parse_pd(_SPLICE_BASE, table=table)
+    text = _SPLICE_BASE.replace(old, new, 1)
+    assert text != _SPLICE_BASE
+    scanned = []
+    scan = pdparser._scan
+
+    def counting_scan(text):
+        scanned.append(text)
+        return scan(text)
+
+    monkeypatch.setattr(pdparser, "_scan", counting_scan)
+    outcome = _outcome(text, table)
+    assert (text not in scanned) is spliced
+    monkeypatch.undo()
+    assert outcome == _outcome(text, None)
+
+
+def _outcome(text, table):
+    try:
+        ir = parse_pd(text, table=table)
+    except PatchSyntaxError as exc:
+        return str(exc), exc.source_span
+    return repr(ir), dumps_ir(ir)
+
+
+def test_a_blank_splits_atoms_as_the_atom_pattern_does():
+    # a body without a backslash is split by str.split(), one with a
+    # backslash by the atom pattern; both cut at the same whitespace
+    blanks = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert "\x1c" in blanks and "\u00a0" in blanks and "\u3000" in blanks
+    for blank in blanks:
+        body = f"{blank}#X{blank}obj{blank}{blank}1{blank}"
+        assert body.split() == pdparser._ESCAPED_ATOM.findall(body) == ["#X", "obj", "1"]
+    others = "".join(chr(c) for c in range(sys.maxunicode + 1)
+                     if not chr(c).isspace() and chr(c) != "\\")
+    assert others.split() == pdparser._ESCAPED_ATOM.findall(others) == [others]
 
 
 def test_contents_written_after_their_record_are_not_shared():
