@@ -12,6 +12,12 @@ The descent visits siblings in sorted order, so records are built in
 keys are strings, list positions ints; only connections follow
 ``"connections"``).
 
+Each node id is diffed by one function, so ``diff_ir`` is by construction
+the concatenation, in sorted id order, of each top-level node id's records.
+``diff_node`` gives one node id's share of them, for a caller that needs
+only some nodes: the miner asks each history step only for the nodes its
+fix's paths name.
+
 A node whose subtree equals its counterpart is skipped without descent. That
 is sound because dataclass equality compares a ``Num`` by its spelling: equal
 subtrees hold equal leaves, which ``leaf_equal`` also finds equal, so they
@@ -98,14 +104,29 @@ def diff_ir(old: VisualIR, new: VisualIR, old_version: str = "old",
             new_version: str = "new") -> IRDiff:
     """Deepest-point change set between two canonical IRs of one language,
     its records built in ``path_sort_key`` order and asserted prefix-free."""
-    if old.source_language is not new.source_language:
-        raise ValueError(
-            f"language mismatch: {old.source_language.value} vs {new.source_language.value}"
-        )
+    _check_language(old, new)
     records: list[ChangeRecord] = []
     _diff_subtrees(old, new, (), records)
     _assert_prefix_free(records)
     return IRDiff(records=tuple(records), old_version=old_version, new_version=new_version)
+
+
+def diff_node(old: VisualIR, new: VisualIR, node_id: str) -> tuple[ChangeRecord, ...]:
+    """The records of ``diff_ir(old, new)`` under top-level node ``node_id``,
+    in the same order and asserted prefix-free; none when it is unchanged
+    or on neither side."""
+    _check_language(old, new)
+    records: list[ChangeRecord] = []
+    _diff_node(old.subtrees.get(node_id), new.subtrees.get(node_id), (node_id,), records)
+    _assert_prefix_free(records)
+    return tuple(records)
+
+
+def _check_language(old: VisualIR, new: VisualIR) -> None:
+    if old.source_language is not new.source_language:
+        raise ValueError(
+            f"language mismatch: {old.source_language.value} vs {new.source_language.value}"
+        )
 
 
 def _diff_subtrees(old: VisualIR, new: VisualIR, prefix: ChangePath,
@@ -115,14 +136,20 @@ def _diff_subtrees(old: VisualIR, new: VisualIR, prefix: ChangePath,
     changed = [node_id for node_id, o in olds.items() if news.get(node_id) is not o]
     changed += [node_id for node_id in news if node_id not in olds]
     for node_id in sorted(changed):
-        path = prefix + (node_id,)
-        o, n = olds.get(node_id), news.get(node_id)
-        if n is None:
-            records.append(ChangeRecord(ChangeKind.DELETED, path, o, ABSENT))
-        elif o is None:
-            records.append(ChangeRecord(ChangeKind.ADDED, path, ABSENT, n))
-        elif o != n:
-            _diff_one_node(o, n, path, records)
+        _diff_node(olds.get(node_id), news.get(node_id), prefix + (node_id,), records)
+
+
+def _diff_node(old: NodeSubtree | None, new: NodeSubtree | None, path: ChangePath,
+               records: list[ChangeRecord]) -> None:
+    # None stands for a node on one side only (or on neither)
+    if old is new:
+        return
+    if new is None:
+        records.append(ChangeRecord(ChangeKind.DELETED, path, old, ABSENT))
+    elif old is None:
+        records.append(ChangeRecord(ChangeKind.ADDED, path, ABSENT, new))
+    elif old != new:
+        _diff_one_node(old, new, path, records)
 
 
 def _diff_one_node(old: NodeSubtree, new: NodeSubtree, prefix: ChangePath,

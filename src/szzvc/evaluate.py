@@ -53,7 +53,7 @@ def load_verdicts(path: str) -> list[Verdict]:
                 note=raw.get("note"),
                 reviewer=raw.get("reviewer"),
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
             raise ConfigError(f"malformed verdict at line {lineno}: {exc}")
         pair = (verdict.fixing_commit, verdict.inducing_commit)
         if pair in seen:

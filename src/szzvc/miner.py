@@ -23,8 +23,13 @@ the linked bug report.
 
 Fixing commits on one file share most of their history, so a run keeps one
 :class:`MiningCache`: each file version is read and parsed once, keyed by its
-blob id, and each step, the fix's own included, is diffed once, keyed by its
-two blob ids. Blob ids come with the changed files of the commit index.
+blob id. A fix's own step is diffed whole, as the report shows that diff;
+no other fix needs it whole. A history step only has to answer for the
+nodes that the fix's paths name (each path's first component), so it is
+diffed only there, by :func:`~szzvc.diff.diff_node`, each (step, node id)
+once, keyed by the two blob ids and the node id: a Pd insertion renumbers
+every later node, yet its step costs only the nodes a fix asks about. Blob
+ids come with the changed files of the commit index.
 Before a fix is diffed, :meth:`MiningCache.load` reads the versions of its
 own step and of every history step that the cache has not parsed, by blob
 id in one request, and parses them in step order, each step's new side
@@ -44,9 +49,11 @@ from .diff import (
     MAX_DEPTH,
     ChangeKind,
     ChangePath,
+    ChangeRecord,
     DepthMode,
     IRDiff,
     diff_ir,
+    diff_node,
     match_changes,
     path_sort_key,
     paths_at_depth,
@@ -239,9 +246,21 @@ def load_issue_links(path: str) -> list[IssueRecord]:
     return records
 
 
+# what datetime.fromisoformat reads alike on every supported Python: from
+# 3.11 on it also takes 20200101 and week dates such as 2020-W01-1
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+                        r"([T ][0-9]{2}(:[0-9]{2}(:[0-9]{2}(\.[0-9]{3}([0-9]{3})?)?)?)?"
+                        r"(Z|[+-][0-9]{2}:[0-9]{2})?)?")
+
+
 def parse_timestamp(value) -> datetime | None:
+    """An ISO 8601 date, with an optional time and a ``Z`` or ``+HH:MM``
+    offset after it, as UTC; a time without an offset is UTC."""
     if value is None:
         return None
+    if not _TIMESTAMP.fullmatch(str(value)):
+        raise ValueError("timestamp must be YYYY-MM-DD[THH[:MM[:SS[.ffffff]]]"
+                         f"[Z|+HH:MM]], got {value!r}")
     stamp = datetime.fromisoformat(str(value).replace("Z", "+00:00"))
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
@@ -415,7 +434,8 @@ def build_candidates(fixing_commit: str, matches: Matches
 
 
 class MiningCache:
-    """One run's parsed file versions and history-step diffs, keyed by blob id.
+    """One run's parsed file versions and history-step node diffs, keyed
+    by blob id (and node id).
 
     Built for one repository and config and shared by every fixing commit
     of the run. An unparseable version is kept as its ``PatchSyntaxError``
@@ -435,7 +455,8 @@ class MiningCache:
         self.repo = repo
         self.config = config
         self._irs: dict[tuple[str, Language], VisualIR | PatchSyntaxError] = {}
-        self._diffs: dict[tuple[str | None, str | None, Language], IRDiff] = {}
+        self._node_diffs: dict[tuple[str | None, str | None, Language, str],
+                               tuple[ChangeRecord, ...]] = {}
         self._warnings: dict[str, list[str]] = {}
         self._tables = {Language.PURE_DATA: PdNodeTable(),
                         Language.MAX_MSP: MaxNodeTable()}
@@ -484,17 +505,16 @@ class MiningCache:
         except PatchSyntaxError as exc:
             return exc
 
-    def step_diff(self, language: Language, step: HistoryStep) -> IRDiff:
-        """The diff a step made to the file."""
-        key = (step.old_blob, step.new_blob, language)
-        diff = self._diffs.get(key)
-        if diff is None:
-            diff = self._diffs[key] = diff_ir(
+    def node_diff(self, language: Language, step: HistoryStep, node_id: str
+                  ) -> tuple[ChangeRecord, ...]:
+        """The records of the step's diff under top-level node ``node_id``."""
+        key = (step.old_blob, step.new_blob, language, node_id)
+        records = self._node_diffs.get(key)
+        if records is None:
+            records = self._node_diffs[key] = diff_node(
                 self.ir(language, step.old_blob, step.path_old),
-                self.ir(language, step.new_blob, step.path_new),
-                old_version=step.parent or "", new_version=step.entry.commit_id,
-            )
-        return diff
+                self.ir(language, step.new_blob, step.path_new), node_id)
+        return records
 
 
 def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
@@ -517,30 +537,26 @@ def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
                           warnings=tuple(warnings))
 
 
-def _diff_or_failure(cache: MiningCache, language: Language, step: HistoryStep,
-                     failures: list[AnalysisFailure],
-                     warnings: list[VersionWarning]) -> IRDiff | None:
-    """The step's diff; None when a side is unparseable. Each version that
-    failed, and each read with a warning, is recorded once per fix."""
-    sides = ((step.old_blob, step.parent, step.path_old),
-             (step.new_blob, step.entry.commit_id, step.path_new))
-    for blob, rev, path in sides:
+def _readable(cache: MiningCache, language: Language, step: HistoryStep,
+              failures: list[AnalysisFailure],
+              warnings: list[VersionWarning]) -> bool:
+    """Whether both sides of the step parse. Each version that failed, and
+    each read with a warning, is recorded once per fix."""
+    readable = True
+    for blob, rev, path in ((step.old_blob, step.parent, step.path_old),
+                            (step.new_blob, step.entry.commit_id, step.path_new)):
         for message in cache.warnings(blob):
             warning = VersionWarning(rev, path, message)
             if warning not in warnings:
                 warnings.append(warning)
-    try:
-        return cache.step_diff(language, step)
-    except PatchSyntaxError:
-        pass
-    for blob, rev, path in sides:
         try:
             cache.ir(language, blob, path)
         except PatchSyntaxError as exc:
+            readable = False
             failure = AnalysisFailure(rev, path, str(exc))
             if failure not in failures:
                 failures.append(failure)
-    return None
+    return readable
 
 
 def _mine_file(
@@ -560,10 +576,12 @@ def _mine_file(
         cache.repo, fix.path_old, fix.entry.commit_id,
         follow_renames=config.follow_renames)
     cache.load(language, [fix, *steps])
-    fix_diff = _diff_or_failure(cache, language, fix, failures, warnings)
-    if fix_diff is None:
+    if not _readable(cache, language, fix, failures, warnings):
         return  # the fixing side skips the file
-    fix_diffs[fix.path_new] = fix_diff
+    fix_diff = fix_diffs[fix.path_new] = diff_ir(
+        cache.ir(language, fix.old_blob, fix.path_old),
+        cache.ir(language, fix.new_blob, fix.path_new),
+        old_version=fix.parent or "", new_version=fix.entry.commit_id)
     fix_paths = paths_at_depth(fix_diff, config.depth_mode)
     # no order here: candidates gather in sets, which build_candidates sorts
     md_pairs = [(path, kind) for path, kind in fix_paths
@@ -572,9 +590,9 @@ def _mine_file(
                    if kind is ChangeKind.ADDED and len(path) > 1]
     if not md_pairs and not added_paths:
         return
-    # an unparseable step is skipped; matching continues further back
-    step_diffs = [_diff_or_failure(cache, language, s, failures, warnings)
-                  for s in steps]
+    # an unparseable step is skipped; matching continues further back.
+    # A step is diffed only at the nodes a fix path names, path[0].
+    steps = [s for s in steps if _readable(cache, language, s, failures, warnings)]
 
     def emit(step: HistoryStep, path: ChangePath, depth: int, via: bool) -> None:
         key = (step.entry.commit_id, fix.path_new)
@@ -584,10 +602,12 @@ def _mine_file(
 
     # Modified/Deleted fix paths: most recent prior matching commit per path.
     active = md_pairs
-    for step, step_diff in zip(steps, step_diffs):
-        if step_diff is None or not active:
-            continue
-        matched = match_changes(active, step_diff, config.depth_mode)
+    for step in steps:
+        if not active:
+            break
+        records = [r for node_id in dict.fromkeys(p[0] for p, _ in active)
+                   for r in cache.node_diff(language, step, node_id)]
+        matched = match_changes(active, IRDiff(tuple(records)), config.depth_mode)
         for path in matched:
             emit(step, path, len(path), via=False)
         if not config.all_matches:
@@ -599,9 +619,9 @@ def _mine_file(
         for depth in range(len(path) - 1, 0, -1):
             target = path[:depth]  # the enclosing subtree
             hits = []
-            for step, step_diff in zip(steps, step_diffs):
-                if step_diff is not None and any(
-                        r.path[:depth] == target for r in step_diff.records):
+            for step in steps:
+                if any(r.path[:depth] == target
+                       for r in cache.node_diff(language, step, path[0])):
                     hits.append(step)
                     if not config.all_matches:
                         break

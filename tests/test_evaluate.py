@@ -130,6 +130,17 @@ def test_load_verdicts_jsonl(tmp_path):
         load_verdicts(str(broken))
 
 
+def test_a_bad_label_names_its_line(tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text(
+        '{"fixing_commit": "f", "inducing_commit": "i", "label": "TP"}\n'
+        '{"fixing_commit": "f", "inducing_commit": "j", "label": "MAYBE"}\n'
+    )
+    with pytest.raises(ConfigError,
+                       match="malformed verdict at line 2: verdict label must be one of"):
+        load_verdicts(str(path))
+
+
 def test_table_columns():
     report = score([_group("f1", ["a"])], [Verdict("f1", "a", "TP")],
                    method="textual")

@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from szzvc import diff as diff_module
 from szzvc import miner as miner_module
 from szzvc.diff import MAX_DEPTH, ChangeKind
 from szzvc.errors import ConfigError
@@ -21,7 +22,7 @@ from szzvc.miner import (
     language_for_path,
     load_issue_links,
 )
-from szzvc.ir import Language
+from szzvc.ir import Language, dumps_ir
 from szzvc import report as report_module
 from szzvc.report import run_analysis
 from szzvc.textual import textual_find_inducing
@@ -179,6 +180,37 @@ def test_issue_table_values_are_type_checked(tmp_path, record, message):
         load_issue_links(str(table))
     table.write_text(json.dumps(good) + "\n")
     assert load_issue_links(str(table)) == [IssueRecord("GH-1", ("cafe",))]
+
+
+@pytest.mark.parametrize("stamp, utc", [
+    ("2020-01-01", "2020-01-01T00:00:00+00:00"),
+    ("2020-01-01T10", "2020-01-01T10:00:00+00:00"),
+    ("2020-01-01 10:30", "2020-01-01T10:30:00+00:00"),
+    ("2020-01-01T10:30:15Z", "2020-01-01T10:30:15+00:00"),
+    ("2020-01-01T10:30:15.250-02:00", "2020-01-01T12:30:15.250000+00:00"),
+    ("2020-01-01T10:30:15.123456+05:30", "2020-01-01T05:00:15.123456+00:00"),
+    # what datetime.fromisoformat reads on some Python versions only
+    ("20200101", None),
+    ("2020-W01-1", None),  # 2019-12-30 from Python 3.11 on
+    ("2020-01-01T10:30+0200", None),
+    ("2020-01-01T10:30:15.5", None),
+    ("2020-01-01T10:30:15,500", None),
+    # Python 3.10 reads the offset as a time of day
+    ("2020-01-01+05:00", None),
+    ("2020-01-01Z", None),
+    ("2020-01-01t10:30", None),
+    ("2020-02-30", None),
+])
+def test_report_times_read_alike_on_every_python(tmp_path, stamp, utc):
+    table = tmp_path / "issues.jsonl"
+    table.write_text(json.dumps({"issue_key": "GH-1", "fixing_commit_ids": [],
+                                 "report_time": stamp}) + "\n")
+    if utc is None:
+        with pytest.raises(ConfigError, match="malformed issue link table at line 1"):
+            load_issue_links(str(table))
+    else:
+        (record,) = load_issue_links(str(table))
+        assert record.report_time.isoformat() == utc
 
 
 def test_issue_table_lines_end_at_newlines_only(tmp_path):
@@ -525,25 +557,60 @@ def test_run_parses_each_blob_once(repo_fixture, monkeypatch):
         message = "fix #%d" % day if day in (2, 4, 6) else f"c{day}"
         repo_fixture.commit({"p.pd": text}, message, T[day])
     texts = _count_parses(monkeypatch)
-    steps = []
-    real = miner_module.diff_ir
+    steps, node_steps = [], []
+    real, real_node = miner_module.diff_ir, miner_module.diff_node
 
     def counting(old, new, old_version, new_version):
         steps.append((old_version, new_version))
         return real(old, new, old_version=old_version, new_version=new_version)
 
+    def counting_node(old, new, node_id):
+        node_steps.append((dumps_ir(old), dumps_ir(new), node_id))
+        return real_node(old, new, node_id)
+
     monkeypatch.setattr(miner_module, "diff_ir", counting)
+    monkeypatch.setattr(miner_module, "diff_node", counting_node)
     report, had_failures = run_analysis(str(repo_fixture.path), MinerConfig(),
                                         with_timing=False)
     assert not had_failures
-    assert len(report["fixing_commits"]) == 3
+    fixes = [entry["commit"] for entry in report["fixing_commits"]]
+    assert len(fixes) == 3
     blobs = set(repo_fixture._git("log", "--format=%T", "p.pd").split())
     blobs = {repo_fixture._git("rev-parse", f"{tree}:p.pd").strip() for tree in blobs}
     assert len(blobs) == 5  # seven versions, two of them repeats
     assert len(texts) == len(set(texts)) == len(blobs)
-    # seven steps, the creation included; a fix is a step of every later
-    # fix, and one diff serves both
-    assert len(steps) == len(set(steps)) == 7
+    # whole diffs only for the fix steps, whose diffs the report shows
+    assert sorted(new_version for _, new_version in steps) == sorted(fixes)
+    # a history step is diffed at the nodes the fixes ask about; a fix is a
+    # step of every later fix, and one node diff serves both
+    assert node_steps and len(node_steps) == len(set(node_steps))
+
+
+def test_a_history_step_is_diffed_only_at_the_fixed_node(repo_fixture, monkeypatch):
+    def patch(texts):
+        return "#N canvas 0 0 450 300 12;\n" + "".join(
+            f"#X msg 10 {10 * k} {text};\n" for k, text in enumerate(texts))
+
+    texts = [f"m{k}" for k in range(100)]
+    repo_fixture.commit({"p.pd": patch(texts)}, "c1", T[0])
+    # an insertion at the top renumbers every object after it
+    insert = repo_fixture.commit({"p.pd": patch(["new", *texts])}, "c2", T[1])
+    texts[49] = "fixed"  # obj-50 after the insertion
+    fix = repo_fixture.commit({"p.pd": patch(["new", *texts])}, "fix #1", T[2])
+    calls = []
+    real = diff_module._diff_one_node
+
+    def counting(old, new, prefix, records):
+        calls.append(prefix)
+        return real(old, new, prefix, records)
+
+    monkeypatch.setattr(diff_module, "_diff_one_node", counting)
+    with _repo(repo_fixture) as repo:
+        result = find_inducing(repo, _fixing(repo, fix), MinerConfig())
+    assert [c.inducing_commit for c in result.candidates] == [insert]
+    # the fix step and the insertion, each at obj-50 alone; the creation
+    # step adds the node, which needs no node diff
+    assert calls == [("obj-50",), ("obj-50",)]
 
 
 def test_each_fix_reads_its_versions_by_blob_id_in_one_request(repo_fixture,

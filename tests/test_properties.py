@@ -13,6 +13,7 @@ from szzvc.diff import (
     MAX_DEPTH,
     ChangeKind,
     diff_ir,
+    diff_node,
     is_prefix,
     match_changes,
     path_sort_key,
@@ -263,6 +264,39 @@ def test_records_and_projection_come_in_path_order(pair, mode):
     assert paths == sorted(paths, key=path_sort_key)
     expected = sorted(paths_at_depth_set(diff, mode), key=lambda pk: path_sort_key(pk[0]))
     assert paths_at_depth(diff, mode) == tuple(expected)
+
+
+def _parsed_versions(sequence) -> list[VisualIR]:
+    """The versions of a Pd or Max version sequence that parse, each parsed
+    through one shared table, so that unchanged nodes are shared."""
+    extension, texts = sequence
+    table = PdNodeTable() if extension == "pd" else MaxNodeTable()
+    irs = []
+    for text in texts:
+        try:
+            irs.append(parse_pd(text, table=table) if extension == "pd"
+                       else parse_maxpat(text, table=table))
+        except PatchSyntaxError:
+            pass
+    return irs
+
+
+def _parsed_pairs(sequences):
+    return (sequences.map(_parsed_versions).filter(bool)
+            .flatmap(lambda irs: st.tuples(st.sampled_from(irs), st.sampled_from(irs))))
+
+
+@CASES
+@given(ir_pairs
+       | _parsed_pairs(pd_version_sequences().map(lambda texts: ("pd", texts)))
+       | _parsed_pairs(maxpat_version_sequences().map(lambda texts: ("maxpat", texts))))
+def test_diff_ir_is_the_concatenation_of_its_node_diffs(pair):
+    old, new = pair
+    node_ids = sorted(old.subtrees.keys() | new.subtrees.keys())
+    assert diff_ir(old, new).records == tuple(
+        record for node_id in node_ids for record in diff_node(old, new, node_id))
+    assert diff_node(old, new, "no such node") == ()
+
 
 @CASES
 @given(ir_pairs, st.data())
