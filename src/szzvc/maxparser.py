@@ -28,19 +28,20 @@ and wires; lists keep the document's order.
 Versions of one file share almost all of their boxes and patchlines, so the
 parser keeps what it builds in a :class:`MaxNodeTable`, keyed by each
 element's exact source text: an element seen before is not filtered again,
-nor decoded again where it follows the element it last followed, and a
-box's text is its key for ``intern_ir``, which shares a node unchanged since
-an earlier parse. The connections are checked against the box ids of
+and a box's text is its key for ``intern_ir``, which shares a node unchanged
+since an earlier parse. The connections are checked against the box ids of
 the version at hand, in document order. Persistent box ids make most edits
 a change to one or two elements, so a text that differs from the document
 the table read last only inside one run of ``boxes`` elements and one run
 of ``lines`` elements is spliced from it: only those runs, which
 :mod:`szzvc.splice` finds, are read, and the IR is the last one with the
 boxes they touch built again. Any other text is read whole, as it is
-by a fresh table. The document and patcher objects are then read by the
-standard library's own JSON object reader, and an array the parser's own
-loop does not accept is read again by the standard library's array reader,
-so every syntax error reads as ``json.loads`` words it, line included.
+by a fresh table. One element loop reads both: the object elements of a
+changed run, and those of each array of a top-level patcher in a whole
+read. There the document and patcher objects are read by the standard
+library's own JSON object reader, and an array the loop does not accept is
+read again by the standard library's array reader, so every syntax error
+reads as ``json.loads`` words it, line included.
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ def default_property_filter() -> PropertyFilter:
 class MaxNodeTable:
     """What :func:`parse_maxpat` built, for the parses that come after.
 
-    - For each object element text of an array in a top-level patcher
-      (``boxes``, ``lines`` or any other), the element text that last
-      followed it in a whole read.
     - Each box element's entry, one map per property filter: its id, its
       key for :func:`~szzvc.ir.intern_ir` and its filtered contents. The key
       is the box's text, and the text with its file's path for a box whose
@@ -150,8 +148,7 @@ class MaxNodeTable:
     ``str.find``. In each array, :func:`szzvc.splice.changed_run`, which the
     Pd splice shares, finds the leading elements the text holds where the
     last document did and the trailing ones it holds shifted by the change
-    in length; only the run between them is decoded, by the C scanner, and
-    each of its elements is found by its text or built. The IR is the last
+    in length; only the run between them is read. The IR is the last
     IR with the boxes of the old runs taken out, those of the new runs put
     in, and only those boxes and the sources of the wires that changed
     interned again; a new box id puts the nodes back into id order. A run
@@ -161,21 +158,15 @@ class MaxNodeTable:
     does. A change inside a box, a nested patcher's
     included, is a change of that box's element.
 
-    A whole read takes a known element without decoding where it follows,
-    in an array, the element text it last followed: one ``str.startswith``
-    of that text takes it, in any layout. Patchline texts repeat across the
-    files of a project, so this holds for many elements of a file read for
-    the first time. Any other element is decoded by the C scanner to find
-    its end, and then found by its text, so only a new one is filtered and
-    built. A known box text costs one lookup in the box map; a text keyed
-    with its path is looked up after that misses.
-
-    Each array learns the gap between its first two elements, from the end
-    of the one through the ``{`` of the next (``,\\n\\t\\t\\t{`` in a
-    tab-indented document, ``\\n, \\t\\t\\t{`` in Max's own layout). Where
-    an object element is followed by that same text, the next element starts
-    right after it; anything else is read by the whitespace, ``]`` and ``,``
-    checks, so a gap that changes mid-array costs only the shortcut.
+    One loop reads the object elements of an array of a top-level patcher
+    in a whole read and those of a changed run in a splice. It decodes each
+    element with the C scanner to find its end and keeps its start, end,
+    text and value; the element is then found by its text, so only a new
+    one is filtered and built. A known box text costs one lookup in the box
+    map; a text keyed with its path is looked up after that misses. A whole
+    read gives an array that holds anything but comma-separated objects to
+    the standard library's array reader, which reads a valid one again and
+    raises for an invalid one the error ``json.loads`` gives.
 
     The reader is built from parts of ``json.decoder`` that are not public:
     ``JSONObject`` called with its positional arguments, ``JSONArray``,
@@ -195,72 +186,25 @@ class MaxNodeTable:
         self._boxes: dict[PropertyFilter, tuple[dict, dict]] = {}
         self._lines: dict[str, tuple[str, tuple[str, int, int]]] = {}
         self._last: dict[PropertyFilter, _Document] = {}
-        # each array the read at hand met: its items, the positions of its
-        # "[" and "]", and each object element's start and end, counted from
-        # the "["
-        arrays: list[tuple[list, int, int, list[int], list[int]]] = []
+        # each array the read at hand took as a run of object elements
+        arrays: list[tuple[list, _Array]] = []
         self._arrays = arrays
-        follows: dict[str, str] = {}  # an element text -> the text that followed it
         decoder = json.JSONDecoder(parse_int=str.encode, parse_float=str.encode,
                                    parse_constant=_reject_constant)
         scan = self._scan = decoder.scan_once  # the C scanner where there is one
-        skip = self._skip = json.decoder.WHITESPACE.match
+        self._skip = json.decoder.WHITESPACE.match
         # Every value is scanned whole except the document and its patcher
         # objects, which the standard library's object reader reads around
-        # these scanners, and a patcher's arrays, whose object elements
-        # ``array`` looks up first. At the first thing ``array`` does not
-        # expect, which only invalid JSON holds, the standard library's array
-        # reader reads the array again and raises the error json.loads gives.
+        # these scanners, and a patcher's arrays, which ``array`` reads with
+        # the element loop the splice uses.
 
         def array(s: str, idx: int):
-            # every object element as (its text, its value or None if known)
-            items, starts, ends = [], [], []
-            append, startswith = items.append, s.startswith
-            at, until = starts.append, ends.append
-            pos = skip(s, idx + 1).end()
-            if startswith("]", pos):
-                arrays.append((items, idx, pos, starts, ends))
-                return items, pos + 1
-            # the text from the end of an element through the "{" of the
-            # next, as the array's first such gap reads; where it follows an
-            # object element again, it is the same whitespace, comma and "{"
-            sep = None
-            last = None  # the text of the last object element
-            while True:
-                if startswith("{", pos):
-                    # a text seen before is a complete object: it ends where it did
-                    text = follows.get(last)
-                    if text is not None and startswith(text, pos):
-                        end = pos + len(text)
-                        append((text, None))
-                    else:
-                        value, end = scan(s, pos)
-                        text = s[pos:end]
-                        append((text, value))
-                        if last is not None:
-                            follows[last] = text
-                    last = text
-                    at(pos - idx)
-                    until(end - idx)
-                    if sep is not None and startswith(sep, end):
-                        pos = end + to_next
-                        continue
-                else:
-                    try:
-                        value, end = scan(s, pos)
-                    except StopIteration:
-                        return json.decoder.JSONArray((s, idx + 1), scan)
-                    append(value)
-                pos = skip(s, end).end()
-                if startswith("]", pos):
-                    arrays.append((items, idx, pos, starts, ends))
-                    return items, pos + 1
-                if not startswith(",", pos):
-                    return json.decoder.JSONArray((s, idx + 1), scan)
-                pos = skip(s, pos + 1).end()
-                if sep is None and startswith("{", pos):
-                    sep = s[end:pos + 1]
-                    to_next = len(sep) - 1
+            run = _elements(s, idx, idx + 1, len(s), False, self)
+            if run is None:  # not only objects: read again, as json.loads reads it
+                return json.decoder.JSONArray((s, idx + 1), scan)
+            items, starts, ends, close = run
+            arrays.append((items, _Array(idx, close, starts, ends)))
+            return items, close + 1
 
         def patcher_value(s: str, idx: int):
             if s.startswith("[", idx):
@@ -290,11 +234,8 @@ class MaxNodeTable:
                   patcher: dict, nodes: dict, wires: dict, ir: VisualIR) -> None:
         """Keep the document just read as the last one of ``prop_filter``;
         one whose ``boxes`` or ``lines`` array was not read as such drops it."""
-        spans = {}
-        for items, start, end, starts, ends in self._arrays:
-            for name in ("boxes", "lines"):
-                if patcher.get(name) is items and len(starts) == len(items):
-                    spans[name] = _Array(start, end, starts, ends)
+        spans = {name: array for items, array in self._arrays
+                 for name in ("boxes", "lines") if patcher.get(name) is items}
         self._arrays.clear()
         if len(spans) == 2:
             self._last[prop_filter] = _Document(text, source_path, spans["boxes"],
@@ -386,8 +327,8 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter, source_path: str,
 def _patcher_parts(patcher: dict, prop_filter: PropertyFilter, source_path: str,
                    depth: int, table: MaxNodeTable) -> tuple[dict, dict]:
     """What ``intern_ir`` takes of a patcher: its box nodes and wires. The
-    object elements of a top-level patcher's arrays come as (text, value) pairs
-    (see :class:`MaxNodeTable`), those of a nested one as values."""
+    elements of a top-level patcher's arrays of objects come as (text, value)
+    pairs (see :class:`MaxNodeTable`), any others as values."""
     if depth > MAX_NESTING:
         raise _too_deep()
     boxes = patcher.get("boxes", [])
@@ -545,56 +486,52 @@ def _splice_array(s: str, t: str, old: _Array, start: int, end: int,
     if found is None:
         return _Array(start, end, starts, ends), [], []
     first, stop = found
-    after = ends[first - 1] if first else 1
-    until = starts[stop] if stop < len(starts) else old_size
-    run = _read_run(s, start + after, start + until + shift, first > 0,
-                    stop < len(starts), table)
-    if run is None:
+    until = start + (starts[stop] if stop < len(starts) else old_size) + shift
+    run = _elements(s, start, start + (ends[first - 1] if first else 1), until,
+                    first > 0, table)
+    if run is None or run[3] != until:
         return None
-    at, items = run
+    items, new_starts, new_ends, _ = run
     kept_starts, kept_ends = starts[stop:], ends[stop:]
     if shift:
         kept_starts = [k + shift for k in kept_starts]
         kept_ends = [k + shift for k in kept_ends]
-    return (_Array(start, end,
-                   starts[:first] + [k - start for k in at] + kept_starts,
-                   ends[:first] + [k - start + len(item[0])
-                                       for k, item in zip(at, items)] + kept_ends),
+    return (_Array(start, end, starts[:first] + new_starts + kept_starts,
+                   ends[:first] + new_ends + kept_ends),
             [t[old.open + starts[k]:old.open + ends[k]] for k in range(first, stop)],
             items)
 
 
-def _read_run(s: str, pos: int, stop: int, lead: bool, trail: bool,
-              table: MaxNodeTable) -> tuple[list[int], list[tuple]] | None:
-    """The object elements of ``s[pos:stop]``, a run of array elements that
-    follows an element where ``lead`` is true and comes before one where
-    ``trail`` is, as their starts and their (text, value) pairs; None where
-    the text is not such a run."""
+def _elements(s: str, at: int, pos: int, stop: int, lead: bool,
+              table: MaxNodeTable) -> tuple[list, list[int], list[int], int] | None:
+    """The object elements of the array whose ``[`` is at ``at``, read from
+    ``pos``, where an element ends if ``lead`` is true, to its ``]`` or to an
+    element that starts at ``stop`` after a comma: their (text, value) pairs,
+    their starts and ends counted from the ``[``, and where the loop stopped.
+    None where something else comes first: a value that is no object, a
+    missing or trailing comma, or an element that runs past ``stop``."""
     skip, scan, startswith = table._skip, table._scan, s.startswith
-    starts, items = [], []
+    items, starts, ends = [], [], []
     pos = skip(s, pos).end()
     after = lead  # whether an element ends before pos
-    while True:
+    while not startswith("]", pos):
         if after:
-            if pos == stop and not trail:
-                break
             if not startswith(",", pos):
                 return None
             pos = skip(s, pos + 1).end()
-            if pos == stop and trail:
-                break
-        elif pos == stop:
-            break
         if not startswith("{", pos):
             return None
+        if pos == stop:
+            break
         value, end = scan(s, pos)
         if end > stop:
             return None
-        starts.append(pos)
         items.append((s[pos:end], value))
+        starts.append(pos - at)
+        ends.append(end - at)
         pos = skip(s, end).end()
         after = True
-    return starts, items
+    return items, starts, ends, pos
 
 
 def _box_entry(item, nodes: dict, known: dict, prop_filter: PropertyFilter,
@@ -607,8 +544,6 @@ def _box_entry(item, nodes: dict, known: dict, prop_filter: PropertyFilter,
         entry = known.get((source_path, text))
         if entry is not None:
             return entry
-        if item is None:  # seen, but not as such a box
-            item = table._scan(text, 0)[0]
     box = item.get("box") if isinstance(item, dict) else None
     if not isinstance(box, dict):
         raise PatchSyntaxError("box entry is not an object")
@@ -633,8 +568,6 @@ def _wire(item, table: MaxNodeTable) -> tuple[str, tuple[str, int, int]]:
     text = None
     if type(item) is tuple:
         text, item = item
-        if item is None:  # seen, but not as a patchline
-            item = table._scan(text, 0)[0]
     line = item.get("patchline") if isinstance(item, dict) else None
     if not isinstance(line, dict):
         raise PatchSyntaxError("patchline entry is not an object")

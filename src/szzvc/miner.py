@@ -97,6 +97,18 @@ class MinerConfig:
         ):
             raise ConfigError("extension lists must be non-empty lists of "
                               "non-empty strings")
+        # a path takes the first language with an extension it ends in, so
+        # one language's extension may not end in another's
+        owned = [(language, ext) for language, exts in self.extensions.items()
+                 for ext in exts]
+        for language, ext in owned:
+            if not ext.startswith("."):
+                raise ConfigError(f"{language.value} extension {ext!r} must start "
+                                  f"with '.'")
+            for other, other_ext in owned:
+                if other is not language and ext.lower().endswith(other_ext.lower()):
+                    raise ConfigError(f"{language.value} extension {ext!r} equals or "
+                                      f"ends with {other.value} extension {other_ext!r}")
         if self.fixing_detection not in FIXING_DETECTION_MODES:
             raise ConfigError(f"unknown fixing_detection {self.fixing_detection!r}")
         object.__setattr__(self, "depth_mode", parse_depth(self.depth_mode))

@@ -202,7 +202,9 @@ def maxpat_histories(draw):
     """Versions of one patch, each an edit of the one before or a broken
     copy of an earlier one, as three histories of texts: indented, minified
     and in Max's own layout. A fourth list holds texts cut or broken from
-    them."""
+    them. The top-level patcher's keys come in one drawn order in every
+    version, ``lines`` before ``boxes`` in some histories."""
+    order = draw(st.permutations(["boxes", "lines"]))
     versions = [draw(_max_patchers())]
     for _ in range(draw(st.integers(1, 3))):
         versions.append(_max_edit(draw, versions[-1]))
@@ -210,7 +212,7 @@ def maxpat_histories(draw):
         versions.append(_max_break(draw, draw(st.sampled_from(versions))))
     histories = [[], [], []]
     for patcher in versions:
-        document = {"patcher": patcher}
+        document = {"patcher": {key: patcher[key] for key in order}}
         for history, text in zip(histories, [
                 json.dumps(document, indent=draw(st.sampled_from([2, "\t"]))),
                 json.dumps(document, separators=(",", ":")),

@@ -465,8 +465,7 @@ def test_a_later_version_is_spliced_from_the_last_one(monkeypatch, layout):
 
 @pytest.mark.parametrize("layout", ["indented", "native", "minified"])
 def test_known_elements_out_of_their_old_order_are_not_built_again(monkeypatch, layout):
-    # no element follows the one it followed before, so each is decoded to
-    # find its end, and then found by its text
+    # each element is decoded to find its end, and then found by its text
     table = MaxNodeTable()
     parse_maxpat(_hundred_boxes(layout=layout), table=table)
     built = []
@@ -513,9 +512,9 @@ def _boxes_with_gaps(gaps: list[str], minified_from: int = 100,
 ])
 def test_a_gap_that_changes_mid_array_parses_as_a_fresh_table_does(monkeypatch, gaps,
                                                                   minified_from):
-    # the gap between the first two elements is taken for every later one;
-    # where another follows, the array is read on as before, and a valid
-    # array is never read again by the standard library's reader
+    # the element loop reads whatever gap comes between two elements, and a
+    # valid array of objects is never read again by the standard library's
+    # reader
     def reread(*args):
         raise AssertionError("a valid array was read again")
 

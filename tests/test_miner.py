@@ -63,6 +63,10 @@ def test_config_validation():
         {"extensions": {"pure-data": ".pd"}},
         {"extensions": {"pure-data": [".pd", 5]}},
         {"extensions": {"pure-data": [""]}},
+        # "a.maxpat" would be read as Pure Data, and "apd" as a Pd patch
+        {"extensions": {"pure-data": [".pd", ".maxpat"], "max-msp": [".maxpat"]}},
+        {"extensions": {"pure-data": [".PD"], "max-msp": [".maxpat", ".pd"]}},
+        {"extensions": {"pure-data": ["pd"]}},
         {"message_regex": 5},
         {"depth": True},
         {"depth": 2.5},
@@ -70,6 +74,14 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigError):
             MinerConfig.from_dict(raw)
+
+
+def test_extension_errors_name_the_extension_and_its_languages():
+    with pytest.raises(ConfigError, match="pure-data extension 'pd' must start with"):
+        MinerConfig.from_dict({"extensions": {"pure-data": ["pd"]}})
+    with pytest.raises(ConfigError, match="max-msp extension '.MAX.PD' equals or ends "
+                                          "with pure-data extension '.pd'"):
+        MinerConfig.from_dict({"extensions": {"max-msp": [".MAX.PD"], "pure-data": [".pd"]}})
 
 
 def test_config_roundtrip_and_unknown_keys():
