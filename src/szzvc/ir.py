@@ -8,10 +8,12 @@ serialized contents (a recursive property tree that may nest another
 Canonical form: subtree keys and property-map keys iterate in lexicographic
 order and connection lists are sorted, so two canonical IRs are equal
 exactly when their serialized text is byte-equal. :func:`intern_ir` is the
-one place an IR and its nodes are built: both parsers say what each node is
-and pass it there, and :func:`canonicalize`, for IRs built by hand, does the
-same. All values are immutable after construction (frozen dataclasses; dicts
-are never mutated once built), so IRs and their nodes can be shared freely.
+one place nodes are built: both parsers say what each node is and pass it
+there, :func:`szzvc.splice.splice_ir` passes it the nodes a splice changed
+and takes every other node from the last IR, and :func:`canonicalize`, for
+IRs built by hand, does the same. All values are immutable after
+construction (frozen dataclasses; dicts are never mutated once built), so
+IRs and their nodes can be shared freely.
 
 Numbers keep their source spelling: ``Num`` stores the original token next to
 the parsed value. Serialization emits the token verbatim while the diff

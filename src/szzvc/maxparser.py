@@ -34,14 +34,14 @@ the version at hand, in document order. Persistent box ids make most edits
 a change to one or two elements, so a text that differs from the document
 the table read last only inside one run of ``boxes`` elements and one run
 of ``lines`` elements is spliced from it: only those runs, which
-:mod:`szzvc.splice` finds, are read, and the IR is the last one with the
-boxes they touch built again. Any other text is read whole, as it is
-by a fresh table. One element loop reads both: the object elements of a
-changed run, and those of each array of a top-level patcher in a whole
-read. There the document and patcher objects are read by the standard
-library's own JSON object reader, and an array the loop does not accept is
-read again by the standard library's array reader, so every syntax error
-reads as ``json.loads`` words it, line included.
+:mod:`szzvc.splice` finds, are read, and the same module builds the IR
+from the last one, the boxes they touch built again. Any other text is
+read whole, as it is by a fresh table. One element loop reads both: the
+object elements of a changed run, and those of each array of a top-level
+patcher in a whole read. There the document and patcher objects are read
+by the standard library's own JSON object reader, and an array the loop
+does not accept is read again by the standard library's array reader, so
+every syntax error reads as ``json.loads`` words it, line included.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .ir import (
     canonicalize,  # noqa: F401  unused; perfbench traces maxparser.canonicalize by name
     intern_ir,
 )
-from .splice import changed_run
+from .splice import changed_run, splice_ir
 
 GUARDED_KEYS = frozenset({"text", "maxclass", "patcher"})
 
@@ -148,15 +148,15 @@ class MaxNodeTable:
     ``str.find``. In each array, :func:`szzvc.splice.changed_run`, which the
     Pd splice shares, finds the leading elements the text holds where the
     last document did and the trailing ones it holds shifted by the change
-    in length; only the run between them is read. The IR is the last
-    IR with the boxes of the old runs taken out, those of the new runs put
-    in, and only those boxes and the sources of the wires that changed
-    interned again; a new box id puts the nodes back into id order. A run
-    that is not a comma-separated list of objects, a duplicate box id, a
-    wire to a box that is not there and any error the run raises all leave
-    the text to the whole read, which says what is wrong as a fresh table
-    does. A change inside a box, a nested patcher's
-    included, is a change of that box's element.
+    in length; only the run between them is read.
+    :func:`szzvc.splice.splice_ir`, which the Pd splice shares too, takes
+    the boxes and patchlines of the old runs out of the last IR and puts
+    those of the new runs in. A run that is not a comma-separated list of
+    objects, any error the run raises and any result ``splice_ir`` refuses
+    (a duplicate box id, a wire to a box that is not there) leave the text
+    to the whole read, which says what is wrong as a fresh table does. A
+    change inside a box, a nested patcher's included, is a change of that
+    box's element.
 
     One loop reads the object elements of an array of a top-level patcher
     in a whole read and those of a changed run in a splice. It decodes each
@@ -426,48 +426,11 @@ def _splice(s: str, last: _Document, prop_filter: PropertyFilter,
     except (PatchSyntaxError, ValueError, StopIteration, RecursionError):
         return None  # the full read says what is wrong, as a fresh table does
 
-    # the last document's nodes and wires, less the old runs, plus the new
-    nodes = dict(last.nodes)
-    for box_id, _ in old_boxes:
-        del nodes[box_id]
-    for box_id, node in new_boxes:
-        if box_id in nodes:
-            return None  # a duplicate id
-        nodes[box_id] = node
-    wires = dict(last.wires)
-    touched: dict[str, list] = {}  # source id -> its wires, as they now are
-    for src_id, conn in old_lines:
-        if src_id not in touched:
-            touched[src_id] = list(wires[src_id])
-        touched[src_id].remove(conn)
-    for src_id, conn in new_lines:
-        if src_id not in nodes or conn[0] not in nodes:
-            return None  # a wire to a box that is not there
-        if src_id not in touched:
-            touched[src_id] = list(wires.get(src_id, ()))
-        touched[src_id].append(conn)
-    for src_id, conns in touched.items():
-        if conns:
-            wires[src_id] = conns
-        else:
-            del wires[src_id]
-    gone = {box_id for box_id, _ in old_boxes if box_id not in nodes}
-    if gone and (not gone.isdisjoint(wires) or any(
-            conn[0] in gone for conns in wires.values() for conn in conns)):
-        return None  # a wire left to a box that went
-
-    # the last IR, with the boxes whose entry or wires changed built again
-    changed = {box_id for box_id, _ in new_boxes}.union(touched).difference(gone)
-    rebuilt = intern_ir(Language.MAX_MSP, source_path,
-                        {box_id: nodes[box_id] for box_id in changed}, wires,
-                        shared).subtrees
-    subtrees = dict(last.ir.subtrees)
-    for box_id in gone:
-        del subtrees[box_id]
-    subtrees.update(rebuilt)
-    if not rebuilt.keys() <= last.nodes.keys():  # a new id: back into id order
-        subtrees = {box_id: subtrees[box_id] for box_id in sorted(subtrees)}
-    ir = VisualIR(subtrees, Language.MAX_MSP, source_path)
+    spliced = splice_ir(last.ir, last.nodes, last.wires, old_boxes, new_boxes, old_lines,
+                        new_lines, shared)
+    if spliced is None:
+        return None
+    ir, nodes, wires = spliced
     table._last[prop_filter] = _Document(s, source_path, boxes, lines, nodes, wires, ir)
     return ir
 

@@ -26,10 +26,9 @@ Fixing commits on one file share most of their history, so a run keeps one
 blob id. A fix's own step is diffed whole, as the report shows that diff;
 no other fix needs it whole. A history step only has to answer for the
 nodes that the fix's paths name (each path's first component), so it is
-diffed only there, by :func:`~szzvc.diff.diff_node`, each (step, node id)
-once, keyed by the two blob ids and the node id: a Pd insertion renumbers
-every later node, yet its step costs only the nodes a fix asks about. Blob
-ids come with the changed files of the commit index.
+diffed only there, by :func:`~szzvc.diff.diff_node`: a Pd insertion
+renumbers every later node, yet its step costs only the nodes a fix asks
+about. Blob ids come with the changed files of the commit index.
 Before a fix is diffed, :meth:`MiningCache.load` reads the versions of its
 own step and of every history step that the cache has not parsed, by blob
 id in one request, and parses them in step order, each step's new side
@@ -446,8 +445,7 @@ def build_candidates(fixing_commit: str, matches: Matches
 
 
 class MiningCache:
-    """One run's parsed file versions and history-step node diffs, keyed
-    by blob id (and node id).
+    """One run's parsed file versions, keyed by blob id.
 
     Built for one repository and config and shared by every fixing commit
     of the run. An unparseable version is kept as its ``PatchSyntaxError``
@@ -467,8 +465,6 @@ class MiningCache:
         self.repo = repo
         self.config = config
         self._irs: dict[tuple[str, Language], VisualIR | PatchSyntaxError] = {}
-        self._node_diffs: dict[tuple[str | None, str | None, Language, str],
-                               tuple[ChangeRecord, ...]] = {}
         self._warnings: dict[str, list[str]] = {}
         self._tables = {Language.PURE_DATA: PdNodeTable(),
                         Language.MAX_MSP: MaxNodeTable()}
@@ -517,23 +513,12 @@ class MiningCache:
         except PatchSyntaxError as exc:
             return exc
 
-    def node_diff(self, language: Language, step: HistoryStep, node_id: str
-                  ) -> tuple[ChangeRecord, ...]:
-        """The records of the step's diff under top-level node ``node_id``."""
-        key = (step.old_blob, step.new_blob, language, node_id)
-        records = self._node_diffs.get(key)
-        if records is None:
-            records = self._node_diffs[key] = diff_node(
-                self.ir(language, step.old_blob, step.path_old),
-                self.ir(language, step.new_blob, step.path_new), node_id)
-        return records
-
 
 def find_inducing(repo: Repository, fixing: FixingCommit, config: MinerConfig,
                   cache: MiningCache | None = None) -> InducingResult:
     """Backtrack every visual file of a fixing commit to its defect-inducing
     candidates (unfiltered; apply :func:`filter_candidates` afterwards).
-    ``cache`` shares parses and diffs across the fixes of a run; it must be
+    ``cache`` shares parses across the fixes of a run; it must be
     built for the same ``repo`` and ``config``."""
     cache = MiningCache(repo, config) if cache is None else cache
     matches: Matches = {}
@@ -606,6 +591,10 @@ def _mine_file(
     # A step is diffed only at the nodes a fix path names, path[0].
     steps = [s for s in steps if _readable(cache, language, s, failures, warnings)]
 
+    def node_diff(step: HistoryStep, node_id: str) -> tuple[ChangeRecord, ...]:
+        return diff_node(cache.ir(language, step.old_blob, step.path_old),
+                         cache.ir(language, step.new_blob, step.path_new), node_id)
+
     def emit(step: HistoryStep, path: ChangePath, depth: int, via: bool) -> None:
         key = (step.entry.commit_id, fix.path_new)
         when, paths, any_via = matches.get(key, (step.entry.commit_time, set(), False))
@@ -618,7 +607,7 @@ def _mine_file(
         if not active:
             break
         records = [r for node_id in dict.fromkeys(p[0] for p, _ in active)
-                   for r in cache.node_diff(language, step, node_id)]
+                   for r in node_diff(step, node_id)]
         matched = match_changes(active, IRDiff(tuple(records)), config.depth_mode)
         for path in matched:
             emit(step, path, len(path), via=False)
@@ -633,7 +622,7 @@ def _mine_file(
             hits = []
             for step in steps:
                 if any(r.path[:depth] == target
-                       for r in cache.node_diff(language, step, path[0])):
+                       for r in node_diff(step, path[0])):
                     hits.append(step)
                     if not config.all_matches:
                         break

@@ -32,8 +32,9 @@ tokenized again, and each canvas is built by :func:`szzvc.ir.intern_ir`,
 which shares a node unchanged since an earlier parse. A text that differs
 from the document the table read last only inside one run of whole
 records, as many as before and each of the kind it replaces, is spliced
-from it: only that run, which :mod:`szzvc.splice` finds, is read, and the
-IR is the last one with the nodes it touches built again. An insertion or
+from it: only that run, which :mod:`szzvc.splice` finds, is read, and
+the same module builds the IR from the last one, the nodes the run touches
+built again. An insertion or
 deletion renumbers the nodes after it, so such a text, like anything else
 the splice does not take, is read whole, as by a fresh table. A record's
 line span is counted only when an error names it.
@@ -56,7 +57,7 @@ from .ir import (
     canonicalize,  # noqa: F401  unused; perfbench traces pdparser.canonicalize by name
     intern_ir,
 )
-from .splice import changed_run
+from .splice import changed_run, splice_ir
 
 NODE_ELEMENTS = {"obj", "msg", "text", "floatatom", "symbolatom", "listbox", "number",
                  "array"}
@@ -230,8 +231,8 @@ class PdNodeTable:
     - The last top-level document it read whole or spliced, one per
       ``include_layout``: its text and path, where each record ends, the
       records' forms, the record of each top-level node (so each record's
-      node ordinal), the top-level connect records, the nodes and wires as
-      ``intern_ir`` takes them, and the IR.
+      node ordinal), the top-level connect records, the nodes by id and the
+      wires as ``intern_ir`` takes them, and the IR.
 
     A text parsed under the last document's ``include_layout`` and path is
     spliced from it where it can be. :func:`szzvc.splice.changed_run`, which
@@ -243,8 +244,9 @@ class PdNodeTable:
     alone (no ``#A`` data) stays such a node, a top-level connect a connect
     in range, a skipped record (``coords``, ``declare``, ...) a skipped
     record, and none of them may hold an error. Only that run is looked up
-    or tokenized, and the IR is the last IR with the changed nodes and the
-    sources of the changed wires interned again. Anything else (an insertion
+    or tokenized, and :func:`szzvc.splice.splice_ir`, which the Max splice
+    shares too, applies the nodes and connects it changed to the last IR.
+    Anything else (an insertion
     or deletion, which renumbers the nodes after it, a record inside a
     subcanvas, a canvas, restore, ``#A`` or struct record in the run, a
     first parse, another path, any error) is read whole, as it is by a
@@ -306,11 +308,11 @@ class PdNodeTable:
         return kind, node, None
 
     def _close(self, nodes: list[tuple[int | None, dict]], connects: list[int],
-               forms: list[tuple], source_path: str, error) -> tuple[VisualIR, dict]:
-        """The IR of one canvas and its wires as ``intern_ir`` takes them:
-        its nodes as (contents tag, contents), a tag of None marking contents
-        of the node's own that are not shared, and the indices of its
-        connect records."""
+               forms: list[tuple], source_path: str, error) -> tuple[VisualIR, dict, dict]:
+        """The IR of one canvas and its nodes and wires as ``intern_ir``
+        takes them: its nodes as (contents tag, contents), a tag of None
+        marking contents of the node's own that are not shared, and the
+        indices of its connect records."""
         count = len(nodes)
         ids = self._ids
         if len(ids) < count:
@@ -326,8 +328,9 @@ class PdNodeTable:
             if outlet < 0 or inlet < 0:
                 raise error(i, "connect ports must be >= 0")
             wires.setdefault(ids[src], []).append((ids[dst], outlet, inlet))
-        return intern_ir(Language.PURE_DATA, source_path, dict(zip(ids, nodes)), wires,
-                         self._subtrees), wires
+        by_id = dict(zip(ids, nodes))
+        return (intern_ir(Language.PURE_DATA, source_path, by_id, wires, self._subtrees),
+                by_id, wires)
 
     def _splice(self, s: str, last: tuple, include_layout: bool) -> VisualIR | None:
         """The IR of text ``s`` spliced from ``last``, the document the table
@@ -346,20 +349,15 @@ class PdNodeTable:
         if unterminated is not None or len(bodies) != stop - first:
             return None  # not as many whole records as it replaces
         known = self._forms[include_layout]
-        new = []
-        for body in bodies:
+        ids, count = self._ids, len(nodes)
+        new, old_nodes, new_nodes, old_wires, new_wires = [], [], [], [], []
+        for i, body in enumerate(bodies, first):
             form = known.get(body)
             if form is None:
                 try:
                     form = known[body] = self._form(body, include_layout)
                 except PatchSyntaxError:
                     return None
-            new.append(form)
-
-        count = len(nodes)
-        changed: dict[int, tuple] = {}  # a node's ordinal -> its new (tag, contents)
-        moved = []  # the old and new indices of each changed connect
-        for i, form in enumerate(new, first):
             kind, old = form[0], forms[i]
             if kind != old[0]:
                 return None
@@ -367,11 +365,12 @@ class PdNodeTable:
                 # the first top-level node from record i on: its own, or for a
                 # record in a subcanvas the node that closes it, whose
                 # contents are its own as an array's with data are
-                k = bisect_left(at, i)
-                if form[2] is not None or nodes[k][0] is None:
+                node_id = ids[bisect_left(at, i)]
+                if form[2] is not None or nodes[node_id][0] is None:
                     return None
-                if form[1] is not nodes[k]:
-                    changed[k] = form[1]
+                if form[1] is not nodes[node_id]:
+                    old_nodes.append((node_id, nodes[node_id]))
+                    new_nodes.append((node_id, form[1]))
             elif kind == _CONNECT:
                 k = bisect_left(connects, i)
                 if k == len(connects) or connects[k] != i or form[1] is None:
@@ -380,36 +379,16 @@ class PdNodeTable:
                 if not (0 <= src < count and 0 <= dst < count and outlet >= 0 and inlet >= 0):
                     return None
                 if form[1] != old[1]:
-                    moved.append((old[1], form[1]))
+                    old_src, old_outlet, old_dst, old_inlet = old[1]
+                    old_wires.append((ids[old_src], (ids[old_dst], old_outlet, old_inlet)))
+                    new_wires.append((ids[src], (ids[dst], outlet, inlet)))
             elif kind != _SKIP:
                 return None
-
-        ids = self._ids
-        touched: dict[int, list] = {}  # a wire source's ordinal -> its wires as they now are
-        for old_wire, new_wire in moved:
-            for k in (old_wire[0], new_wire[0]):
-                if k not in touched:
-                    touched[k] = list(wires.get(ids[k], ()))
-            src, outlet, dst, inlet = old_wire
-            touched[src].remove((ids[dst], outlet, inlet))
-            src, outlet, dst, inlet = new_wire
-            touched[src].append((ids[dst], outlet, inlet))
-        if touched:
-            wires = dict(wires)
-            for k, conns in touched.items():
-                if conns:
-                    wires[ids[k]] = conns
-                else:
-                    del wires[ids[k]]
-        if changed:
-            nodes = list(nodes)
-            for k, node in changed.items():
-                nodes[k] = node
-        subtrees = dict(ir.subtrees)
-        subtrees.update(intern_ir(Language.PURE_DATA, source_path,
-                                  {ids[k]: nodes[k] for k in changed.keys() | touched.keys()},
-                                  wires, self._subtrees).subtrees)
-        ir = VisualIR(subtrees, Language.PURE_DATA, source_path)
+            new.append(form)
+        # each node keeps its id and each connect is in range: splice_ir
+        # has nothing to refuse
+        ir, nodes, wires = splice_ir(ir, nodes, wires, old_nodes, new_nodes, old_wires,
+                                     new_wires, self._subtrees)
 
         ends = []
         for body in bodies:
@@ -484,7 +463,7 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
         elif kind == _RESTORE:
             if not stack:
                 raise error(i, "restore without open subcanvas")
-            closed, _ = table._close(nodes, connects, forms, source_path, error)
+            closed = table._close(nodes, connects, forms, source_path, error)[0]
             if form[2] is not None:
                 raise error(i, form[2])
             opened, nodes, at, connects = stack.pop()
@@ -495,9 +474,9 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
             _attach_array_data(nodes, form, i, error)
     if stack:
         raise error(opened, "unbalanced subcanvas")
-    ir, wires = table._close(nodes, connects, forms, source_path, error)
+    ir, by_id, wires = table._close(nodes, connects, forms, source_path, error)
     bounds = list(accumulate((len(body) + 1 for body in bodies), initial=0))
-    table._last[include_layout] = (text, source_path, bounds, forms, at, connects, nodes,
+    table._last[include_layout] = (text, source_path, bounds, forms, at, connects, by_id,
                                    wires, ir)
     return ir
 

@@ -593,8 +593,8 @@ def test_run_parses_each_blob_once(repo_fixture, monkeypatch):
     assert len(texts) == len(set(texts)) == len(blobs)
     # whole diffs only for the fix steps, whose diffs the report shows
     assert sorted(new_version for _, new_version in steps) == sorted(fixes)
-    # a history step is diffed at the nodes the fixes ask about; a fix is a
-    # step of every later fix, and one node diff serves both
+    # a history step is diffed only at the nodes the fixes ask about, and
+    # no fix here asks one step about one node twice
     assert node_steps and len(node_steps) == len(set(node_steps))
 
 

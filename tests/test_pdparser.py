@@ -5,7 +5,7 @@ import pytest
 from szzvc.diff import ChangeKind, diff_ir
 from szzvc.errors import PatchSyntaxError
 from szzvc.ir import MAX_NESTING, Connection, Num, VisualIR, dumps_ir
-from szzvc import pdparser
+from szzvc import pdparser, splice
 from szzvc.pdparser import (
     PdNodeTable,
     PdRecord,
@@ -398,7 +398,9 @@ def test_a_later_version_is_spliced_from_the_last_one(monkeypatch):
     monkeypatch.setattr(pdparser, "_scan", counting_scan)
     monkeypatch.setattr(pdparser, "_atoms", counting_atoms)
     monkeypatch.setattr(pdparser, "_node_contents", counting_contents)
+    # a whole read interns in pdparser, a splice in szzvc.splice
     monkeypatch.setattr(pdparser, "intern_ir", counting_intern)
+    monkeypatch.setattr(splice, "intern_ir", counting_intern)
     edited = _hundred_nodes("f fifty")
     second = parse_pd(edited, table=table)
     assert scanned == ["\n#X obj 50 10 f fifty;"]

@@ -193,6 +193,16 @@ def test_shared_pd_table_parses_like_a_fresh_one(texts, include_layout):
     for text, result in zip(texts, shared):
         assert _outcome(result) == \
             _outcome(_parse_or_error(text, include_layout, None))
+    # a top-level node equal to the same id's node in the IR before it is
+    # that node, unless its contents are its own (a subcanvas, array data)
+    for before, after in zip(shared, shared[1:]):
+        if isinstance(before, tuple) or isinstance(after, tuple):
+            continue
+        for node_id, node in after.subtrees.items():
+            contents = node.serialized_contents
+            if ("subpatch" not in contents and "data" not in contents
+                    and node == before.subtrees.get(node_id)):
+                assert node is before.subtrees[node_id]
 
 
 def _max_parse_or_error(text, prop_filter, source_path, table):
