@@ -110,7 +110,6 @@ def score(groups, verdicts, method: str = "", allow_partial: bool = False) -> Ev
     by_pair = {(v.fixing_commit, v.inducing_commit): v for v in verdicts}
     rows = []
     missing: list[tuple[str, str]] = []
-    used = set()
     for group in groups:
         counts = {"TP": 0, "FP": 0, "U": 0}
         for inducing in group.candidates:
@@ -119,7 +118,6 @@ def score(groups, verdicts, method: str = "", allow_partial: bool = False) -> Ev
             if verdict is None:
                 missing.append(pair)
                 continue
-            used.add(pair)
             counts[verdict.label] += 1
         rows.append(
             EvalRow(

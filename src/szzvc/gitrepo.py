@@ -3,21 +3,30 @@ object reader, one diff reader.
 
 History comes from one ``git log -z --raw`` walk over every ancestor of the
 queried head, with merges diffed against their first parent, renames
-detected and full blob ids kept. It is parsed once into a commit index (id to
-parents, committer time, message and changed files). ``log_entry``,
-``all_commits``, ``first_parent_log``, ``changed_files``, ``commit_time`` and
-``commit_message`` answer from the index. A name that is not an indexed
-commit id is resolved by the object reader, and a commit outside the index
-costs one more walk, over its own ancestors.
+detected and full blob ids kept (``--diff-merges`` needs git 2.31 or later).
+It is parsed once into a commit index (id to parents, committer time,
+message and changed files). ``log_entry``, ``all_commits``,
+``first_parent_log``, ``changed_files``, ``commit_time`` and
+``commit_message`` answer from the index.
 
-Beside the walk, two long-lived git processes answer requests, one
-request/reply pair at a time. The object reader starts with the ``Repository``: its reply
-to a first request is what shows the repository readable. The diff reader
-starts with its first request. ``close()``, or leaving a ``with`` block, ends
-both; a ``weakref.finalize`` ends each when the instance is garbage collected
-or the interpreter exits; a reply read only in part (an exception or an
-interrupt mid-read) ends its process too, and the next request starts a new
-one.
+Opening a ``Repository`` starts one git process, the walk of ``HEAD``: it
+shows the repository readable, resolves ``HEAD`` and indexes its history, so
+finding the fixing commits by their messages starts no other process. HEAD
+is read once, at open: a commit made later is not ``HEAD`` to this instance.
+Any other name that is not an indexed commit id is resolved by the object
+reader, and a commit outside the index costs one more walk, over its own
+ancestors.
+
+Beside the walks, two long-lived git processes answer requests, one
+request/reply pair at a time. Each starts with its first request: the object
+reader with the first ``read_file`` or ``read_blobs``, or the first name to
+resolve (``rev_parse`` of any name but ``HEAD``, or a name that is not an
+indexed id given to the index's readers), and the diff reader with the first
+``line_hunks`` that is not memoized. ``close()``, or leaving a ``with``
+block, ends both; a ``weakref.finalize`` ends each when the instance is
+garbage collected or the interpreter exits; a reply read only in part (an
+exception or an interrupt mid-read) ends its process too, and the next
+request starts a new one.
 
 - ``git cat-file --batch`` answers ``read_file`` with file contents and
   ``rev_parse`` with the commit ``<rev>^{commit}`` (or ``<rev>``) names. The batch
@@ -239,11 +248,10 @@ class Repository:
         ])
         self._hunks: dict[tuple[str, str], tuple[Hunk, ...]] = {}
         try:
-            # any reply, ``missing`` for an unborn HEAD too, shows the
-            # repository readable; outside one, git exits before reading
-            self._object("HEAD")
-        except (GitError, BrokenPipeError) as exc:
-            raise GitError(f"not a readable git repository: {self.path}") from exc
+            self._head = self._walk("HEAD")  # None for an unborn HEAD
+        except GitError as exc:
+            raise GitError(f"not a readable git repository: {self.path}: "
+                           f"{exc}") from exc
 
     def __enter__(self) -> "Repository":
         return self
@@ -290,9 +298,13 @@ class Repository:
         ``:/<text>`` (the newest commit whose message matches ``text``)
         would read the suffix as part of its pattern: when ``rev^{commit}``
         names nothing, ``rev`` naming a commit is the answer. The object
-        reader answers; a name holding a newline, or ending in a carriage
-        return, costs a one-shot ``rev-parse``, and a name holding a NUL
-        names nothing."""
+        reader answers, and the first such request starts it; a name holding
+        a newline, or ending in a carriage return, costs a one-shot
+        ``rev-parse``, and a name holding a NUL names nothing. ``HEAD``
+        needs no request: it is the commit that the walk opening the
+        repository listed first, read once, unless HEAD was unborn then."""
+        if rev == "HEAD" and self._head is not None:
+            return self._head
         kind, oid, _ = self._object(f"{rev}^{{commit}}")
         if kind != b"commit":  # ``:/<text>``, or else only to say why
             kind, oid, _ = self._object(rev)
@@ -313,14 +325,21 @@ class Repository:
             self._walk(commit_id)
         return commit_id
 
-    def _walk(self, head_id: str) -> None:
-        """Index ``head_id`` and every ancestor from one ``git log --raw``."""
-        if head_id in self._walks:
-            return
+    def _walk(self, head: str) -> str | None:
+        """Index ``head`` and every ancestor from one ``git log --raw``;
+        return the id of the first commit it lists, ``head``'s own, or None
+        when it lists none (``HEAD`` unborn). ``head`` is a commit id, or
+        ``HEAD`` when the repository opens. Known cost: a head that is not
+        an ancestor of HEAD (``analyze --head``, ``history --before``) costs
+        a walk of its own beside HEAD's."""
+        if head in self._walks:
+            return head
+        # ``--`` ends the revisions: a work-tree file named HEAD would make
+        # the name ambiguous
         out = self._run(
             "log", "-z", "--root", "--diff-merges=first-parent",
-            "--find-renames", "--raw", "--no-abbrev",
-            f"--format={_HDR}%H{_SEP}%ct{_SEP}%P{_SEP}%B", head_id,
+            "--find-renames", "--raw", "--no-abbrev", "--ignore-missing",
+            f"--format={_HDR}%H{_SEP}%ct{_SEP}%P{_SEP}%B", head, "--",
         )
         # a message or a path holds any byte but NUL: read NUL-separated
         # fields, where a header opens a commit and a raw entry (after a
@@ -349,8 +368,12 @@ class Repository:
                 changes=tuple(changes),
                 message=message,
             )
+        if not entries:
+            return None
         self._entries.update(entries)
+        head_id = next(iter(entries))
         self._walks[head_id] = tuple(entries)
+        return head_id
 
     def log_entry(self, rev: str) -> LogEntry:
         """The indexed entry of one commit: time, parents, changes and

@@ -40,13 +40,14 @@ read whole, as it is by a fresh table. One element loop reads both: the
 object elements of a changed run, and those of each array of a top-level
 patcher in a whole read. There the document and patcher objects are read
 by the standard library's own JSON object reader, and an array the loop
-does not accept is read again by the standard library's array reader, so
-every syntax error reads as ``json.loads`` words it, line included.
+does not accept is read again by the scanner ``json.loads`` uses, so every
+syntax error reads as ``json.loads`` words it, line included.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +61,9 @@ from .ir import (
     intern_ir,
 )
 from .splice import changed_run, splice_ir
+
+# JSON's whitespace, which the element loop skips between elements
+_skip_whitespace = re.compile(r"[ \t\n\r]*").match
 
 GUARDED_KEYS = frozenset({"text", "maxclass", "patcher"})
 
@@ -165,15 +169,14 @@ class MaxNodeTable:
     one is filtered and built. A known box text costs one lookup in the box
     map; a text keyed with its path is looked up after that misses. A whole
     read gives an array that holds anything but comma-separated objects to
-    the standard library's array reader, which reads a valid one again and
+    the scanner ``json.loads`` uses, which reads a valid one again and
     raises for an invalid one the error ``json.loads`` gives.
 
     The reader is built from parts of ``json.decoder`` that are not public:
-    ``JSONObject`` called with its positional arguments, ``JSONArray``,
-    ``WHITESPACE``, and ``raw_decode`` calling the decoder's ``scan_once``
-    attribute, which the reader replaces. ``tests/test_maxparser.py`` parses
-    a valid and an invalid document through them, so a Python that changes
-    them fails there.
+    ``JSONObject`` called with its positional arguments, and ``raw_decode``
+    calling the decoder's ``scan_once`` attribute, which the reader
+    replaces. ``tests/test_maxparser.py`` parses a valid and an invalid
+    document through them, so a Python that changes them fails there.
 
     Nothing in it is changed once built but the last documents; it only
     grows. A :class:`~szzvc.miner.MiningCache` owns one for its run and
@@ -192,7 +195,6 @@ class MaxNodeTable:
         decoder = json.JSONDecoder(parse_int=str.encode, parse_float=str.encode,
                                    parse_constant=_reject_constant)
         scan = self._scan = decoder.scan_once  # the C scanner where there is one
-        self._skip = json.decoder.WHITESPACE.match
         # Every value is scanned whole except the document and its patcher
         # objects, which the standard library's object reader reads around
         # these scanners, and a patcher's arrays, which ``array`` reads with
@@ -201,7 +203,7 @@ class MaxNodeTable:
         def array(s: str, idx: int):
             run = _elements(s, idx, idx + 1, len(s), False, self)
             if run is None:  # not only objects: read again, as json.loads reads it
-                return json.decoder.JSONArray((s, idx + 1), scan)
+                return self._scan(s, idx)
             items, starts, ends, close = run
             arrays.append((items, _Array(idx, close, starts, ends)))
             return items, close + 1
@@ -473,7 +475,7 @@ def _elements(s: str, at: int, pos: int, stop: int, lead: bool,
     their starts and ends counted from the ``[``, and where the loop stopped.
     None where something else comes first: a value that is no object, a
     missing or trailing comma, or an element that runs past ``stop``."""
-    skip, scan, startswith = table._skip, table._scan, s.startswith
+    skip, scan, startswith = _skip_whitespace, table._scan, s.startswith
     items, starts, ends = [], [], []
     pos = skip(s, pos).end()
     after = lead  # whether an element ends before pos

@@ -72,10 +72,6 @@ class PdRecord:
     atoms: tuple[str, ...]
     source_span: tuple[int, int] | None
 
-    @property
-    def is_node(self) -> bool:
-        return self.chunk == "X" and self.element in NODE_ELEMENTS
-
 
 # One record from the end of the last, its body captured: plain characters and
 # backslash escapes up to an unescaped ``;``. Each piece starts with a
@@ -168,20 +164,15 @@ def _chunk(tokens: list[str], span: tuple[int, int] | None) -> str:
     raise PatchSyntaxError(f"unknown chunk {marker!r}", span)
 
 
-def pd_node_properties(record: PdRecord, include_layout: bool = False) -> dict:
+def _node_contents(element: str, atoms: list[str], include_layout: bool) -> dict:
     """Contents for a node-defining record: at minimum element and the text
     after the x/y coordinates; coordinates and box width only with
     ``include_layout``. Keys are in sorted order, as in every canonical IR."""
-    return _node_contents(record.element, record.atoms, include_layout, record.source_span)
-
-
-def _node_contents(element: str, atoms: list[str] | tuple[str, ...], include_layout: bool,
-                   span: tuple[int, int] | None = None) -> dict:
     if element in COORDLESS_ELEMENTS:
         return {"element": element, "text": " ".join(atoms)}
     atoms, width = _split_width(atoms)
     if len(atoms) < 2:
-        raise PatchSyntaxError(f"{element} record missing coordinates", span)
+        raise PatchSyntaxError(f"{element} record missing coordinates")
     contents = {"element": element, "text": " ".join(atoms[2:])}
     if include_layout:
         if width is not None:
@@ -191,8 +182,7 @@ def _node_contents(element: str, atoms: list[str] | tuple[str, ...], include_lay
     return contents
 
 
-def _split_width(atoms: list[str] | tuple[str, ...]
-                 ) -> tuple[list[str] | tuple[str, ...], str | None]:
+def _split_width(atoms: list[str]) -> tuple[list[str], str | None]:
     """The atoms without a trailing ``, f <int>`` box-width suffix, and the
     width (None without a suffix). Pd writes the suffix's comma unescaped and
     attached to the atom before it; an escaped ``\\,`` is message content."""

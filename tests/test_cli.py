@@ -665,6 +665,13 @@ def test_history_writes_a_path_that_is_not_utf8_as_its_bytes(repo_fixture, capsy
                                 f"{c1} ".encode() + b"p\xe9.pd"]
 
 
+def test_analyze_on_an_unborn_head_exits_3(repo_fixture, capsys):
+    code, out, err = run_cli(capsys, "analyze", "--repo", str(repo_fixture.path))
+    assert code == 3
+    assert out == ""
+    assert "unknown revision 'HEAD'" in err
+
+
 def test_history_never_existed(repo_fixture, capsys):
     repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
     code, out, err = run_cli(capsys, "history", "ghost.pd",

@@ -19,14 +19,43 @@ T4 = "2021-01-04T10:00:00+00:00"
 
 
 def test_unreadable_repository(tmp_path):
-    with pytest.raises(GitError, match="not a readable git repository"):
-        Repository(str(tmp_path / "nope"))
+    path = tmp_path / "nope"
+    with pytest.raises(GitError, match="not a readable git repository") as caught:
+        Repository(str(path))
+    # the constructor's words, then git's own
+    git = subprocess.run(["git", "-C", str(path), "log"], capture_output=True,
+                         text=True)
+    assert git.returncode != 0 and git.stderr.strip()
+    assert str(caught.value).startswith(f"not a readable git repository: {path}: ")
+    assert str(caught.value).endswith(git.stderr.strip())
 
 
 def test_repository_with_an_unborn_head_is_readable(repo_fixture):
     with Repository(str(repo_fixture.path)) as repo:
         with pytest.raises(GitError, match="unknown revision 'HEAD'"):
             repo.rev_parse("HEAD")
+
+
+def test_head_is_read_once_when_the_repository_opens(repo_fixture):
+    c1 = repo_fixture.commit({"a.pd": "a\n"}, "c1", T1)
+    with Repository(str(repo_fixture.path)) as repo:
+        c2 = repo_fixture.commit({"a.pd": "b\n"}, "c2", T2)
+        assert repo.rev_parse("HEAD") == c1
+        assert repo.log_entry("HEAD").commit_id == c1
+        assert [c for c, _, _ in repo.all_commits("HEAD")] == [c1]
+        with Repository(str(repo_fixture.path)) as reopened:
+            assert reopened.rev_parse("HEAD") == c2
+            assert [c for c, _, _ in reopened.all_commits("HEAD")] == [c2, c1]
+
+
+def test_a_work_tree_file_named_head_does_not_break_the_walk(repo_fixture):
+    # ``git log HEAD`` alone fails here: HEAD names a revision and a file
+    c1 = repo_fixture.commit({"a.pd": "a\n"}, "c1", T1)
+    c2 = repo_fixture.commit({"HEAD": "not a ref\n"}, "c2", T2)
+    with Repository(str(repo_fixture.path)) as repo:
+        assert repo.rev_parse("HEAD") == c2
+        assert [c for c, _, _ in repo.all_commits("HEAD")] == [c2, c1]
+        assert [e.commit_id for e in repo.first_parent_log(c1)] == [c1]
 
 
 def test_log_statuses_and_rename(repo_fixture):
@@ -337,9 +366,10 @@ def test_newline_path_is_resolved_by_a_one_shot_rev_parse(repo_fixture, git_proc
     # the batch protocol cannot carry the name; it can carry the blob's id
     c1 = repo_fixture.commit({"line\nbreak.pd": "x\n", "a.pd": "a\n"}, "c1", T1)
     repo = Repository(str(repo_fixture.path))
-    reader = repo._objects.proc
     assert repo.read_file(c1, "line\nbreak.pd") == b"x\n"
-    assert git_processes == [["cat-file", "--batch"], ["rev-parse", "--verify"]]
+    reader = repo._objects.proc
+    assert git_processes == [["log", "-z"], ["rev-parse", "--verify"],
+                             ["cat-file", "--batch"]]
     assert repo.read_file(c1, "a.pd") == b"a\n"  # the same reader, in sync
     assert repo._objects.proc is reader
     repo.close()

@@ -254,8 +254,8 @@ def test_report_head_is_the_commit_that_was_mined(repo_fixture, monkeypatch):
 
 
 def test_run_resolves_head_once(repo_fixture, git_processes):
-    # the object reader opens the repository and resolves HEAD and every
-    # issue link; no ``rev-parse`` is started
+    # the walk opens the repository and resolves HEAD, and the object reader
+    # every issue link; no ``rev-parse`` is started
     repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
     fix = repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1", T[1])
     repo_fixture._git("tag", "-a", "v1", "-m", "release")
@@ -263,17 +263,31 @@ def test_run_resolves_head_once(repo_fixture, git_processes):
              IssueRecord("GH-3", ("v1",))]
     for methods, config, issue_links, started in (
         (("szz-vc",), MinerConfig(), None,
-         [["cat-file", "--batch"], ["log", "-z"]]),
+         [["log", "-z"], ["cat-file", "--batch"]]),
         (("szz-vc", "textual"), MinerConfig(), None,
-         [["cat-file", "--batch"], ["log", "-z"], ["diff-tree", "--stdin"]]),
+         [["log", "-z"], ["cat-file", "--batch"], ["diff-tree", "--stdin"]]),
         (("szz-vc",), MinerConfig(fixing_detection="explicit-list"), links,
-         [["cat-file", "--batch"], ["log", "-z"]]),
+         [["log", "-z"], ["cat-file", "--batch"]]),
     ):
         git_processes.clear()
         report, _ = run_analysis(str(repo_fixture.path), config, issue_links=issue_links,
                                  methods=methods, with_timing=False)
         assert [entry["commit"] for entry in report["fixing_commits"]] == [fix]
         assert git_processes == started, methods
+
+
+def test_setup_and_history_start_only_the_walk(repo_fixture, git_processes):
+    # the walk that opens the repository resolves HEAD and lists every
+    # message; no object is read
+    c1 = repo_fixture.commit({"p.pd": PATCH_V1}, "c1", T[0])
+    fix = repo_fixture.commit({"p.pd": PATCH_V2}, "fix #1", T[1])
+    repo_fixture.commit({"p.pd": PATCH_V3}, "c3", T[2])
+    with _repo(repo_fixture) as repo:
+        fixing = identify_fixing_commits(repo, MinerConfig())
+        assert [f.commit_id for f in fixing] == [fix]
+        steps = history_steps(repo, "p.pd", "HEAD")
+        assert [step.entry.commit_id for step in steps] == [fix, c1]
+    assert git_processes == [["log", "-z"]]
 
 
 @pytest.mark.parametrize("path, fix_message", [

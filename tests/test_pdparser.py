@@ -7,11 +7,10 @@ from szzvc.errors import PatchSyntaxError
 from szzvc.ir import MAX_NESTING, Connection, Num, VisualIR, dumps_ir
 from szzvc import pdparser, splice
 from szzvc.pdparser import (
+    NODE_ELEMENTS,
     PdNodeTable,
-    PdRecord,
     decode_patch_bytes,
     parse_pd,
-    pd_node_properties,
     split_records,
 )
 from conftest import HELLO_WORLD_PD, nested_pd
@@ -79,20 +78,26 @@ def test_record_spanning_lines():
     assert ir.subtrees["obj-0"].serialized_contents["text"] == "first second"
 
 
+def _contents(record: str, include_layout: bool = False) -> dict:
+    """The contents of the one node of a canvas holding ``record``."""
+    ir = parse_pd(f"#N canvas 0 0 100 100 10;\n{record}\n",
+                  include_layout=include_layout)
+    assert list(ir.subtrees) == ["obj-0"]
+    return ir.subtrees["obj-0"].serialized_contents
+
+
 def test_floatatom_properties():
     # oracle: manual tokenization per the grammar rule
-    record = PdRecord("X", "floatatom",
-                      ("10", "10", "5", "0", "0", "0", "-", "-", "-"), (2, 2))
-    assert pd_node_properties(record) == {
+    assert _contents("#X floatatom 10 10 5 0 0 0 - - -;") == {
         "element": "floatatom",
         "text": "5 0 0 0 - - -",
     }
 
 
 def test_layout_excluded_by_default_and_included_on_flag():
-    record = PdRecord("X", "obj", ("50", "120", "print"), (3, 3))
-    assert pd_node_properties(record) == {"element": "obj", "text": "print"}
-    with_layout = pd_node_properties(record, include_layout=True)
+    record = "#X obj 50 120 print;"
+    assert _contents(record) == {"element": "obj", "text": "print"}
+    with_layout = _contents(record, include_layout=True)
     assert with_layout == {
         "element": "obj",
         "text": "print",
@@ -102,15 +107,14 @@ def test_layout_excluded_by_default_and_included_on_flag():
 
 
 def test_box_width_suffix_is_layout():
-    record = PdRecord("X", "obj", ("50", "50", "osc~", "440,", "f", "12"), (2, 2))
-    assert pd_node_properties(record) == {"element": "obj", "text": "osc~ 440"}
-    assert pd_node_properties(record, include_layout=True) == {
+    record = "#X obj 50 50 osc~ 440, f 12;"
+    assert _contents(record) == {"element": "obj", "text": "osc~ 440"}
+    assert _contents(record, include_layout=True) == {
         "element": "obj", "text": "osc~ 440",
         "x": Num("50"), "y": Num("50"), "width": Num("12"),
     }
     # an empty box carries the comma on its y coordinate
-    empty = PdRecord("X", "msg", ("10", "20,", "f", "8"), (2, 2))
-    assert pd_node_properties(empty, include_layout=True) == {
+    assert _contents("#X msg 10 20, f 8;", include_layout=True) == {
         "element": "msg", "text": "", "x": Num("10"), "y": Num("20"), "width": Num("8"),
     }
 
@@ -122,9 +126,9 @@ def test_box_width_suffix_is_layout():
     ("0", "0", "f", "3"),
 ])
 def test_text_that_is_not_a_width_suffix_stays(atoms):
-    record = PdRecord("X", "msg", atoms, (2, 2))
-    assert pd_node_properties(record, include_layout=True)["text"] == " ".join(atoms[2:])
-    assert "width" not in pd_node_properties(record, include_layout=True)
+    contents = _contents(f"#X msg {' '.join(atoms)};", include_layout=True)
+    assert contents["text"] == " ".join(atoms[2:])
+    assert "width" not in contents
 
 
 def test_resizing_a_box_is_a_layout_change_only():
@@ -294,7 +298,8 @@ def test_record_count_conservation():
         "#X connect 0 0 2 0;\n"
     )
     records = split_records(text)
-    node_records = [r for r in records if r.is_node]
+    node_records = [r for r in records
+                    if r.chunk == "X" and r.element in NODE_ELEMENTS]
     connect_records = [r for r in records if r.element == "connect"]
     ir = parse_pd(text)
     assert len(ir.subtrees) == len(node_records)

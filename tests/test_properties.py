@@ -31,7 +31,7 @@ from szzvc.maxparser import (
     parse_maxpat,
 )
 from szzvc.miner import FixingCommit, MinerConfig, MiningCache, find_inducing
-from szzvc.pdparser import PdNodeTable, parse_pd, split_records
+from szzvc.pdparser import PdNodeTable, decode_patch_bytes, parse_pd, split_records
 from conftest import RepoFixture
 from oracle import (
     apply_diff,
@@ -238,6 +238,70 @@ def test_shared_max_table_parses_like_a_fresh_one(histories, data):
     # compared once all are parsed: a later parse must not change an earlier IR
     for text, option, result in shared:
         assert _outcome(result) == _outcome(_max_parse_or_error(text, *option, None))
+
+
+# Character edits that the structured version strategies cannot make: a cut
+# record, a stray delimiter, a duplicated stretch, a dropped-in token.
+_DROP_INS = ["\ufeff", "\x00", "\\;", "1e999", "NaN"]
+
+
+@st.composite
+def _character_edited(draw, text: str, syntax: str) -> str:
+    """``text`` after 1-4 edits: a stretch deleted or duplicated, syntax
+    characters inserted, or one of ``_DROP_INS`` dropped in."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        end = draw(st.integers(at, min(len(text), at + 40)))
+        edit = draw(st.sampled_from(["delete", "duplicate", "insert", "drop in"]))
+        if edit == "delete":
+            text = text[:at] + text[end:]
+        elif edit == "duplicate":
+            text = text[:end] + text[at:end] + text[end:]
+        elif edit == "insert":
+            text = text[:at] + draw(st.text(syntax, min_size=1, max_size=3)) + text[at:]
+        else:
+            text = text[:at] + draw(st.sampled_from(_DROP_INS)) + text[at:]
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(pd_version_sequences(), st.booleans(), st.data())
+def test_a_character_edited_pd_version_parses_as_a_fresh_table_does(
+        texts, include_layout, data):
+    # a shared table reads the edit right after its base version, so that it
+    # splices where it can
+    base = data.draw(st.sampled_from(texts))
+    edited = data.draw(_character_edited(base, ";\\,$# \n07-"))
+    table = PdNodeTable()
+    _parse_or_error(base, include_layout, table)
+    assert _outcome(_parse_or_error(edited, include_layout, table)) == \
+        _outcome(_parse_or_error(edited, include_layout, None))
+
+
+@settings(max_examples=100, deadline=None)
+@given(maxpat_version_sequences(), st.sampled_from(_FILTERS), st.data())
+def test_a_character_edited_max_version_parses_as_a_fresh_table_does(
+        texts, prop_filter, data):
+    base = data.draw(st.sampled_from(texts))
+    edited = data.draw(_character_edited(base, '{}[]:,"\\ \n\t-.0e'))
+    table = MaxNodeTable()
+    _max_parse_or_error(base, prop_filter, "a.maxpat", table)
+    assert _outcome(_max_parse_or_error(edited, prop_filter, "a.maxpat", table)) == \
+        _outcome(_max_parse_or_error(edited, prop_filter, "a.maxpat", None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([b"", b"\xef\xbb\xbf"]),
+       st.binary(max_size=40) | st.text(max_size=20).map(str.encode))
+def test_decode_patch_bytes_reads_any_bytes(mark, data):
+    # UTF-8, or else Latin-1, each without its first byte-order mark
+    text, warnings = decode_patch_bytes(mark + data)
+    raw = (mark + data).removeprefix(b"\xef\xbb\xbf")
+    if warnings:
+        assert warnings == ["decoded as latin-1 (invalid utf-8)"]
+        assert text.encode("latin-1") == raw
+    else:
+        assert text.encode() == raw
 
 
 # Supporting invariants of the diff engine, same randomized regime.
