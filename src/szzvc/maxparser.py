@@ -30,18 +30,18 @@ parser keeps what it builds in a :class:`MaxNodeTable`, keyed by each
 element's exact source text: an element seen before is not filtered again,
 and a box's text is its key for ``intern_ir``, which shares a node unchanged
 since an earlier parse. The connections are checked against the box ids of
-the version at hand, in document order. Persistent box ids make most edits
-a change to one or two elements, so a text that differs from the document
-the table read last only inside one run of ``boxes`` elements and one run
-of ``lines`` elements is spliced from it: only those runs, which
-:mod:`szzvc.splice` finds, are read, and the same module builds the IR
-from the last one, the boxes they touch built again. Any other text is
-read whole, as it is by a fresh table. One element loop reads both: the
-object elements of a changed run, and those of each array of a top-level
-patcher in a whole read. There the document and patcher objects are read
-by the standard library's own JSON object reader, and an array the loop
-does not accept is read again by the scanner ``json.loads`` uses, so every
-syntax error reads as ``json.loads`` words it, line included.
+the version at hand. Persistent box ids make most edits a change to one or
+two elements, so a text that differs from the document the table read last
+only inside one run of ``boxes`` elements and one run of ``lines`` elements
+is spliced from it: only those runs, which :mod:`szzvc.splice` finds, are
+read, and the same module builds the IR from the last one, the boxes they
+touch built again. A whole read is the same splice from the empty
+document, with every element of the two arrays new: a small reader walks
+the document object and its ``patcher`` object with the decoder's public
+``raw_decode`` and gives the two arrays to the element loop the splice
+uses. Whatever that reader or the splice refuses is read by ``json.loads``,
+and then by the value path that nested patchers take, so every syntax
+error reads as ``json.loads`` words it, line included.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .ir import (
     Num,
     VisualIR,
     canonicalize,  # noqa: F401  unused; perfbench traces maxparser.canonicalize by name
+    empty_ir,
     intern_ir,
 )
 from .splice import changed_run, splice_ir
@@ -152,31 +153,33 @@ class MaxNodeTable:
     ``str.find``. In each array, :func:`szzvc.splice.changed_run`, which the
     Pd splice shares, finds the leading elements the text holds where the
     last document did and the trailing ones it holds shifted by the change
-    in length; only the run between them is read.
-    :func:`szzvc.splice.splice_ir`, which the Pd splice shares too, takes
-    the boxes and patchlines of the old runs out of the last IR and puts
-    those of the new runs in. A run that is not a comma-separated list of
-    objects, any error the run raises and any result ``splice_ir`` refuses
-    (a duplicate box id, a wire to a box that is not there) leave the text
-    to the whole read, which says what is wrong as a fresh table does. A
-    change inside a box, a nested patcher's included, is a change of that
-    box's element.
+    in length; only the run between them is read. A change inside a box, a
+    nested patcher's included, is a change of that box's element.
 
-    One loop reads the object elements of an array of a top-level patcher
-    in a whole read and those of a changed run in a splice. It decodes each
-    element with the C scanner to find its end and keeps its start, end,
-    text and value; the element is then found by its text, so only a new
-    one is filtered and built. A known box text costs one lookup in the box
-    map; a text keyed with its path is looked up after that misses. A whole
-    read gives an array that holds anything but comma-separated objects to
-    the scanner ``json.loads`` uses, which reads a valid one again and
-    raises for an invalid one the error ``json.loads`` gives.
+    Any other text is read whole, as a splice from the empty document whose
+    new runs are all the elements of its top-level patcher's ``boxes`` and
+    ``lines`` arrays. The reader walks the document object and the
+    ``patcher`` object in it, decoding every other value with
+    ``raw_decode`` and dropping it, and gives each of the two arrays to the
+    element loop. That loop reads the object elements of an array in a
+    whole read and those of a changed run in a splice. It decodes each
+    element to find its end and keeps its start, end, text and value.
 
-    The reader is built from parts of ``json.decoder`` that are not public:
-    ``JSONObject`` called with its positional arguments, and ``raw_decode``
-    calling the decoder's ``scan_once`` attribute, which the reader
-    replaces. ``tests/test_maxparser.py`` parses a valid and an invalid
-    document through them, so a Python that changes them fails there.
+    One apply step then finishes both reads. Each element is found by its
+    text, so only a new one is filtered and built: a known box text costs
+    one lookup in the box map, and a text keyed with its path is looked up
+    after that misses. :func:`szzvc.splice.splice_ir`, which the Pd splice
+    shares, takes the boxes and patchlines of the old runs out of the last
+    IR and puts those of the new runs in, and the text becomes the last
+    document.
+
+    A splice that finds no such run, or a run that fails, leaves the text to
+    the whole read. Anything the whole read refuses is read by
+    ``json.loads`` and the value path, which says what is wrong and keeps no
+    splice state: invalid JSON, a repeated key in the document or patcher
+    object, a ``boxes`` or ``lines`` array that is missing or holds a value
+    that is no object, and a result ``splice_ir`` refuses (a duplicate box
+    id, a wire to a box that is not there).
 
     Nothing in it is changed once built but the last documents; it only
     grows. A :class:`~szzvc.miner.MiningCache` owns one for its run and
@@ -189,61 +192,11 @@ class MaxNodeTable:
         self._boxes: dict[PropertyFilter, tuple[dict, dict]] = {}
         self._lines: dict[str, tuple[str, tuple[str, int, int]]] = {}
         self._last: dict[PropertyFilter, _Document] = {}
-        # each array the read at hand took as a run of object elements
-        arrays: list[tuple[list, _Array]] = []
-        self._arrays = arrays
-        decoder = json.JSONDecoder(parse_int=str.encode, parse_float=str.encode,
-                                   parse_constant=_reject_constant)
-        scan = self._scan = decoder.scan_once  # the C scanner where there is one
-        # Every value is scanned whole except the document and its patcher
-        # objects, which the standard library's object reader reads around
-        # these scanners, and a patcher's arrays, which ``array`` reads with
-        # the element loop the splice uses.
-
-        def array(s: str, idx: int):
-            run = _elements(s, idx, idx + 1, len(s), False, self)
-            if run is None:  # not only objects: read again, as json.loads reads it
-                return self._scan(s, idx)
-            items, starts, ends, close = run
-            arrays.append((items, _Array(idx, close, starts, ends)))
-            return items, close + 1
-
-        def patcher_value(s: str, idx: int):
-            if s.startswith("[", idx):
-                return array(s, idx)
-            return scan(s, idx)
-
-        def document_value(s: str, idx: int):
-            if s.startswith("{", idx):
-                return json.decoder.JSONObject((s, idx + 1), True, patcher_value,
-                                               None, None)
-            return scan(s, idx)
-
-        def document(s: str, idx: int):
-            if s.startswith("{", idx):
-                return json.decoder.JSONObject((s, idx + 1), True, document_value,
-                                               None, None)
-            return scan(s, idx)
-
-        def read(s: str):
-            arrays.clear()
-            return decoder.decode(s)
-
-        decoder.scan_once = document
-        self._read = read
-
-    def _remember(self, text: str, source_path: str, prop_filter: PropertyFilter,
-                  patcher: dict, nodes: dict, wires: dict, ir: VisualIR) -> None:
-        """Keep the document just read as the last one of ``prop_filter``;
-        one whose ``boxes`` or ``lines`` array was not read as such drops it."""
-        spans = {name: array for items, array in self._arrays
-                 for name in ("boxes", "lines") if patcher.get(name) is items}
-        self._arrays.clear()
-        if len(spans) == 2:
-            self._last[prop_filter] = _Document(text, source_path, spans["boxes"],
-                                                spans["lines"], nodes, wires, ir)
-        else:
-            self._last.pop(prop_filter, None)
+        # both reads take each number as the bytes of its text
+        self._options = {"parse_int": str.encode, "parse_float": str.encode,
+                         "parse_constant": _reject_constant}
+        # reads the one JSON value that starts at a given position
+        self._decode = json.JSONDecoder(**self._options).raw_decode
 
 
 @dataclass
@@ -284,23 +237,30 @@ def parse_maxpat(text: str, prop_filter: PropertyFilter | None = None,
         prop_filter = default_property_filter()
     table = MaxNodeTable() if table is None else table
     try:
-        if text.startswith("\ufeff"):  # json.loads refuses it in these words
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
-                                       text, 0)
         last = table._last.get(prop_filter)
         if last is not None and last.source_path == source_path:
             ir = _splice(text, last, prop_filter, table)
             if ir is not None:
                 return ir
-        doc = table._read(text)
+        # a whole read: every element of the patcher's two arrays spliced
+        # into the empty document
+        runs: dict[str, tuple[_Array, list, list]] = {}
+        try:
+            end = _skip_whitespace(text, _object(text, 0, False, runs, table)).end()
+        except (PatchSyntaxError, ValueError, RecursionError):
+            end = None
+        if end == len(text) and len(runs) == 2:
+            empty = _Document("", source_path, None, None, {}, {},
+                              empty_ir(Language.MAX_MSP, source_path))
+            ir = _apply(text, empty, runs["boxes"], runs["lines"], prop_filter, table)
+            if ir is not None:
+                return ir
+        # what the whole read refuses: json.loads says what is wrong, or
+        # reads the valid document that the reader does not take
+        doc = json.loads(text, **table._options)
         if not isinstance(doc, dict) or not isinstance(doc.get("patcher"), dict):
             raise PatchSyntaxError("document has no top-level patcher")
-        patcher = doc["patcher"]
-        nodes, wires = _patcher_parts(patcher, prop_filter, source_path, 0, table)
-        ir = intern_ir(Language.MAX_MSP, source_path, nodes, wires,
-                       table._boxes[prop_filter][1])
-        table._remember(text, source_path, prop_filter, patcher, nodes, wires, ir)
-        return ir
+        return _parse_patcher(doc["patcher"], prop_filter, source_path, 0, table)
     except json.JSONDecodeError as exc:
         raise PatchSyntaxError(
             f"not a patcher document: {exc.msg}", (exc.lineno, exc.lineno)
@@ -321,45 +281,24 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter, source_path: str,
                    depth: int, table: MaxNodeTable) -> VisualIR:
     """The IR of a patcher ``depth`` levels below the document's own; each
     nested patcher and each object or array value is one level more."""
-    nodes, wires = _patcher_parts(patcher, prop_filter, source_path, depth, table)
-    return intern_ir(Language.MAX_MSP, source_path, nodes, wires,
-                     table._boxes[prop_filter][1])
-
-
-def _patcher_parts(patcher: dict, prop_filter: PropertyFilter, source_path: str,
-                   depth: int, table: MaxNodeTable) -> tuple[dict, dict]:
-    """What ``intern_ir`` takes of a patcher: its box nodes and wires. The
-    elements of a top-level patcher's arrays of objects come as (text, value)
-    pairs (see :class:`MaxNodeTable`), any others as values."""
     if depth > MAX_NESTING:
         raise _too_deep()
     boxes = patcher.get("boxes", [])
     if not isinstance(boxes, list):
         raise PatchSyntaxError("patcher boxes must be an array")
-    known, _ = table._boxes.setdefault(prop_filter, ({}, {}))
-    known_get = known.get
+    known, shared = table._boxes.setdefault(prop_filter, ({}, {}))
     nodes: dict[str, tuple] = {}  # box id -> (key, contents); a key of None is not shared
     for item in boxes:
-        # an element of a top-level patcher is (text, value): one lookup
-        # finds a box met before under its text alone
-        entry = known_get(item[0]) if type(item) is tuple else None
-        if entry is None:
-            entry = _box_entry(item, nodes, known, prop_filter, source_path, depth, table)
-        box_id, node = entry
-        if box_id in nodes:
-            raise PatchSyntaxError(f"duplicate box id {box_id!r}")
+        box_id, node = _box_entry(item, nodes, known, prop_filter, source_path, depth,
+                                  table)
         nodes[box_id] = node
 
     lines = patcher.get("lines", [])
     if not isinstance(lines, list):
         raise PatchSyntaxError("patcher lines must be an array")
-    lines_get = table._lines.get
     wires: dict[str, list[tuple[str, int, int]]] = {}
     for item in lines:
-        wire = lines_get(item[0]) if type(item) is tuple else None
-        if wire is None:
-            wire = _wire(item, table)
-        src_id, conn = wire
+        src_id, conn = _wire(item, table)
         if src_id not in nodes:
             raise PatchSyntaxError(f"patchline source references unknown box {src_id!r}")
         if conn[0] not in nodes:
@@ -367,7 +306,51 @@ def _patcher_parts(patcher: dict, prop_filter: PropertyFilter, source_path: str,
                 f"patchline destination references unknown box {conn[0]!r}"
             )
         wires.setdefault(src_id, []).append(conn)
-    return nodes, wires
+    return intern_ir(Language.MAX_MSP, source_path, nodes, wires, shared)
+
+
+def _object(s: str, pos: int, in_patcher: bool, runs: dict, table: MaxNodeTable) -> int:
+    """Where the object that starts at ``pos``, after whitespace, ends: the
+    document, or where ``in_patcher`` is true its top-level patcher, which
+    this loop reads too. The patcher's ``boxes`` and ``lines`` arrays of
+    objects go into ``runs`` as the runs :func:`_apply` takes, every element
+    new; any other value is decoded and dropped. Raises ValueError for what
+    the read leaves to ``json.loads``, a repeated key included:
+    ``json.loads`` keeps its last value."""
+    decode, skip, startswith = table._decode, _skip_whitespace, s.startswith
+    pos = skip(s, pos).end()
+    if not startswith("{", pos):
+        raise ValueError("expecting an object")
+    keys = set()
+    pos = skip(s, pos + 1).end()
+    while not startswith("}", pos):
+        if keys:
+            if not startswith(",", pos):
+                raise ValueError("expecting ','")
+            pos = skip(s, pos + 1).end()
+        if not startswith('"', pos):
+            raise ValueError("expecting a key")
+        key, pos = decode(s, pos)
+        if key in keys:
+            raise ValueError(f"repeated key {key!r}")
+        keys.add(key)
+        pos = skip(s, pos).end()
+        if not startswith(":", pos):
+            raise ValueError("expecting ':'")
+        pos = skip(s, pos + 1).end()
+        if not in_patcher and key == "patcher" and startswith("{", pos):
+            pos = _object(s, pos, True, runs, table)
+        elif in_patcher and key in ("boxes", "lines") and startswith("[", pos):
+            run = _elements(s, pos, pos + 1, len(s), False, table)
+            if run is None:
+                raise ValueError(f"{key} holds more than objects")
+            items, starts, ends, close = run
+            runs[key] = _Array(pos, close, starts, ends), [], items
+            pos = close + 1
+        else:
+            pos = decode(s, pos)[1]
+        pos = skip(s, pos).end()
+    return pos + 1
 
 
 def _splice(s: str, last: _Document, prop_filter: PropertyFilter,
@@ -398,42 +381,47 @@ def _splice(s: str, last: _Document, prop_filter: PropertyFilter,
              (close + second.open - first.close, second.close + shift)]
     if not boxes_first:
         spans.reverse()
-
-    source_path = last.source_path
-    known, shared = table._boxes[prop_filter]
-    known_get, lines_get = known.get, table._lines.get
-
-    def make_box(item):
-        entry = known_get(item[0])
-        if entry is None:
-            entry = _box_entry(item, {}, known, prop_filter, source_path, 0, table)
-        return entry
-
-    def make_wire(item):
-        wire = lines_get(item[0])
-        return _wire(item, table) if wire is None else wire
-
     try:
         boxes = _splice_array(s, t, last.boxes, *spans[0], table)
         lines = boxes and _splice_array(s, t, last.lines, *spans[1], table)
-        if lines is None:
-            return None
-        (boxes, old_boxes, new_boxes), (lines, old_lines, new_lines) = boxes, lines
+    except (PatchSyntaxError, ValueError, RecursionError):
+        return None
+    if lines is None:
+        return None
+    return _apply(s, last, boxes, lines, prop_filter, table)
+
+
+def _apply(s: str, last: _Document, boxes: tuple[_Array, list, list],
+           lines: tuple[_Array, list, list], prop_filter: PropertyFilter,
+           table: MaxNodeTable) -> VisualIR | None:
+    """The IR of document text ``s`` from ``last``, which becomes ``s``
+    once the runs of its ``boxes`` and ``lines`` arrays are replaced. Each
+    run is the array as it reads in ``s``, the texts of the elements it took
+    out and the (text, value) pairs of those it put in. ``s`` becomes the
+    table's last document. None where a new element is no box or patchline
+    or where :func:`szzvc.splice.splice_ir` refuses the result."""
+    (box_array, old_boxes, new_boxes), (line_array, old_lines, new_lines) = boxes, lines
+    source_path = last.source_path
+    known, shared = table._boxes.setdefault(prop_filter, ({}, {}))
+    known_get, lines_get = known.get, table._lines.get
+    try:
         # what the old runs made is in the table under their texts
         old_boxes = [known_get(text) or known_get((source_path, text))
                      for text in old_boxes]
         old_lines = [lines_get(text) for text in old_lines]
-        new_boxes = [make_box(item) for item in new_boxes]
-        new_lines = [make_wire(item) for item in new_lines]
-    except (PatchSyntaxError, ValueError, StopIteration, RecursionError):
-        return None  # the full read says what is wrong, as a fresh table does
-
+        new_boxes = [known_get(item[0])
+                     or _box_entry(item, {}, known, prop_filter, source_path, 0, table)
+                     for item in new_boxes]
+        new_lines = [lines_get(item[0]) or _wire(item, table) for item in new_lines]
+    except (PatchSyntaxError, RecursionError):
+        return None  # a later read says what is wrong, as a fresh table does
     spliced = splice_ir(last.ir, last.nodes, last.wires, old_boxes, new_boxes, old_lines,
                         new_lines, shared)
     if spliced is None:
         return None
     ir, nodes, wires = spliced
-    table._last[prop_filter] = _Document(s, source_path, boxes, lines, nodes, wires, ir)
+    table._last[prop_filter] = _Document(s, source_path, box_array, line_array, nodes,
+                                         wires, ir)
     return ir
 
 
@@ -475,7 +463,7 @@ def _elements(s: str, at: int, pos: int, stop: int, lead: bool,
     their starts and ends counted from the ``[``, and where the loop stopped.
     None where something else comes first: a value that is no object, a
     missing or trailing comma, or an element that runs past ``stop``."""
-    skip, scan, startswith = _skip_whitespace, table._scan, s.startswith
+    skip, decode, startswith = _skip_whitespace, table._decode, s.startswith
     items, starts, ends = [], [], []
     pos = skip(s, pos).end()
     after = lead  # whether an element ends before pos
@@ -488,7 +476,7 @@ def _elements(s: str, at: int, pos: int, stop: int, lead: bool,
             return None
         if pos == stop:
             break
-        value, end = scan(s, pos)
+        value, end = decode(s, pos)
         if end > stop:
             return None
         items.append((s[pos:end], value))

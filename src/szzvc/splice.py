@@ -9,7 +9,9 @@ sense of Wagner and Graham ("Efficient and Flexible Incremental Parsing",
 TOPLAS 1998). This module holds both halves of that splice, which both
 parsers share: :func:`changed_run` finds the run of elements, and
 :func:`splice_ir` applies the nodes and wires the parser read from it to the
-last IR, building again only the nodes the run touched.
+last IR, building again only the nodes the run touched. A whole Max read
+goes through :func:`splice_ir` too, as the splice of every element into the
+empty document.
 """
 
 from __future__ import annotations

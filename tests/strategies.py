@@ -196,15 +196,47 @@ def _max_break(draw, patcher: dict) -> dict:
 
 _TEXT_BREAKERS = ["", ",", "NaN", "]", "}", ":", '"', "{", "\ufeff"]
 
+# Keys besides the patcher's arrays, each value drawn once per history. The
+# document's own ``boxes`` and ``lines`` are no patcher's: a reader that took
+# them would put other boxes and wires in the IR.
+_DOCUMENT_KEYS = {
+    "boxes": st.sampled_from([[], [{"box": {"id": "obj-90", "text": "outside"}}]]),
+    "lines": st.sampled_from([[], [{"patchline": {"source": ["obj-1", 0],
+                                                  "destination": ["obj-1", 1]}}]]),
+    "appversion": st.just({"major": 8, "minor": 5}),
+}
+_PATCHER_KEYS = {
+    "fileversion": st.just(1),
+    "rect": st.just([100.0, 100.0, 900.0, 700.0]),
+    "classnamespace": st.just("box"),
+}
+# stands for a key repeated in the rendered text, which json.dumps cannot
+# write: json.loads keeps the value that comes last
+_REPEATED = "repeated-key"
+_REPEATS = {"patcher": st.sampled_from([{}, {"fileversion": 1}, 0]),
+            "boxes": st.sampled_from([[], 7, {}]),
+            "lines": st.sampled_from([[], 7, {}])}
+
 
 @st.composite
 def maxpat_histories(draw):
     """Versions of one patch, each an edit of the one before or a broken
     copy of an earlier one, as three histories of texts: indented, minified
     and in Max's own layout. A fourth list holds texts cut or broken from
-    them. The top-level patcher's keys come in one drawn order in every
-    version, ``lines`` before ``boxes`` in some histories."""
-    order = draw(st.permutations(["boxes", "lines"]))
+    them. The document and its patcher hold drawn keys besides ``patcher``,
+    ``boxes`` and ``lines``, and one of those three keys repeated in some
+    histories; each object's keys come in one drawn order in every
+    version."""
+    document_keys = {key: draw(values) for key, values in _DOCUMENT_KEYS.items()
+                     if draw(st.booleans())}
+    patcher_keys = {key: draw(values) for key, values in _PATCHER_KEYS.items()
+                    if draw(st.booleans())}
+    repeat = draw(st.booleans()) and draw(st.sampled_from(sorted(_REPEATS)))
+    if repeat:
+        keys = document_keys if repeat == "patcher" else patcher_keys
+        keys[_REPEATED] = draw(_REPEATS[repeat])
+    document_order = draw(st.permutations(["patcher", *document_keys]))
+    order = draw(st.permutations(["boxes", "lines", *patcher_keys]))
     versions = [draw(_max_patchers())]
     for _ in range(draw(st.integers(1, 3))):
         versions.append(_max_edit(draw, versions[-1]))
@@ -212,12 +244,14 @@ def maxpat_histories(draw):
         versions.append(_max_break(draw, draw(st.sampled_from(versions))))
     histories = [[], [], []]
     for patcher in versions:
-        document = {"patcher": {key: patcher[key] for key in order}}
+        patcher = patcher | patcher_keys
+        document = document_keys | {"patcher": {key: patcher[key] for key in order}}
+        document = {key: document[key] for key in document_order}
         for history, text in zip(histories, [
                 json.dumps(document, indent=draw(st.sampled_from([2, "\t"]))),
                 json.dumps(document, separators=(",", ":")),
                 native_maxpat(document)]):
-            history.append(text)
+            history.append(text.replace(json.dumps(_REPEATED), json.dumps(repeat)))
     texts = [text for history in histories for text in history]
     broken = []
     for _ in range(draw(st.integers(0, 3))):  # a text cut, or a character replaced

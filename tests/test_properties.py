@@ -1,6 +1,7 @@
 """Randomized property suites for the IR, parsers, and diff engine."""
 
 import itertools
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,6 +10,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from szzvc import diff as diff_module
+from szzvc import maxparser
 from szzvc.diff import (
     MAX_DEPTH,
     ChangeKind,
@@ -238,6 +240,37 @@ def test_shared_max_table_parses_like_a_fresh_one(histories, data):
     # compared once all are parsed: a later parse must not change an earlier IR
     for text, option, result in shared:
         assert _outcome(result) == _outcome(_max_parse_or_error(text, *option, None))
+
+
+def _max_loads_or_error(text, prop_filter, source_path):
+    """What parse_maxpat gives for ``text`` read by ``json.loads`` and the
+    value path alone."""
+    try:
+        try:
+            doc = json.loads(text, parse_int=str.encode, parse_float=str.encode,
+                             parse_constant=maxparser._reject_constant)
+        except json.JSONDecodeError as exc:
+            raise PatchSyntaxError(f"not a patcher document: {exc.msg}",
+                                   (exc.lineno, exc.lineno))
+        patcher = doc.get("patcher") if isinstance(doc, dict) else None
+        if not isinstance(patcher, dict):
+            raise PatchSyntaxError("document has no top-level patcher")
+        return maxparser._parse_patcher(patcher, prop_filter, source_path, 0,
+                                        MaxNodeTable())
+    except PatchSyntaxError as exc:
+        return str(exc), exc.source_span
+
+
+@settings(max_examples=100, deadline=None)
+@given(maxpat_version_sequences())
+def test_a_whole_max_read_equals_the_standard_library_read(texts):
+    # the reader walks the document and patcher objects itself; any text it
+    # takes must read as json.loads reads it, repeated keys and the
+    # document's own boxes and lines included
+    for text in texts:
+        for prop_filter in _FILTERS:
+            assert _outcome(_max_parse_or_error(text, prop_filter, "a.maxpat", None)) == \
+                _outcome(_max_loads_or_error(text, prop_filter, "a.maxpat"))
 
 
 # Character edits that the structured version strategies cannot make: a cut
