@@ -3,7 +3,9 @@
 A patch file becomes a ``VisualIR``: one subtree per visible node, keyed by the
 node's id. Each subtree holds the node's outgoing connections and its
 serialized contents (a recursive property tree that may nest another
-``VisualIR`` where the source format defines a subpatch).
+``VisualIR`` where the source format defines a subpatch). Only the root IR
+names its file; a nested one has the language and an empty ``source_path``,
+so a node is the same whatever file holds it.
 
 Canonical form: subtree keys and property-map keys iterate in lexicographic
 order and connection lists are sorted, so two canonical IRs are equal
@@ -48,8 +50,9 @@ ABSENT = _Absent()
 # patch is a ``PatchSyntaxError``, like any other file the parsers refuse.
 MAX_NESTING = 64
 
-# JSON number grammar; tokens that do not match stay plain strings.
-NUMBER_RE = re.compile(r"^-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?$")
+# JSON number grammar; a token it does not ``fullmatch`` stays a plain string
+# (a ``match`` up to ``$`` would take a token with a final newline).
+NUMBER_RE = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class Num:
     value: int | float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not NUMBER_RE.match(self.raw):
+        if not NUMBER_RE.fullmatch(self.raw):
             raise ValueError(f"not a number token: {self.raw!r}")
         try:
             parsed: int | float = int(self.raw)
@@ -181,9 +184,9 @@ FORMAT_TAG = "visual-ir/1"
 
 
 def dumps_ir(ir: VisualIR) -> str:
-    """Canonical text form. Source metadata is stored once, at the root;
-    parsers stamp nested subpatch IRs with the document's own language and
-    path."""
+    """Canonical text form. Source metadata is written once, at the root; a
+    nested subpatch IR is written as its subtrees alone, and parsers give it
+    the document's language and no path (``source_path`` is ``""``)."""
     out: list[str] = []
     _emit(_Members([("format", FORMAT_TAG), ("language", ir.source_language.value),
                     ("source_path", ir.source_path), ("subtrees", _subtrees(ir))]), out, 0)

@@ -29,19 +29,21 @@ Versions of one file share almost all of their boxes and patchlines, so the
 parser keeps what it builds in a :class:`MaxNodeTable`, keyed by each
 element's exact source text: an element seen before is not filtered again,
 and a box's text is its key for ``intern_ir``, which shares a node unchanged
-since an earlier parse. The connections are checked against the box ids of
-the version at hand. Persistent box ids make most edits a change to one or
-two elements, so a text that differs from the document the table read last
-only inside one run of ``boxes`` elements and one run of ``lines`` elements
-is spliced from it: only those runs, which :mod:`szzvc.splice` finds, are
-read, and the same module builds the IR from the last one, the boxes they
-touch built again. A whole read is the same splice from the empty
-document, with every element of the two arrays new: a small reader walks
-the document object and its ``patcher`` object with the decoder's public
-``raw_decode`` and gives the two arrays to the element loop the splice
-uses. Whatever that reader or the splice refuses is read by ``json.loads``,
-and then by the value path that nested patchers take, so every syntax
-error reads as ``json.loads`` words it, line included.
+since an earlier parse. No key holds the file path: a nested patcher's IR
+has none (only the root IR names its file), so a box text means one node in
+every file. The connections are checked against the box ids of the version
+at hand. Persistent box ids make most edits a change to one or two elements,
+so a text that differs from the document the table read last, whatever file
+that was, only inside one run of ``boxes`` elements and one run of ``lines``
+elements is spliced from it: only those runs, which :mod:`szzvc.splice`
+finds, are read, and the same module builds the IR from the last one, the
+boxes they touch built again. A whole read is the same splice from the empty
+document, with every element of the two arrays new: a small reader walks the
+document object and its ``patcher`` object with the decoder's public
+``raw_decode`` and gives the two arrays to the element loop the splice uses.
+Whatever that reader or the splice refuses is read by ``json.loads``, and
+then by the value path that nested patchers take, so every syntax error
+reads as ``json.loads`` words it, line included.
 """
 
 from __future__ import annotations
@@ -133,28 +135,30 @@ def default_property_filter() -> PropertyFilter:
 class MaxNodeTable:
     """What :func:`parse_maxpat` built, for the parses that come after.
 
-    - Each box element's entry, one map per property filter: its id, its
-      key for :func:`~szzvc.ir.intern_ir` and its filtered contents. The key
-      is the box's text, and the text with its file's path for a box whose
-      contents nest a patcher, since the nested IR carries the path.
+    - Each box element's entry, one map per property filter, under the
+      element's text: its id, its key for :func:`~szzvc.ir.intern_ir`,
+      which is that text, and its filtered contents. A nested patcher's IR
+      has no path, so the same text is the same node in any file.
     - The ``shared`` node map of ``intern_ir``, one per property filter.
     - Each patchline element's endpoints.
     - The last document it read whole or spliced, one per property filter:
-      its text and path, where its ``boxes`` and ``lines`` arrays and each
-      of their elements start and end, its box nodes and wires as
-      ``intern_ir`` takes them, and its IR.
+      its text, where its ``boxes`` and ``lines`` arrays and each of their
+      elements start and end, its box nodes and wires as ``intern_ir``
+      takes them, and its IR.
 
-    A text parsed under the last document's filter and path is spliced
-    from it where it can be. Its head up to the first array's ``[`` and
-    its tail from the second array's ``]`` must be the last document's, and
-    so must the text between the two arrays, which is looked for where the
-    first array ends if the change is in the second, where it ends shifted
-    by the change in length if the change is in the first, and else by
-    ``str.find``. In each array, :func:`szzvc.splice.changed_run`, which the
-    Pd splice shares, finds the leading elements the text holds where the
-    last document did and the trailing ones it holds shifted by the change
-    in length; only the run between them is read. A change inside a box, a
-    nested patcher's included, is a change of that box's element.
+    A text parsed under the last document's filter is spliced from it where
+    it can be, whatever file either was read from: the path names only the
+    root IR, which the splice gives the path of the text at hand. Its head
+    up to the first array's ``[`` and its tail from the second array's ``]``
+    must be the last document's, and so must the text between the two
+    arrays, which is looked for where the first array ends if the change is
+    in the second, where it ends shifted by the change in length if the
+    change is in the first, and else by ``str.find``. In each array,
+    :func:`szzvc.splice.changed_run`, which the Pd splice shares, finds the
+    leading elements the text holds where the last document did and the
+    trailing ones it holds shifted by the change in length; only the run
+    between them is read. A change inside a box, a nested patcher's
+    included, is a change of that box's element.
 
     Any other text is read whole, as a splice from the empty document whose
     new runs are all the elements of its top-level patcher's ``boxes`` and
@@ -167,10 +171,9 @@ class MaxNodeTable:
 
     One apply step then finishes both reads. Each element is found by its
     text, so only a new one is filtered and built: a known box text costs
-    one lookup in the box map, and a text keyed with its path is looked up
-    after that misses. :func:`szzvc.splice.splice_ir`, which the Pd splice
-    shares, takes the boxes and patchlines of the old runs out of the last
-    IR and puts those of the new runs in, and the text becomes the last
+    one lookup in the box map. :func:`szzvc.splice.splice_ir`, which the Pd
+    splice shares, takes the boxes and patchlines of the old runs out of the
+    last IR and puts those of the new runs in, and the text becomes the last
     document.
 
     A splice that finds no such run, or a run that fails, leaves the text to
@@ -184,8 +187,9 @@ class MaxNodeTable:
     Nothing in it is changed once built but the last documents; it only
     grows. A :class:`~szzvc.miner.MiningCache` owns one for its run and
     parses each fix's versions newest first, so each splices from the
-    version next to it in history; ``parse_maxpat`` makes a fresh one for
-    a caller that passes none.
+    version next to it in history, and the first version of a file from the
+    last version of the file read before it; ``parse_maxpat`` makes a fresh
+    one for a caller that passes none.
     """
 
     def __init__(self):
@@ -214,7 +218,6 @@ class _Document:
     """The last document a :class:`MaxNodeTable` read under one filter."""
 
     text: str
-    source_path: str
     boxes: _Array
     lines: _Array
     nodes: dict  # box id -> (key, contents), as intern_ir takes them
@@ -238,8 +241,8 @@ def parse_maxpat(text: str, prop_filter: PropertyFilter | None = None,
     table = MaxNodeTable() if table is None else table
     try:
         last = table._last.get(prop_filter)
-        if last is not None and last.source_path == source_path:
-            ir = _splice(text, last, prop_filter, table)
+        if last is not None:
+            ir = _splice(text, last, prop_filter, source_path, table)
             if ir is not None:
                 return ir
         # a whole read: every element of the patcher's two arrays spliced
@@ -250,9 +253,9 @@ def parse_maxpat(text: str, prop_filter: PropertyFilter | None = None,
         except (PatchSyntaxError, ValueError, RecursionError):
             end = None
         if end == len(text) and len(runs) == 2:
-            empty = _Document("", source_path, None, None, {}, {},
-                              empty_ir(Language.MAX_MSP, source_path))
-            ir = _apply(text, empty, runs["boxes"], runs["lines"], prop_filter, table)
+            empty = _Document("", None, None, {}, {}, empty_ir(Language.MAX_MSP))
+            ir = _apply(text, empty, runs["boxes"], runs["lines"], prop_filter, source_path,
+                        table)
             if ir is not None:
                 return ir
         # what the whole read refuses: json.loads says what is wrong, or
@@ -289,8 +292,7 @@ def _parse_patcher(patcher: dict, prop_filter: PropertyFilter, source_path: str,
     known, shared = table._boxes.setdefault(prop_filter, ({}, {}))
     nodes: dict[str, tuple] = {}  # box id -> (key, contents); a key of None is not shared
     for item in boxes:
-        box_id, node = _box_entry(item, nodes, known, prop_filter, source_path, depth,
-                                  table)
+        box_id, node = _box_entry(item, nodes, known, prop_filter, depth, table)
         nodes[box_id] = node
 
     lines = patcher.get("lines", [])
@@ -353,15 +355,15 @@ def _object(s: str, pos: int, in_patcher: bool, runs: dict, table: MaxNodeTable)
     return pos + 1
 
 
-def _splice(s: str, last: _Document, prop_filter: PropertyFilter,
+def _splice(s: str, last: _Document, prop_filter: PropertyFilter, source_path: str,
             table: MaxNodeTable) -> VisualIR | None:
-    """The IR of document text ``s`` spliced from ``last``, the document the
-    table read last under the same filter and path; None where ``s``
-    differs from it outside one run of whole elements of each of its
-    ``boxes`` and ``lines`` arrays, or where anything in those runs fails."""
+    """The IR of document text ``s`` of file ``source_path`` spliced from
+    ``last``, the document the table read last under the same filter,
+    whatever its file; None where ``s`` differs from it outside one run of
+    whole elements of each of its ``boxes`` and ``lines`` arrays, or where
+    anything in those runs fails. An equal text is the splice of two empty
+    runs."""
     t = last.text
-    if s == t:
-        return last.ir
     # the text around the two arrays is the last document's: its head and
     # tail where they were, the text between the arrays where the first ends
     boxes_first = last.boxes.open < last.lines.open
@@ -388,40 +390,36 @@ def _splice(s: str, last: _Document, prop_filter: PropertyFilter,
         return None
     if lines is None:
         return None
-    return _apply(s, last, boxes, lines, prop_filter, table)
+    return _apply(s, last, boxes, lines, prop_filter, source_path, table)
 
 
 def _apply(s: str, last: _Document, boxes: tuple[_Array, list, list],
            lines: tuple[_Array, list, list], prop_filter: PropertyFilter,
-           table: MaxNodeTable) -> VisualIR | None:
-    """The IR of document text ``s`` from ``last``, which becomes ``s``
-    once the runs of its ``boxes`` and ``lines`` arrays are replaced. Each
-    run is the array as it reads in ``s``, the texts of the elements it took
-    out and the (text, value) pairs of those it put in. ``s`` becomes the
-    table's last document. None where a new element is no box or patchline
-    or where :func:`szzvc.splice.splice_ir` refuses the result."""
+           source_path: str, table: MaxNodeTable) -> VisualIR | None:
+    """The IR of document text ``s`` of file ``source_path`` from ``last``,
+    which becomes ``s`` once the runs of its ``boxes`` and ``lines`` arrays are
+    replaced. Each run is the array as it reads in ``s``, the texts of the
+    elements it took out and the (text, value) pairs of those it put in. ``s``
+    becomes the table's last document. None where a new element is no box or
+    patchline or where :func:`szzvc.splice.splice_ir` refuses the result."""
     (box_array, old_boxes, new_boxes), (line_array, old_lines, new_lines) = boxes, lines
-    source_path = last.source_path
     known, shared = table._boxes.setdefault(prop_filter, ({}, {}))
     known_get, lines_get = known.get, table._lines.get
     try:
         # what the old runs made is in the table under their texts
-        old_boxes = [known_get(text) or known_get((source_path, text))
-                     for text in old_boxes]
+        old_boxes = [known_get(text) for text in old_boxes]
         old_lines = [lines_get(text) for text in old_lines]
-        new_boxes = [known_get(item[0])
-                     or _box_entry(item, {}, known, prop_filter, source_path, 0, table)
+        new_boxes = [known_get(item[0]) or _box_entry(item, {}, known, prop_filter, 0, table)
                      for item in new_boxes]
         new_lines = [lines_get(item[0]) or _wire(item, table) for item in new_lines]
     except (PatchSyntaxError, RecursionError):
         return None  # a later read says what is wrong, as a fresh table does
-    spliced = splice_ir(last.ir, last.nodes, last.wires, old_boxes, new_boxes, old_lines,
-                        new_lines, shared)
+    spliced = splice_ir(last.ir, source_path, last.nodes, last.wires, old_boxes, new_boxes,
+                        old_lines, new_lines, shared)
     if spliced is None:
         return None
     ir, nodes, wires = spliced
-    table._last[prop_filter] = _Document(s, source_path, box_array, line_array, nodes,
-                                         wires, ir)
+    table._last[prop_filter] = _Document(s, box_array, line_array, nodes, wires, ir)
     return ir
 
 
@@ -488,15 +486,12 @@ def _elements(s: str, at: int, pos: int, stop: int, lead: bool,
 
 
 def _box_entry(item, nodes: dict, known: dict, prop_filter: PropertyFilter,
-               source_path: str, depth: int, table: MaxNodeTable) -> tuple:
-    """``(box id, (key, contents))`` of a box element that its text alone
-    does not find in ``known``; a keyed entry is stored there."""
+               depth: int, table: MaxNodeTable) -> tuple:
+    """``(box id, (key, contents))`` of a box element that its text does
+    not find in ``known``; a keyed entry is stored there under its text."""
     text = None
     if type(item) is tuple:
         text, item = item
-        entry = known.get((source_path, text))
-        if entry is not None:
-            return entry
     box = item.get("box") if isinstance(item, dict) else None
     if not isinstance(box, dict):
         raise PatchSyntaxError("box entry is not an object")
@@ -505,13 +500,9 @@ def _box_entry(item, nodes: dict, known: dict, prop_filter: PropertyFilter,
         raise PatchSyntaxError("box has no id")
     if box_id in nodes:
         raise PatchSyntaxError(f"duplicate box id {box_id!r}")
-    contents = _box_contents(box, prop_filter, source_path, depth, table)
-    key = text
-    if text is not None and isinstance(contents.get("patcher"), VisualIR):
-        key = (source_path, text)
-    entry = (box_id, (key, contents))
-    if key is not None:
-        known[key] = entry
+    entry = (box_id, (text, _box_contents(box, prop_filter, depth, table)))
+    if text is not None:
+        known[text] = entry
     return entry
 
 
@@ -550,8 +541,8 @@ def _endpoint(line: dict, key: str) -> tuple[str, int]:
     return value[0], port
 
 
-def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str,
-                  depth: int, table: MaxNodeTable) -> dict:
+def _box_contents(box: dict, prop_filter: PropertyFilter, depth: int,
+                  table: MaxNodeTable) -> dict:
     if prop_filter.mode is FilterMode.EXCLUDE_LIST:
         keys = box.keys() - prop_filter.keys
     else:
@@ -563,8 +554,8 @@ def _box_contents(box: dict, prop_filter: PropertyFilter, source_path: str,
         if type(value) is str:
             contents[key] = value
         elif key == "patcher" and isinstance(value, dict):
-            contents[key] = _parse_patcher(value, prop_filter, source_path, depth + 1,
-                                           table)
+            # a nested IR names no file: only the root does
+            contents[key] = _parse_patcher(value, prop_filter, "", depth + 1, table)
         else:
             contents[key] = _filter_value(value, prop_filter, depth + 1)
     return contents

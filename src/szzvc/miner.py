@@ -473,15 +473,15 @@ class MiningCache:
         """Read the versions of ``steps`` not parsed yet in one request and
         parse them in step order, each step's new side before its old side,
         so that each version follows the one next to it in history. Each is
-        parsed under its path in the first step that holds it; a step that
-        holds it on both sides, a pure rename, gives its old path."""
+        parsed under the path of the first step side that holds it; the
+        node tables splice a version from the one parsed before it whatever
+        their paths, and the path names only the root IR."""
         paths: dict[str, str] = {}
         for step in steps:
             for blob, path in ((step.new_blob, step.path_new),
                                (step.old_blob, step.path_old)):
                 if blob is not None and (blob, language) not in self._irs:
-                    paths.setdefault(blob, step.path_old if blob == step.old_blob
-                                     else path)
+                    paths.setdefault(blob, path)
         for blob, data in self.repo.read_blobs(list(paths)).items():
             self._irs[blob, language] = self._parse(language, blob, data, paths[blob])
 

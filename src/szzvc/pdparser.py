@@ -29,15 +29,16 @@ appends to a box's atoms as an unescaped ``, f <int>``.
 Versions of one file share almost all of their records, so the parser keeps
 what it builds in a :class:`PdNodeTable`: a record text seen before is not
 tokenized again, and each canvas is built by :func:`szzvc.ir.intern_ir`,
-which shares a node unchanged since an earlier parse. A text that differs
-from the document the table read last only inside one run of whole
-records, as many as before and each of the kind it replaces, is spliced
-from it: only that run, which :mod:`szzvc.splice` finds, is read, and
-the same module builds the IR from the last one, the nodes the run touches
-built again. An insertion or
-deletion renumbers the nodes after it, so such a text, like anything else
-the splice does not take, is read whole, as by a fresh table. A record's
-line span is counted only when an error names it.
+which shares a node unchanged since an earlier parse. A subcanvas IR has no
+path (only the root IR names its file). A text that differs from the
+document the table read last, whatever file that was, only inside one run of
+whole records, as many as before and each of the kind it replaces, is
+spliced from it: only that run, which :mod:`szzvc.splice` finds, is read,
+and the same module builds the IR from the last one, the nodes the run
+touches built again. An insertion or deletion renumbers the nodes after it,
+so such a text, like anything else the splice does not take, is read whole,
+as by a fresh table. A record's line span is counted only when an error
+names it.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _split_width(atoms: list[str]) -> tuple[list[str], str | None]:
 
 
 def _layout_value(token: str):
-    return Num(token) if NUMBER_RE.match(token) else token
+    return Num(token) if NUMBER_RE.fullmatch(token) else token
 
 
 # What a record means to the parser, built once per record text. Forms are
@@ -219,34 +220,35 @@ class PdNodeTable:
       node's key is its contents tag.
     - The ``obj-<k>`` ids, built as parses first need them.
     - The last top-level document it read whole or spliced, one per
-      ``include_layout``: its text and path, where each record ends, the
+      ``include_layout``: its text, where each record ends, the
       records' forms, the record of each top-level node (so each record's
       node ordinal), the top-level connect records, the nodes by id and the
       wires as ``intern_ir`` takes them, and the IR.
 
-    A text parsed under the last document's ``include_layout`` and path is
-    spliced from it where it can be. :func:`szzvc.splice.changed_run`, which
-    the Max splice shares, finds the leading records the text holds where
-    the last document did and the trailing ones it holds shifted by the
-    change in length. The text between them, to the end where no record
-    trails, must be as many whole records as it replaces and blanks, each
-    of the same kind: a top-level node whose contents are its record's
-    alone (no ``#A`` data) stays such a node, a top-level connect a connect
-    in range, a skipped record (``coords``, ``declare``, ...) a skipped
-    record, and none of them may hold an error. Only that run is looked up
-    or tokenized, and :func:`szzvc.splice.splice_ir`, which the Max splice
-    shares too, applies the nodes and connects it changed to the last IR.
-    Anything else (an insertion
-    or deletion, which renumbers the nodes after it, a record inside a
-    subcanvas, a canvas, restore, ``#A`` or struct record in the run, a
-    first parse, another path, any error) is read whole, as it is by a
-    fresh table.
+    A text parsed under the last document's ``include_layout`` is spliced
+    from it where it can be, whatever file either was read from: the path
+    names only the root IR, which the splice gives the path of the text at
+    hand. :func:`szzvc.splice.changed_run`, which the Max splice shares,
+    finds the leading records the text holds where the last document did and
+    the trailing ones it holds shifted by the change in length. The text
+    between them, to the end where no record trails, must be as many whole
+    records as it replaces and blanks, each of the same kind: a top-level
+    node whose contents are its record's alone (no ``#A`` data) stays such a
+    node, a top-level connect a connect in range, a skipped record
+    (``coords``, ``declare``, ...) a skipped record, and none of them may
+    hold an error. Only that run is looked up or tokenized, and
+    :func:`szzvc.splice.splice_ir`, which the Max splice shares too, applies
+    the nodes and connects it changed to the last IR. Anything else (an
+    insertion or deletion, which renumbers the nodes after it, a record
+    inside a subcanvas, a canvas, restore, ``#A`` or struct record in the
+    run, a first parse, any error) is read whole, as it is by a fresh table.
 
     Nothing in it is changed once built but the last documents; it only
     grows. A :class:`~szzvc.miner.MiningCache` owns one for its run and
     parses each fix's versions newest first, so each splices from the
-    version next to it in history; ``parse_pd`` makes a fresh one for a
-    caller that passes none.
+    version next to it in history, and the first version of a file from the
+    last version of the file read before it; ``parse_pd`` makes a fresh one
+    for a caller that passes none.
     """
 
     def __init__(self):
@@ -254,9 +256,9 @@ class PdNodeTable:
         self._contents: dict[tuple, tuple[int, dict]] = {}
         self._subtrees: dict = {}
         self._ids: list[str] = []
-        # include_layout -> (text, source path, record bounds, forms, node
-        # records, connect records, nodes, wires, IR); record k runs from
-        # bounds[k] through its ";" at bounds[k + 1] - 1
+        # include_layout -> (text, record bounds, forms, node records,
+        # connect records, nodes, wires, IR); record k runs from bounds[k]
+        # through its ";" at bounds[k + 1] - 1
         self._last: dict[bool, tuple] = {}
 
     def _form(self, body: str, include_layout: bool) -> tuple:
@@ -322,13 +324,15 @@ class PdNodeTable:
         return (intern_ir(Language.PURE_DATA, source_path, by_id, wires, self._subtrees),
                 by_id, wires)
 
-    def _splice(self, s: str, last: tuple, include_layout: bool) -> VisualIR | None:
-        """The IR of text ``s`` spliced from ``last``, the document the table
-        read last under the same ``include_layout`` and path; None where the
-        splice does not take ``s`` (see the class docstring)."""
-        t, source_path, bounds, forms, at, connects, nodes, wires, ir = last
+    def _splice(self, s: str, last: tuple, include_layout: bool, source_path: str
+                ) -> VisualIR | None:
+        """The IR of text ``s`` of file ``source_path`` spliced from ``last``,
+        the document the table read last under the same ``include_layout``,
+        whatever its file; None where the splice does not take ``s`` (see
+        the class docstring)."""
+        t, bounds, forms, at, connects, nodes, wires, ir = last
         if s == t:
-            return ir
+            return VisualIR(ir.subtrees, ir.source_language, source_path)
         shift = len(s) - len(t)
         first, stop = changed_run(s, 0, len(s), t, 0, len(t), bounds[:-1], bounds[1:])
         start = bounds[first]
@@ -377,8 +381,8 @@ class PdNodeTable:
             new.append(form)
         # each node keeps its id and each connect is in range: splice_ir
         # has nothing to refuse
-        ir, nodes, wires = splice_ir(ir, nodes, wires, old_nodes, new_nodes, old_wires,
-                                     new_wires, self._subtrees)
+        ir, nodes, wires = splice_ir(ir, source_path, nodes, wires, old_nodes, new_nodes,
+                                     old_wires, new_wires, self._subtrees)
 
         ends = []
         for body in bodies:
@@ -386,8 +390,8 @@ class PdNodeTable:
             ends.append(start)
         kept = bounds[stop + 1:]
         bounds = bounds[:first + 1] + ends + ([b + shift for b in kept] if shift else kept)
-        self._last[include_layout] = (s, source_path, bounds, forms[:first] + new + forms[stop:],
-                                      at, connects, nodes, wires, ir)
+        self._last[include_layout] = (s, bounds, forms[:first] + new + forms[stop:], at,
+                                      connects, nodes, wires, ir)
         return ir
 
 
@@ -405,8 +409,8 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
     """
     table = PdNodeTable() if table is None else table
     last = table._last.get(include_layout)
-    if last is not None and last[1] == source_path:
-        ir = table._splice(text, last, include_layout)
+    if last is not None:
+        ir = table._splice(text, last, include_layout, source_path)
         if ir is not None:
             return ir
     bodies, unterminated = _scan(text)
@@ -453,7 +457,8 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
         elif kind == _RESTORE:
             if not stack:
                 raise error(i, "restore without open subcanvas")
-            closed = table._close(nodes, connects, forms, source_path, error)[0]
+            # a subcanvas IR names no file: only the root does
+            closed = table._close(nodes, connects, forms, "", error)[0]
             if form[2] is not None:
                 raise error(i, form[2])
             opened, nodes, at, connects = stack.pop()
@@ -466,8 +471,7 @@ def parse_pd(text: str, include_layout: bool = False, source_path: str = "",
         raise error(opened, "unbalanced subcanvas")
     ir, by_id, wires = table._close(nodes, connects, forms, source_path, error)
     bounds = list(accumulate((len(body) + 1 for body in bodies), initial=0))
-    table._last[include_layout] = (text, source_path, bounds, forms, at, connects, by_id,
-                                   wires, ir)
+    table._last[include_layout] = (text, bounds, forms, at, connects, by_id, wires, ir)
     return ir
 
 

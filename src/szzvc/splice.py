@@ -1,4 +1,4 @@
-"""Splicing a later version of a file from the one read before it.
+"""Splicing a file version from the document read before it.
 
 Both parsers read a file version as a sequence of elements, Pd records and
 the boxes and patchlines of a Max document, and most versions differ from
@@ -6,12 +6,14 @@ the one read before them inside a few elements next to each other. Finding
 that run from the text alone lets a parser read only it and take the rest
 from what it built for the earlier version, an incremental parse in the
 sense of Wagner and Graham ("Efficient and Flexible Incremental Parsing",
-TOPLAS 1998). This module holds both halves of that splice, which both
-parsers share: :func:`changed_run` finds the run of elements, and
-:func:`splice_ir` applies the nodes and wires the parser read from it to the
-last IR, building again only the nodes the run touched. A whole Max read
-goes through :func:`splice_ir` too, as the splice of every element into the
-empty document.
+TOPLAS 1998). Nothing in a splice depends on the file path, which only the
+root IR names, so the earlier document may be a version of another file.
+This module holds both halves of that splice, which both parsers share:
+:func:`changed_run` finds the run of elements, and :func:`splice_ir` applies
+the nodes and wires the parser read from it to the last IR, building again
+only the nodes the run touched. A whole Max read goes through
+:func:`splice_ir` too, as the splice of every element into the empty
+document.
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ def changed_run(s: str, s_at: int, s_size: int, t: str, t_at: int, t_size: int,
     return first, stop
 
 
-def splice_ir(ir: VisualIR, nodes: dict, wires: dict, old_nodes: list, new_nodes: list,
-              old_wires: list, new_wires: list, shared: dict
+def splice_ir(ir: VisualIR, source_path: str, nodes: dict, wires: dict, old_nodes: list,
+              new_nodes: list, old_wires: list, new_wires: list, shared: dict
               ) -> tuple[VisualIR, dict, dict] | None:
-    """``ir`` with the nodes and wires of a changed run replaced, and its
+    """``ir`` with the nodes and wires of a changed run replaced, as the IR
+    of the file ``source_path``, whatever file ``ir`` was read from, and its
     nodes and wires as :func:`~szzvc.ir.intern_ir` takes them.
 
     ``nodes`` and ``wires`` are those of ``ir``, as ``intern_ir`` took them
@@ -107,7 +110,7 @@ def splice_ir(ir: VisualIR, nodes: dict, wires: dict, old_nodes: list, new_nodes
             conn[0] in gone for conns in wires.values() for conn in conns)):
         return None
     changed = {node_id for node_id, _ in new_nodes}.union(touched).difference(gone)
-    rebuilt = intern_ir(ir.source_language, ir.source_path,
+    rebuilt = intern_ir(ir.source_language, source_path,
                         {node_id: nodes[node_id] for node_id in changed}, wires,
                         shared).subtrees
     subtrees = dict(ir.subtrees)
@@ -116,4 +119,4 @@ def splice_ir(ir: VisualIR, nodes: dict, wires: dict, old_nodes: list, new_nodes
     subtrees.update(rebuilt)
     if not rebuilt.keys() <= ir.subtrees.keys():
         subtrees = {node_id: subtrees[node_id] for node_id in sorted(subtrees)}
-    return VisualIR(subtrees, ir.source_language, ir.source_path), nodes, wires
+    return VisualIR(subtrees, ir.source_language, source_path), nodes, wires

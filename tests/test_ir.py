@@ -11,6 +11,7 @@ from szzvc.ir import (
     intern_ir,
     leaf_equal,
 )
+from szzvc.pdparser import _layout_value
 
 
 def _ir(order):
@@ -104,6 +105,14 @@ def test_num_preserves_spelling_and_compares_by_value():
         Num("nan")
     with pytest.raises(ValueError):
         Num("+5")
+
+
+@pytest.mark.parametrize("token", ["1\n", "5\n", "-2.5e3\n"])
+def test_a_token_with_a_final_newline_is_no_number(token):
+    # dumps_ir writes a Num's token verbatim: a newline would land inside it
+    with pytest.raises(ValueError):
+        Num(token)
+    assert _layout_value(token) == token
 
 
 def test_dumps_ir_golden_text_with_nested_patch_and_nums():

@@ -464,8 +464,22 @@ def test_a_later_version_is_spliced_from_the_last_one(monkeypatch, layout):
     shared = [box_id for box_id, node in second.subtrees.items()
               if node is first.subtrees[box_id]]
     assert len(shared) == 99 and "obj-50" not in shared
+
+    # the next version read as another file is spliced from it all the same
+    decoded.clear()
+    built.clear()
+    moved = _hundred_boxes("f 5 0", layout)
+    third = parse_maxpat(moved, source_path="moved.maxpat", table=table)
+    assert [json.loads(element)["box"]["id"] for element in decoded] == ["obj-50"]
+    assert built == ["obj-50"]
+    assert third.source_path == "moved.maxpat"
+    shared = [box_id for box_id, node in third.subtrees.items()
+              if node is second.subtrees[box_id]]
+    assert len(shared) == 99 and "obj-50" not in shared
     monkeypatch.undo()
-    assert repr(second) == repr(parse_maxpat(text))
+    for ir, text, path in ((second, text, ""), (third, moved, "moved.maxpat")):
+        fresh = parse_maxpat(text, source_path=path)
+        assert (repr(ir), dumps_ir(ir)) == (repr(fresh), dumps_ir(fresh))
 
 
 @pytest.mark.parametrize("layout", ["indented", "native", "minified"])
@@ -531,21 +545,25 @@ def test_a_gap_that_changes_mid_array_parses_as_a_fresh_table_does(gaps, minifie
     assert len(ir.subtrees) == 100
 
 
-def test_a_box_with_a_nested_patcher_is_keyed_with_its_path():
-    # the nested IR carries its file's path, so the same box text in another
-    # file is another node; a box without one is shared between files
+def test_a_box_with_a_nested_patcher_is_one_node_in_every_file():
+    # only the root IR names its file, so the same box text in another file
+    # is the same node, nested patcher included, spliced or read whole
     inner = json.loads(maxpat_doc([{"id": "obj-7", "text": "metro 5"}]))["patcher"]
     text = maxpat_doc([{"id": "obj-1", "text": "p sub", "patcher": inner},
                        {"id": "obj-2", "text": "print"}])
     table = MaxNodeTable()
     a = parse_maxpat(text, source_path="a.maxpat", table=table)
     b = parse_maxpat(text, source_path="b.maxpat", table=table)
-    assert b.subtrees["obj-1"].serialized_contents["patcher"].source_path == "b.maxpat"
-    assert b.subtrees["obj-1"] is not a.subtrees["obj-1"]
+    assert (a.source_path, b.source_path) == ("a.maxpat", "b.maxpat")
+    assert b.subtrees["obj-1"].serialized_contents["patcher"].source_path == ""
+    assert b.subtrees["obj-1"] is a.subtrees["obj-1"]
     assert b.subtrees["obj-2"] is a.subtrees["obj-2"]
-    again = parse_maxpat(text, source_path="a.maxpat", table=table)
-    assert again.subtrees["obj-1"] is a.subtrees["obj-1"]
     assert repr(b) == repr(parse_maxpat(text, source_path="b.maxpat"))
+    # another head: read whole, and the box found by its text alone
+    other = text.replace('"fileversion": 1', '"fileversion": 2', 1)  # the document's
+    c = parse_maxpat(other, source_path="c.maxpat", table=table)
+    assert c.subtrees["obj-1"] is a.subtrees["obj-1"]
+    assert repr(c) == repr(parse_maxpat(other, source_path="c.maxpat"))
 
 
 def _max_many_files_versions(count: int) -> list[str]:

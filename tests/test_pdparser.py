@@ -436,9 +436,24 @@ def test_a_later_version_is_spliced_from_the_last_one(monkeypatch):
     fourth = parse_pd(inserted, table=table)
     assert scanned == ["\n#X obj 21 10 new;", inserted]
     assert interned == [sorted(f"obj-{k}" for k in range(101))]
+
+    # the next version read as another file is spliced from it all the same
+    scanned.clear()
+    tokenized.clear()
+    interned.clear()
+    moved = inserted.replace("#X obj 21 10 new;", "#X obj 21 10 newer;")
+    fifth = parse_pd(moved, source_path="moved.pd", table=table)
+    assert scanned == ["\n#X obj 21 10 newer;"]
+    assert tokenized == ["\n#X obj 21 10 newer"]
+    assert interned == [["obj-21"]]
+    assert fifth.source_path == "moved.pd"
+    shared = [node_id for node_id, node in fifth.subtrees.items()
+              if node is fourth.subtrees[node_id]]
+    assert len(shared) == 100 and "obj-21" not in shared
     monkeypatch.undo()
-    for text, ir in ((edited, second), (rewired, third), (inserted, fourth)):
-        fresh = parse_pd(text)
+    for text, ir, path in ((edited, second, ""), (rewired, third, ""), (inserted, fourth, ""),
+                           (moved, fifth, "moved.pd")):
+        fresh = parse_pd(text, source_path=path)
         assert (repr(ir), dumps_ir(ir)) == (repr(fresh), dumps_ir(fresh))
 
 

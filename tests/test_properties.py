@@ -175,9 +175,10 @@ def test_split_records_matches_character_scan(text):
         _records_or_error(split_records_reference, text)
 
 
-def _parse_or_error(text, include_layout, table):
+def _parse_or_error(text, include_layout, table, source_path=""):
     try:
-        return parse_pd(text, include_layout=include_layout, table=table)
+        return parse_pd(text, include_layout=include_layout, source_path=source_path,
+                        table=table)
     except PatchSyntaxError as exc:
         return str(exc), exc.source_span
 
@@ -187,14 +188,18 @@ def _outcome(result):
 
 
 @CASES
-@given(pd_version_sequences(), st.booleans())
-def test_shared_pd_table_parses_like_a_fresh_one(texts, include_layout):
+@given(pd_version_sequences(), st.booleans(), st.data())
+def test_shared_pd_table_parses_like_a_fresh_one(texts, include_layout, data):
+    # each version is read as one of two files, so some splice from a
+    # version of the other
+    paths = [data.draw(st.sampled_from(["a.pd", "b.pd"])) for _ in texts]
     table = PdNodeTable()
-    shared = [_parse_or_error(text, include_layout, table) for text in texts]
+    shared = [_parse_or_error(text, include_layout, table, path)
+              for text, path in zip(texts, paths)]
     # compared once all are parsed: a later parse must not change an earlier IR
-    for text, result in zip(texts, shared):
+    for text, path, result in zip(texts, paths, shared):
         assert _outcome(result) == \
-            _outcome(_parse_or_error(text, include_layout, None))
+            _outcome(_parse_or_error(text, include_layout, None, path))
     # a top-level node equal to the same id's node in the IR before it is
     # that node, unless its contents are its own (a subcanvas, array data)
     for before, after in zip(shared, shared[1:]):
